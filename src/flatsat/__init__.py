@@ -41,7 +41,6 @@ from .simulation import (
     control_law,
     metrics,
     run,
-    step_rk4,
 )
 from .synthesis import (
     EllipsoidCert,
@@ -99,7 +98,6 @@ __all__ = [
     "save_certificate",
     "solve_stabilizing_P",
     "multiplier_matrix",
-    "step_rk4",
     "to_physical",
     "verify_cert",
 ]

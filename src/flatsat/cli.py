@@ -302,12 +302,14 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     params = cfg.params()
+    # gamma does not enter synthesis: synthesize once (the smallest gamma
+    # validates the whole list) and vary only the feedback scale
+    base = synthesize_certificate(params, cfg.alpha, min(cfg.gammas), margin=cfg.margin)
     out = _resolve_outdir(args, cfg)
     combined: dict = {}
     any_violations = False
     for i, gamma in enumerate(cfg.gammas):
-        cert = synthesize_certificate(params, cfg.alpha, gamma, margin=cfg.margin)
-        scenario = cfg.build_scenario(cert, params)
+        scenario = cfg.build_scenario(replace(base, gamma=gamma), params)
         trace = run(scenario)
         trace.to_csv(out / f"trace_gamma_{_gamma_tag(gamma)}.csv")
         summary = metrics(trace, scenario)

@@ -68,11 +68,13 @@ def candidate_set(v, p: ConstraintParams) -> list[float]:
     """Candidate pullback factors: all scaled boundary crossings of the ray
     through ``v``.
 
-    Contains the half-space crossing -g/v3, a ball-cone edge factor, the two
-    cone tangency roots and the two shifted-sphere roots. Entries whose
-    defining denominator vanishes (v3 = 0, or a degenerate cone quadratic)
-    are skipped; complex roots are discarded. Candidates are not filtered
-    for feasibility here.
+    Contains at most five entries: the half-space crossing -g/v3, the two
+    cone roots and the two shifted-sphere roots. Entries whose defining
+    denominator vanishes (v3 = 0, or a degenerate cone quadratic) are
+    skipped; complex roots are discarded. Candidates are not filtered for
+    feasibility here. The half-space root is what an exactly vertical
+    downward ray lands on when rounding loses the cone's double root at the
+    apex.
     """
     v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
     if v1 == 0.0 and v2 == 0.0 and v3 == 0.0:
@@ -82,7 +84,6 @@ def candidate_set(v, p: ConstraintParams) -> list[float]:
     out: list[float] = []
     if v3 != 0.0:
         out.append(-g / v3)
-        out.append(p.t_max / (v3 * math.sqrt(1.0 + t2)))
     h2 = v1 * v1 + v2 * v2
     # cone tangency: (lam v1)^2 + (lam v2)^2 = (lam v3 + g)^2 tan^2(eps)
     out.extend(_real_roots(h2 - v3 * v3 * t2, -2.0 * t2 * v3 * g, -t2 * g * g))

@@ -2,11 +2,12 @@
 
 The loop per step: sample the reference, form the scaled gradient feedback on
 the tracking error, saturate it onto the convex command set, map the command
-to (thrust, roll, pitch), integrate the nonlinear plant one step with the
-command held constant, and record monitors (Lyapunov value, set memberships,
-controller wall time). Because the input map linearizes the plant exactly and
-the command is held over the step, the integrator reproduces the exact
-double-integrator update up to floating error; tests assert this.
+to (thrust, roll, pitch), record monitors (Lyapunov value, set memberships,
+controller wall time), and advance the plant with the physical input and yaw
+held over the step. Because the input map linearizes the plant exactly, the
+held input produces a constant acceleration ``accel(u)``, so the step is the
+closed-form double-integrator update; tests assert the loop equals the linear
+system.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "RunMetrics",
     "SimulationAborted",
     "control_law",
-    "step_rk4",
     "run",
     "metrics",
     "boundary_states",
@@ -144,7 +144,8 @@ class Scenario:
     exogenous; default 0). ``feedforward`` adds the reference acceleration
     to the feedback before saturation. ``invariance_mode`` requires the
     initial error state inside the certified ellipsoid and monitors every
-    sample against leaving it.
+    sample against leaving it. ``duration`` must be a whole number of steps
+    ``dt`` (to 1e-9 relative), so the grid ends exactly at the horizon.
     """
 
     reference: object
@@ -165,8 +166,13 @@ class Scenario:
         object.__setattr__(self, "initial_state", xi0)
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.duration < self.dt:
-            raise ValueError("duration must cover at least one step")
+        if not (self.dt <= self.duration < math.inf):
+            raise ValueError("duration must be finite and cover at least one step")
+        steps = self.duration / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"duration {self.duration} is not a whole number of steps dt = {self.dt}"
+            )
 
     def psi_at(self, t: float) -> float:
         return self.psi(t) if callable(self.psi) else float(self.psi)
@@ -285,31 +291,6 @@ def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
     return res.v_out, diag
 
 
-def _rk4_step(f, x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step_rk4(xi, v, psi: float, g: float, dt: float) -> np.ndarray:
-    """One integration step of the nonlinear plant under a held command.
-
-    The command ``v`` is mapped to a physical input once and held for the
-    whole step (zero-order hold); yaw is likewise held. Classical 4th-order
-    Runge-Kutta; with a constant command the trajectory is polynomial in
-    time, so the step is exact up to rounding.
-    """
-    u = to_physical(v, psi, g)
-    a = accel(u, psi, g)
-
-    def f(x):
-        return np.concatenate([x[3:], a])
-
-    return _rk4_step(f, np.asarray(xi, dtype=float), dt)
-
-
 def run(scenario: Scenario) -> Trace:
     """Execute a scenario on the fixed grid t_k = k dt, k = 0..n.
 
@@ -403,7 +384,10 @@ def run(scenario: Scenario) -> Trace:
         inu_log[k] = ok_u
 
         if k < n:
-            xi = step_rk4(xi, v, psi_k, p.g, dt)
+            a = accel(u, psi_k, p.g)
+            xi = np.concatenate(
+                [xi[:3] + dt * xi[3:] + 0.5 * dt * dt * a, xi[3:] + dt * a]
+            )
 
     return partial(n + 1)
 

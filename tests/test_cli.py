@@ -11,7 +11,7 @@ from flatsat.cli import (
     main,
 )
 from flatsat.kvformat import parse_kv
-from flatsat.synthesis import load_certificate
+from flatsat.synthesis import load_certificate, synthesize_certificate
 
 
 def write_config(path, **pairs):
@@ -178,6 +178,13 @@ class TestSimulate:
         summary = parse_kv(capsys.readouterr().out)
         assert 0.0 < float(summary["rms_pos_error_steady"]) < 0.15
 
+    def test_horizon_not_a_whole_number_of_steps_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.txt", duration="1.01", dt="0.02")
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "whole number of steps" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.txt", duration="1.0")
         env_dir = tmp_path / "from_env"
@@ -230,3 +237,24 @@ class TestSweep:
         # unit gamma never saturates in the regulation study
         assert float(combined["run0_saturation_duty"]) == 0.0
         assert float(combined["run2_saturation_duty"]) > 0.0
+
+    def test_synthesizes_once(self, tmp_path, monkeypatch):
+        import flatsat.cli as cli
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return synthesize_certificate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "synthesize_certificate", counting)
+        cfg = write_config(tmp_path / "c.txt", duration="1.0", gammas="1, 5, 15")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("gammas", ["0.5, 5", "5, 0.5"])
+    def test_gamma_below_one_infeasible_before_any_trace(self, tmp_path, gammas):
+        cfg = write_config(tmp_path / "c.txt", duration="1.0", gammas=gammas)
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_INFEASIBLE
+        assert not list(tmp_path.glob("trace_gamma_*.csv"))

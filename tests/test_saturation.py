@@ -50,14 +50,34 @@ class TestCandidateSet:
         assert any(abs(c - 0.5) < 1e-15 for c in cands)
 
     def test_horizontal_ray_degenerate_entries(self):
-        # v3 = 0 kills the two reciprocal entries; the quadratics still
-        # deliver the cone tangency and sphere crossings
+        # v3 = 0 kills the half-space entry; the quadratics still deliver
+        # the cone tangency and sphere crossings
         c = 5.0
         cands = candidate_set((c, 0.0, 0.0), PARAMS)
         ball = math.sqrt(PARAMS.t2_max - G * G) / c
         cone = G * PARAMS.tan_eps / c
         assert any(abs(x - ball) < 1e-12 for x in cands)
         assert any(abs(x - cone) < 1e-12 for x in cands)
+
+    def test_every_candidate_is_a_boundary_crossing(self):
+        # each factor must put lam * v on the sphere, the cone or the plane
+        # c = 0; each residual is relative to the sum of the magnitudes of
+        # its terms, with c = w3 + g expanded (the cone's double root on a
+        # vertical ray is only accurate to sqrt(machine epsilon))
+        rng = np.random.default_rng(21)
+        commands = fuzz_commands(rng, 2000) + [
+            tuple(rng.normal(0.0, 5.0, 3)) for _ in range(500)
+        ]
+        for v in commands:
+            for lam in candidate_set(v, PARAMS):
+                w1, w2, w3 = lam * v[0], lam * v[1], lam * v[2]
+                c = w3 + G
+                h2 = w1 * w1 + w2 * w2
+                s2 = (abs(w3) + G) ** 2
+                sphere = abs(h2 + c * c - PARAMS.t2_max) / (h2 + s2 + PARAMS.t2_max)
+                cone = abs(h2 - c * c * PARAMS.tan2_eps) / (h2 + s2 * PARAMS.tan2_eps)
+                plane = abs(c) / (abs(w3) + G)
+                assert min(sphere, cone, plane) <= 1e-9, (v, lam)
 
     def test_zero_command_rejected(self):
         with pytest.raises(DomainError):

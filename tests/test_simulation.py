@@ -18,14 +18,10 @@ from flatsat import (
     in_Vc,
     metrics,
     run,
-    step_rk4,
     to_physical,
 )
-from flatsat.simulation import _rk4_step
 
 from conftest import CANONICAL_X0
-
-G = 9.81
 
 
 def origin_scenario(cert, params, xi0, duration=20.0, **kw):
@@ -76,43 +72,37 @@ class TestControlLaw:
         assert np.allclose(v, ff)
 
 
-class TestStepRk4:
-    def test_rest_stays_at_rest(self, params):
-        out = step_rk4(np.zeros(6), np.zeros(3), 0.0, G, 0.02)
-        assert np.allclose(out, 0.0, atol=1e-15)
+class TestExactHoldStep:
+    def test_trace_rows_satisfy_hold_update(self, params, cert075):
+        # the command is held over each step, so consecutive rows obey the
+        # closed-form double-integrator update on the recorded command
+        cert = replace(cert075, gamma=5.0)
+        sc = origin_scenario(
+            cert, params, CANONICAL_X0, duration=10.0, psi=lambda t: 0.7 * math.sin(t)
+        )
+        trace = run(sc)
+        dt = sc.dt
+        xi, v = trace.xi[:-1], trace.v[:-1]
+        want = np.concatenate(
+            [xi[:, :3] + dt * xi[:, 3:] + 0.5 * dt * dt * v, xi[:, 3:] + dt * v],
+            axis=1,
+        )
+        assert np.max(np.abs(trace.xi[1:] - want)) <= 1e-10
 
-    def test_matches_double_integrator_closed_form(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            xi = rng.normal(0.0, 2.0, 6)
-            v = rng.normal(0.0, 1.5, 3)
-            psi = rng.uniform(-3.0, 3.0)
-            dt = rng.uniform(1e-3, 0.1)
-            got = step_rk4(xi, v, psi, G, dt)
-            want = np.concatenate(
-                [xi[:3] + dt * xi[3:] + 0.5 * dt * dt * v, xi[3:] + dt * v]
-            )
-            assert np.max(np.abs(got - want)) <= 1e-10
+    def test_input_map_evaluated_once_per_sample(self, params, cert075, monkeypatch):
+        import flatsat.simulation as simulation
 
-    def test_kernel_is_fourth_order(self):
-        # Richardson check on an ODE the kernel does not solve exactly:
-        # x' = x^2, x(0) = 1, exact x(t) = 1/(1-t)
-        def f(x):
-            return x * x
+        calls = []
 
-        def integrate(n):
-            x = np.array([1.0])
-            h = 0.5 / n
-            for _ in range(n):
-                x = _rk4_step(f, x, h)
-            return float(x[0])
+        def counting(v, psi, g):
+            calls.append(1)
+            return to_physical(v, psi, g)
 
-        exact = 2.0
-        e1 = abs(integrate(50) - exact)
-        e2 = abs(integrate(100) - exact)
-        e3 = abs(integrate(200) - exact)
-        assert 12.0 < e1 / e2 < 20.0
-        assert 12.0 < e2 / e3 < 20.0
+        monkeypatch.setattr(simulation, "to_physical", counting)
+        sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0)
+        n = 50
+        assert len(run(sc)) == n + 1
+        assert len(calls) == n + 1
 
 
 class TestRun:
@@ -197,6 +187,12 @@ class TestRun:
             )
         with pytest.raises(ValueError):
             CircularReference(velocity_mode="nearest")
+        # the horizon must be a whole number of steps; inexact float
+        # quotients (0.58 / 0.02 = 28.999999999999996) pass
+        with pytest.raises(ValueError, match="whole number of steps"):
+            origin_scenario(cert075, params, CANONICAL_X0, duration=1.01)
+        for duration in (0.02, 0.58, 2.3, 20.0, 60.0):
+            origin_scenario(cert075, params, CANONICAL_X0, duration=duration)
 
     def test_apex_command_aborts_with_partial_trace(self):
         # exact-binary setup driving the first command straight down onto
