@@ -28,6 +28,7 @@ from .saturation import (
     SaturationResult,
     candidate_set,
     saturate,
+    saturate_batch,
     saturate_oracle,
 )
 from .simulation import (
@@ -94,6 +95,7 @@ __all__ = [
     "run",
     "synthesize_certificate",
     "saturate",
+    "saturate_batch",
     "saturate_oracle",
     "save_certificate",
     "solve_stabilizing_P",

@@ -102,15 +102,24 @@ def in_Vc(v, p: ConstraintParams, tol: float = DEFAULT_TOL) -> bool:
     Three clauses, with ``tol`` as absolute slack on the squared quantities:
     shifted ball  v1^2 + v2^2 + (v3+g)^2 <= t_max^2, cone
     v1^2 + v2^2 <= (v3+g)^2 tan^2(eps_max), half-space v3 >= -g.
+    The clauses are positive comparisons, so a NaN component fails them,
+    and an infinite one fails the ball clause: non-finite commands are
+    never members.
     """
-    v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
+    return bool(_vc_clauses(float(v[0]), float(v[1]), float(v[2]), p, tol))
+
+
+def _vc_clauses(v1, v2, v3, p: ConstraintParams, tol: float):
+    """The three :func:`in_Vc` clauses joined with ``&``, on floats or
+    row-wise on 1-D coordinate arrays: the one definition that the scalar
+    and the batch saturation kernels share."""
     c = v3 + p.g
     h2 = v1 * v1 + v2 * v2
-    if h2 + c * c > p.t2_max + tol:
-        return False
-    if h2 > c * c * p.tan2_eps + tol:
-        return False
-    return v3 >= -p.g - tol
+    return (
+        (h2 + c * c <= p.t2_max + tol)
+        & (h2 <= c * c * p.tan2_eps + tol)
+        & (v3 >= -p.g - tol)
+    )
 
 
 def epsilon_angle(v, g: float) -> float:

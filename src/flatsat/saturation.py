@@ -5,7 +5,10 @@ enters the set. Because the boundary consists of a shifted sphere, a cone and
 a half-space, every boundary crossing of the ray solves a quadratic or linear
 equation in the pullback factor: the optimal factor is the largest feasible
 member of a closed candidate list, so the control loop never runs an
-iterative solver. A bisection oracle is provided purely for cross-checking.
+iterative solver. :func:`saturate` is the per-sample real-time path;
+:func:`saturate_batch` applies the same arithmetic to many commands at once
+for offline checks. A bisection oracle is provided purely for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint_sets import DEFAULT_TOL, ConstraintParams, in_Vc
+from .constraint_sets import DEFAULT_TOL, ConstraintParams, _vc_clauses, in_Vc
 from .flat_model import DomainError
 
 __all__ = [
@@ -24,6 +27,7 @@ __all__ = [
     "SaturationResult",
     "candidate_set",
     "saturate",
+    "saturate_batch",
     "saturate_oracle",
 ]
 
@@ -79,17 +83,25 @@ def candidate_set(v, p: ConstraintParams) -> list[float]:
     v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
     if v1 == 0.0 and v2 == 0.0 and v3 == 0.0:
         raise DomainError("ray through the origin is undefined")
-    g = p.g
-    t2 = p.tan2_eps
     out: list[float] = []
     if v3 != 0.0:
-        out.append(-g / v3)
-    h2 = v1 * v1 + v2 * v2
-    # cone tangency: (lam v1)^2 + (lam v2)^2 = (lam v3 + g)^2 tan^2(eps)
-    out.extend(_real_roots(h2 - v3 * v3 * t2, -2.0 * t2 * v3 * g, -t2 * g * g))
-    # shifted sphere: (lam v1)^2 + (lam v2)^2 + (lam v3 + g)^2 = t_max^2
-    out.extend(_real_roots(h2 + v3 * v3, 2.0 * v3 * g, g * g - p.t2_max))
+        out.append(-p.g / v3)
+    cone, sphere = _crossing_quadratics(v1 * v1 + v2 * v2, v3, p)
+    out.extend(_real_roots(*cone))
+    out.extend(_real_roots(*sphere))
     return out
+
+
+def _crossing_quadratics(h2, v3, p: ConstraintParams):
+    """Coefficients (a, b, c) of the quadratics in the factor whose roots
+    are the ray's cone and shifted-sphere crossings, for ``h2 = v1^2 + v2^2``;
+    on floats or row-wise on 1-D arrays."""
+    g, t2 = p.g, p.tan2_eps
+    # cone tangency: (lam v1)^2 + (lam v2)^2 = (lam v3 + g)^2 tan^2(eps)
+    cone = (h2 - v3 * v3 * t2, -2.0 * t2 * v3 * g, -t2 * g * g)
+    # shifted sphere: (lam v1)^2 + (lam v2)^2 + (lam v3 + g)^2 = t_max^2
+    sphere = (h2 + v3 * v3, 2.0 * v3 * g, g * g - p.t2_max)
+    return cone, sphere
 
 
 def _residuals(v1: float, v2: float, v3: float, p: ConstraintParams):
@@ -114,7 +126,7 @@ def saturate(v, p: ConstraintParams, tol: float = DEFAULT_TOL) -> SaturationResu
     ``tol`` and, when saturated, lies on the set boundary.
     """
     v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
-    if in_Vc((v1, v2, v3), p, tol):
+    if _vc_clauses(v1, v2, v3, p, tol):
         return SaturationResult(
             v_out=np.array([v1, v2, v3]),
             lam=1.0,
@@ -123,7 +135,7 @@ def saturate(v, p: ConstraintParams, tol: float = DEFAULT_TOL) -> SaturationResu
         )
     best = 0.0
     for lam in candidate_set((v1, v2, v3), p):
-        if best < lam <= 1.0 and in_Vc((lam * v1, lam * v2, lam * v3), p, tol):
+        if best < lam <= 1.0 and _vc_clauses(lam * v1, lam * v2, lam * v3, p, tol):
             best = lam
     if best == 0.0:
         # unreachable for finite v: the origin is interior, so the ray
@@ -146,6 +158,61 @@ def saturate(v, p: ConstraintParams, tol: float = DEFAULT_TOL) -> SaturationResu
     return SaturationResult(
         v_out=np.array([w1, w2, w3]), lam=best, saturated=True, active=active
     )
+
+
+def _real_roots_columns(a, b, c):
+    """Row-wise :func:`_real_roots` as two root columns, NaN where
+    :func:`_real_roots` returns fewer roots; each present root is computed
+    with the same floating-point operations as the scalar branch."""
+    disc = b * b - 4.0 * a * c
+    s = np.sqrt(disc)  # NaN where disc < 0: no real roots
+    r = s / (2.0 * a)
+    q = -0.5 * (b + np.copysign(s, b))
+    linear = a == 0.0
+    b_zero = b == 0.0
+    first = np.where(
+        linear, np.where(b_zero, np.nan, -c / b), np.where(b_zero, r, q / a)
+    )
+    second = np.where(
+        linear | (~b_zero & (q == 0.0)), np.nan, np.where(b_zero, -r, c / q)
+    )
+    return first, second
+
+
+def saturate_batch(v, p: ConstraintParams):
+    """:func:`saturate` applied to every row of an ``(N, 3)`` array.
+
+    Returns ``(v_out, lam, saturated)`` as ``(N, 3)``, ``(N,)`` and boolean
+    ``(N,)`` arrays, each row bit-identical to the scalar result with its
+    default tolerance. The five candidates of :func:`candidate_set` are
+    evaluated as columns, one at a time, and each row keeps the largest one
+    in (0, 1] whose scaled point is a member. Raises :class:`DomainError`
+    when an infeasible row has no such factor; a row with a NaN or infinite
+    component always raises.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError(f"expected an (N, 3) array, got shape {v.shape}")
+    v1, v2, v3 = v[:, 0], v[:, 1], v[:, 2]
+    best = np.zeros(len(v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cone, sphere = _crossing_quadratics(v1 * v1 + v2 * v2, v3, p)
+        candidates = (
+            np.where(v3 != 0.0, -p.g / v3, np.nan),
+            *_real_roots_columns(*cone),
+            *_real_roots_columns(*sphere),
+        )
+        for lam in candidates:
+            ok = (best < lam) & (lam <= 1.0)
+            ok &= _vc_clauses(lam * v1, lam * v2, lam * v3, p, DEFAULT_TOL)
+            best = np.where(ok, lam, best)
+    feasible = _vc_clauses(v1, v2, v3, p, DEFAULT_TOL)
+    lam = np.where(feasible, 1.0, best)
+    stuck = np.flatnonzero(lam == 0.0)
+    if stuck.size:
+        i = stuck[0]
+        raise DomainError(f"no feasible pullback factor for row {i}: {v[i]!r}")
+    return v * lam[:, None], lam, ~feasible
 
 
 def saturate_oracle(

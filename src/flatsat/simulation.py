@@ -56,7 +56,8 @@ _ZERO6.setflags(write=False)
 
 
 class SimulationAborted(RuntimeError):
-    """The input map rejected a command mid-run; carries the partial trace."""
+    """The controller or the input map rejected a sample mid-run; carries
+    the partial trace."""
 
     def __init__(self, message: str, trace: "Trace"):
         super().__init__(message)
@@ -298,7 +299,9 @@ def run(scenario: Scenario) -> Trace:
     final one (the last command is recorded but not applied). A command
     rejected by the input map raises SimulationAborted with the completed
     rows attached; the saturation guarantees make that unreachable except
-    exactly at the cone apex.
+    exactly at the cone apex. A non-finite command, from a NaN or infinite
+    state, reference or feedforward, is rejected by the saturation and
+    aborts the same way.
     """
     p = scenario.params
     cert = scenario.cert
@@ -349,7 +352,13 @@ def run(scenario: Scenario) -> Trace:
         ref = scenario.reference.state(t)
         ff = scenario.reference.accel(t) if scenario.feedforward else None
         tic = time.perf_counter()
-        v, diag = control_law(xi, ref, cert, p, feedforward_accel=ff)
+        try:
+            v, diag = control_law(xi, ref, cert, p, feedforward_accel=ff)
+        except DomainError as exc:
+            raise SimulationAborted(
+                f"controller rejected state {xi} with reference {ref} at t={t}: {exc}",
+                partial(k),
+            ) from exc
         ctrl_time[k] = time.perf_counter() - tic
         psi_k = scenario.psi_at(t)
 

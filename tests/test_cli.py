@@ -101,6 +101,11 @@ class TestSaturate:
         assert out["saturated"] == "false"
         assert float(out["lambda"]) == 1.0
 
+    def test_non_finite_command_rejected(self, capsys):
+        rc = main(["saturate", "nan", "0", "0"])
+        assert rc == EXIT_USAGE
+        assert "no feasible pullback factor" in capsys.readouterr().err
+
     def test_oracle_flag(self, capsys):
         rc = main(["saturate", "1.5", "-2.0", "-30.0", "--oracle"])
         assert rc == EXIT_OK

@@ -63,6 +63,12 @@ class TestMembership:
         assert in_Vc((0.0, 0.0, params.t_max - G), params)  # ball boundary
         assert not in_Vc((G * params.tan_eps + 1e-3, 0.0, 0.0), params)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_in_Vc_rejects_nan(self, params, axis):
+        v = [0.0, 0.0, 0.0]
+        v[axis] = math.nan
+        assert not in_Vc(v, params)
+
     def test_epsilon_angle_values(self):
         assert epsilon_angle((0.0, 0.0, 3.0), G) == 0.0
         assert epsilon_angle((G, 0.0, 0.0), G) == pytest.approx(math.pi / 4, abs=1e-15)

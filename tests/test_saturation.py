@@ -12,6 +12,7 @@ from flatsat import (
     candidate_set,
     in_Vc,
     saturate,
+    saturate_batch,
     saturate_oracle,
 )
 
@@ -42,6 +43,35 @@ def fuzz_commands(rng, n):
         if not in_Vc(v, PARAMS):
             out.append(tuple(map(float, v)))
     return out
+
+
+def fuzz_batch(rng, n):
+    """(n, 3) commands in seven row kinds: the regimes of
+    :func:`fuzz_commands` (spread, steep downward, cone region, exactly
+    vertical, far outside), rays grazing the cone apex, and feasible rows,
+    every fourth of which is the zero command."""
+    v = rng.normal(0.0, 1.0, (n, 3))
+    kind = np.arange(n) % 7
+    v[kind == 0] *= 12.0
+    steep = kind == 1
+    v[steep] *= 3.0
+    v[steep, 2] = -np.abs(v[steep, 2]) * 6.0
+    v[kind == 2] *= (14.0, 14.0, 1.0)
+    vertical = kind == 3
+    v[vertical, :2] = 0.0
+    v[vertical, 2] = rng.uniform(-60.0, 60.0, np.count_nonzero(vertical))
+    v[kind == 4] *= 40.0
+    apex = kind == 5
+    v[apex, :2] *= 10.0 ** rng.uniform(-10.0, -4.0, (np.count_nonzero(apex), 1))
+    v[apex, 2] = -rng.uniform(G, 60.0, np.count_nonzero(apex))
+    feasible = kind == 6
+    v[feasible] *= 0.2
+    v[feasible & (np.arange(n) % 4 == 0)] = 0.0
+    return v
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 class TestCandidateSet:
@@ -140,6 +170,68 @@ class TestSaturate:
             }
             assert min(rel.values()) <= 1e-6
             assert rel[res.active] <= 1e-6
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_rejected_by_both_kernels(self, axis, value):
+        v = [0.0, 0.0, 0.0]
+        v[axis] = value
+        with pytest.raises(DomainError):
+            saturate(v, PARAMS)
+        rows = np.array([[0.1, 0.2, 0.3], v, [30.0, 0.0, 0.0]])
+        with pytest.raises(DomainError, match="row 1"):
+            saturate_batch(rows, PARAMS)
+
+
+class TestSaturateBatch:
+    def test_bitwise_equal_to_scalar_kernel(self):
+        v = fuzz_batch(np.random.default_rng(17), 210_000)
+        v_out, lam, saturated = saturate_batch(v, PARAMS)
+        ref = [saturate(row, PARAMS) for row in v]
+        np.testing.assert_array_equal(bits(lam), bits([r.lam for r in ref]))
+        np.testing.assert_array_equal(bits(v_out), bits([r.v_out for r in ref]))
+        np.testing.assert_array_equal(saturated, [r.saturated for r in ref])
+        # every regime is present: saturated and feasible rows, zero rows,
+        # and the cone apex, reached by vertical and apex-grazing rays
+        assert 0.5 < saturated.mean() < 0.95
+        assert np.count_nonzero(~v.any(axis=1)) > 1000
+        assert any(r.active is ActiveConstraint.HALFSPACE for r in ref)
+
+    def test_matches_oracle(self):
+        # rows whose output is the cone apex are checked apart, in
+        # test_apex_grazing_matches_oracle
+        v = fuzz_batch(np.random.default_rng(9), 10_000)
+        _, lam, _ = saturate_batch(v, PARAMS)
+        oracle = np.array([saturate_oracle(row, PARAMS, iters=60) for row in v])
+        at_apex = np.array(
+            [saturate(row, PARAMS).active is ActiveConstraint.HALFSPACE for row in v]
+        )
+        assert 0 < np.count_nonzero(at_apex) < len(v)
+        assert np.max(np.abs(lam - oracle)[~at_apex]) <= 1e-8
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a ray grazing the cone apex lands on the apex: the half-space "
+        "root passes the DEFAULT_TOL slack of the squared cone clause, so lam "
+        "exceeds the exact factor by up to sqrt(tol) / (tan(eps) |v3|)",
+    )
+    def test_apex_grazing_matches_oracle(self):
+        h = np.array([1e-7, 1e-6, 1e-5])
+        v = np.column_stack([h, np.zeros_like(h), np.full_like(h, -2 * G)])
+        _, lam, _ = saturate_batch(v, PARAMS)
+        oracle = [saturate_oracle(row, PARAMS, iters=60) for row in v]
+        assert np.max(np.abs(lam - oracle)) <= 1e-8
+
+    def test_empty_input(self):
+        v_out, lam, saturated = saturate_batch(np.empty((0, 3)), PARAMS)
+        assert v_out.shape == (0, 3) and lam.shape == (0,)
+        assert saturated.shape == (0,) and saturated.dtype == bool
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError):
+            saturate_batch(np.zeros(3), PARAMS)
 
 
 class TestOracle:

@@ -213,6 +213,26 @@ class TestRun:
         assert len(excinfo.value.trace) == 0
         assert "rejected command" in str(excinfo.value)
 
+    def test_non_finite_reference_aborts_with_partial_trace(self, params, cert075):
+        class NanAfterHalfSecond(OriginReference):
+            def state(self, t):
+                return np.full(6, math.nan) if t >= 0.5 else super().state(t)
+
+        sc = Scenario(
+            reference=NanAfterHalfSecond(),
+            initial_state=CANONICAL_X0,
+            duration=1.0,
+            dt=0.02,
+            cert=cert075,
+            params=params,
+        )
+        with pytest.raises(SimulationAborted) as excinfo:
+            run(sc)
+        trace = excinfo.value.trace
+        assert len(trace) == 25 and trace.t[-1] == pytest.approx(0.48)
+        assert np.all(np.isfinite(trace.xi)) and not trace.violations
+        assert "controller rejected" in str(excinfo.value)
+
 
 class TestTraceExport:
     def test_csv_shape_and_header(self, tmp_path, params, cert075):

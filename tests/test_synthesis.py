@@ -16,6 +16,7 @@ from flatsat import (
     save_certificate,
     solve_stabilizing_P,
     multiplier_matrix,
+    saturate,
     verify_cert,
 )
 
@@ -174,7 +175,59 @@ class TestProcedure:
         assert all(x > y for x, y in zip(areas, areas[1:]))
 
 
+def verify_by_loop(cert, p, n_samples, seed):
+    """Per-sample reference for :func:`verify_cert`: the scalar saturation
+    kernel and dense 6x6 products at each boundary point, with the
+    verifier's default tolerances."""
+    inward_tol, decay_tol, gain_tol = 1e-9, 1e-6, 1e-9
+    gain, gamma = cert.gain, cert.gamma
+    P = gain.P()
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((n_samples, 6))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    points = math.sqrt(cert.eps) * dirs @ gain.P_inv_sqrt().T
+    out = dict(n_samples=n_samples, seed=seed, n_saturated=0, inward_failures=0,
+               decay_failures=0, gain_failures=0, worst_inward=-math.inf,
+               worst_decay=-math.inf, worst_gain_margin=math.inf, worst_sample=-1)
+    worst_violation = 0.0
+    for i, xi in enumerate(points):
+        res = saturate(-gamma * (gain.p2 * xi[:3] + gain.p3 * xi[3:]), p)
+        flow = float(xi @ (P @ np.concatenate([xi[3:], res.v_out])))
+        vdot_margin = 2.0 * flow + gain.alpha * float(xi @ P @ xi)
+        violation = max(flow - inward_tol, vdot_margin - decay_tol)
+        out["inward_failures"] += flow > inward_tol
+        out["decay_failures"] += vdot_margin > decay_tol
+        if res.saturated:
+            out["n_saturated"] += 1
+            gmargin = gamma * res.lam - 1.0
+            out["gain_failures"] += gmargin < -gain_tol
+            violation = max(violation, -gmargin - gain_tol)
+            out["worst_gain_margin"] = min(out["worst_gain_margin"], gmargin)
+        out["worst_inward"] = max(out["worst_inward"], flow)
+        out["worst_decay"] = max(out["worst_decay"], vdot_margin)
+        if violation > worst_violation:
+            worst_violation = violation
+            out["worst_sample"] = i
+    out["passed"] = out["inward_failures"] == out["decay_failures"] == out["gain_failures"] == 0
+    return out
+
+
 class TestVerifyCert:
+    @pytest.mark.parametrize("eps_scale", [1.0, 1.5])
+    @pytest.mark.parametrize("gamma", [1.0, 5.0, 15.0])
+    def test_matches_per_sample_loop(self, params, cert075, gamma, eps_scale):
+        cert = replace(cert075, gamma=gamma, eps=cert075.eps * eps_scale)
+        got = verify_cert(cert, params, n_samples=500, seed=31).to_kv()
+        ref = verify_by_loop(cert, params, n_samples=500, seed=31)
+        assert got.keys() == ref.keys()
+        for key, value in ref.items():
+            if isinstance(value, float):
+                assert math.isclose(got[key], value, rel_tol=0.0, abs_tol=1e-12), key
+            else:
+                assert got[key] == value, key
+        if eps_scale > 1.0:
+            assert not ref["passed"] and ref["worst_sample"] >= 0
+
     def test_nominal_certificate_passes_unsaturated(self, params, cert075):
         report = verify_cert(cert075, params, n_samples=10_000, seed=0)
         assert report.passed
