@@ -1,14 +1,14 @@
 """Ray saturation onto the convex acceleration command set.
 
 An infeasible command is pulled back along the ray toward the origin until it
-enters the set. Because the boundary consists of a shifted sphere, a cone and
-a half-space, every boundary crossing of the ray solves a quadratic or linear
-equation in the pullback factor: the optimal factor is the largest feasible
-member of a closed candidate list, so the control loop never runs an
-iterative solver. :func:`saturate` is the per-sample real-time path;
-:func:`saturate_batch` applies the same arithmetic to many commands at once
-for offline checks. A bisection oracle is provided purely for
-cross-checking.
+enters the set. The boundary consists of a shifted sphere, a cone and a
+half-space that touches the cone only at its apex, so every boundary crossing
+of the ray is a root of the sphere or the cone quadratic in the pullback
+factor: the optimal factor is the largest feasible member of a closed
+candidate list, so the control loop never runs an iterative solver.
+:func:`saturate` is the per-sample real-time path; :func:`saturate_batch`
+applies the same arithmetic to many commands at once for offline checks. A
+bisection oracle is provided purely for cross-checking.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ class SaturationResult:
     active: ActiveConstraint
 
 
-def _real_roots(a: float, b: float, c: float) -> list[float]:
-    """Real roots of a x^2 + b x + c = 0, numerically stable; complex roots
-    are dropped, the degenerate linear case is handled."""
+def _real_roots(a: float, b: float, c: float, disc: float) -> list[float]:
+    """Real roots of a x^2 + b x + c = 0 given its discriminant
+    ``disc = b^2 - 4 a c``, numerically stable; complex roots are dropped,
+    the degenerate linear case is handled."""
     if a == 0.0:
         return [] if b == 0.0 else [-c / b]
-    disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return []
     s = math.sqrt(disc)
@@ -72,35 +72,34 @@ def candidate_set(v, p: ConstraintParams) -> list[float]:
     """Candidate pullback factors: all scaled boundary crossings of the ray
     through ``v``.
 
-    Contains at most five entries: the half-space crossing -g/v3, the two
-    cone roots and the two shifted-sphere roots. Entries whose defining
-    denominator vanishes (v3 = 0, or a degenerate cone quadratic) are
-    skipped; complex roots are discarded. Candidates are not filtered for
-    feasibility here. The half-space root is what an exactly vertical
-    downward ray lands on when rounding loses the cone's double root at the
-    apex.
+    Contains at most four entries: the two cone roots and the two
+    shifted-sphere roots. A degenerate cone quadratic contributes its
+    linear root; complex roots are discarded. Candidates are not filtered
+    for feasibility here. An exactly vertical downward ray reaches the
+    half-space boundary only at the cone apex, which it gets as the cone's
+    double root -g/v3.
     """
     v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
     if v1 == 0.0 and v2 == 0.0 and v3 == 0.0:
         raise DomainError("ray through the origin is undefined")
-    out: list[float] = []
-    if v3 != 0.0:
-        out.append(-p.g / v3)
     cone, sphere = _crossing_quadratics(v1 * v1 + v2 * v2, v3, p)
-    out.extend(_real_roots(*cone))
-    out.extend(_real_roots(*sphere))
-    return out
+    return _real_roots(*cone) + _real_roots(*sphere)
 
 
 def _crossing_quadratics(h2, v3, p: ConstraintParams):
-    """Coefficients (a, b, c) of the quadratics in the factor whose roots
-    are the ray's cone and shifted-sphere crossings, for ``h2 = v1^2 + v2^2``;
-    on floats or row-wise on 1-D arrays."""
+    """Coefficients and discriminant (a, b, c, b^2 - 4ac) of the quadratics
+    in the factor whose roots are the ray's cone and shifted-sphere
+    crossings, for ``h2 = v1^2 + v2^2``; on floats or row-wise on 1-D
+    arrays."""
     g, t2 = p.g, p.tan2_eps
-    # cone tangency: (lam v1)^2 + (lam v2)^2 = (lam v3 + g)^2 tan^2(eps)
-    cone = (h2 - v3 * v3 * t2, -2.0 * t2 * v3 * g, -t2 * g * g)
+    # cone tangency: (lam v1)^2 + (lam v2)^2 = (lam v3 + g)^2 tan^2(eps);
+    # its discriminant reduces to 4 tan^2(eps) g^2 h2, which the difference
+    # b^2 - 4ac loses to cancellation on rays that graze the apex
+    a, b, c = h2 - v3 * v3 * t2, -2.0 * t2 * v3 * g, -t2 * g * g
+    cone = (a, b, c, 4.0 * t2 * g * g * h2)
     # shifted sphere: (lam v1)^2 + (lam v2)^2 + (lam v3 + g)^2 = t_max^2
-    sphere = (h2 + v3 * v3, 2.0 * v3 * g, g * g - p.t2_max)
+    a, b, c = h2 + v3 * v3, 2.0 * v3 * g, g * g - p.t2_max
+    sphere = (a, b, c, b * b - 4.0 * a * c)
     return cone, sphere
 
 
@@ -116,17 +115,17 @@ def _residuals(v1: float, v2: float, v3: float, p: ConstraintParams):
     return r_ball, r_cone, r_half
 
 
-def saturate(v, p: ConstraintParams, tol: float = DEFAULT_TOL) -> SaturationResult:
+def saturate(v, p: ConstraintParams) -> SaturationResult:
     """Pull ``v`` back along its ray until it enters the command set.
 
     Feasible inputs pass through unchanged with factor 1. Otherwise the
     factor is the largest candidate in (0, 1] whose scaled point is feasible;
     candidates that cross one boundary piece outside another are rejected by
     that feasibility check. The output always satisfies membership within
-    ``tol`` and, when saturated, lies on the set boundary.
+    ``DEFAULT_TOL`` and, when saturated, lies on the set boundary.
     """
     v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
-    if _vc_clauses(v1, v2, v3, p, tol):
+    if _vc_clauses(v1, v2, v3, p, DEFAULT_TOL):
         return SaturationResult(
             v_out=np.array([v1, v2, v3]),
             lam=1.0,
@@ -135,7 +134,9 @@ def saturate(v, p: ConstraintParams, tol: float = DEFAULT_TOL) -> SaturationResu
         )
     best = 0.0
     for lam in candidate_set((v1, v2, v3), p):
-        if best < lam <= 1.0 and _vc_clauses(lam * v1, lam * v2, lam * v3, p, tol):
+        if best < lam <= 1.0 and _vc_clauses(
+            lam * v1, lam * v2, lam * v3, p, DEFAULT_TOL
+        ):
             best = lam
     if best == 0.0:
         # unreachable for finite v: the origin is interior, so the ray
@@ -143,7 +144,7 @@ def saturate(v, p: ConstraintParams, tol: float = DEFAULT_TOL) -> SaturationResu
         raise DomainError(f"no feasible pullback factor for {v!r}")
     w1, w2, w3 = best * v1, best * v2, best * v3
     c = w3 + p.g
-    if w1 * w1 + w2 * w2 <= tol and c * c <= tol:
+    if w1 * w1 + w2 * w2 <= DEFAULT_TOL and c * c <= DEFAULT_TOL:
         # cone apex: the cone clause is vacuously tight there (both sides
         # vanish), so the binding constraint is the half-space
         active = ActiveConstraint.HALFSPACE
@@ -160,11 +161,10 @@ def saturate(v, p: ConstraintParams, tol: float = DEFAULT_TOL) -> SaturationResu
     )
 
 
-def _real_roots_columns(a, b, c):
+def _real_roots_columns(a, b, c, disc):
     """Row-wise :func:`_real_roots` as two root columns, NaN where
     :func:`_real_roots` returns fewer roots; each present root is computed
     with the same floating-point operations as the scalar branch."""
-    disc = b * b - 4.0 * a * c
     s = np.sqrt(disc)  # NaN where disc < 0: no real roots
     r = s / (2.0 * a)
     q = -0.5 * (b + np.copysign(s, b))
@@ -183,10 +183,10 @@ def saturate_batch(v, p: ConstraintParams):
     """:func:`saturate` applied to every row of an ``(N, 3)`` array.
 
     Returns ``(v_out, lam, saturated)`` as ``(N, 3)``, ``(N,)`` and boolean
-    ``(N,)`` arrays, each row bit-identical to the scalar result with its
-    default tolerance. The five candidates of :func:`candidate_set` are
-    evaluated as columns, one at a time, and each row keeps the largest one
-    in (0, 1] whose scaled point is a member. Raises :class:`DomainError`
+    ``(N,)`` arrays, each row bit-identical to the scalar result. The four
+    candidates of :func:`candidate_set` are evaluated as columns, one at a
+    time, and each row keeps the largest one in (0, 1] whose scaled point is
+    a member. Raises :class:`DomainError`
     when an infeasible row has no such factor; a row with a NaN or infinite
     component always raises.
     """
@@ -197,11 +197,7 @@ def saturate_batch(v, p: ConstraintParams):
     best = np.zeros(len(v))
     with np.errstate(divide="ignore", invalid="ignore"):
         cone, sphere = _crossing_quadratics(v1 * v1 + v2 * v2, v3, p)
-        candidates = (
-            np.where(v3 != 0.0, -p.g / v3, np.nan),
-            *_real_roots_columns(*cone),
-            *_real_roots_columns(*sphere),
-        )
+        candidates = (*_real_roots_columns(*cone), *_real_roots_columns(*sphere))
         for lam in candidates:
             ok = (best < lam) & (lam <= 1.0)
             ok &= _vc_clauses(lam * v1, lam * v2, lam * v3, p, DEFAULT_TOL)
@@ -215,24 +211,22 @@ def saturate_batch(v, p: ConstraintParams):
     return v * lam[:, None], lam, ~feasible
 
 
-def saturate_oracle(
-    v, p: ConstraintParams, iters: int = 60, tol: float = 0.0
-) -> float:
+def saturate_oracle(v, p: ConstraintParams, iters: int = 60) -> float:
     """Bisection reference for the pullback factor.
 
     The feasible factors along a ray form an interval [0, lam*] because the
     set is convex with the origin interior, so the membership predicate is
     monotone in the factor and bisection converges to lam* within 2^-iters.
-    Bisects the exact membership predicate (zero slack) by default so it
-    stays an independent reference for :func:`candidate_set`.
+    Bisects the exact membership predicate (zero slack) so it stays an
+    independent reference for :func:`candidate_set`.
     """
     v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
-    if in_Vc((v1, v2, v3), p, tol):
+    if in_Vc((v1, v2, v3), p, 0.0):
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if in_Vc((mid * v1, mid * v2, mid * v3), p, tol):
+        if in_Vc((mid * v1, mid * v2, mid * v3), p, 0.0):
             lo = mid
         else:
             hi = mid

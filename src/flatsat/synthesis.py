@@ -5,9 +5,9 @@ Produces, for a chosen decay rate, a structured stabilizing gain matrix
 level set on which the scaled gradient feedback, after ray saturation, keeps
 every command inside the inscribed command ball. The three decoupled
 position axes make the matrix inequalities block-identical, so everything
-reduces to scalar searches on one 2x2 axis block; the full 6x6 inequalities
-are re-verified densely by eigenvalue checks afterwards, and certificates
-can be re-verified by boundary sampling at any time.
+reduces to one 2x2 axis block with a closed-form solution; the full 6x6
+inequalities are re-verified densely by eigenvalue checks afterwards, and
+certificates can be re-verified by boundary sampling at any time.
 """
 
 from __future__ import annotations
@@ -37,6 +37,16 @@ __all__ = [
     "load_certificate",
     "CERT_FORMAT",
 ]
+
+# largest closed-loop Lyapunov residual a synthesized gain may show
+DELTA_CERT = 1e-6
+# slack below zero of the multiplier matrix's smallest eigenvalue
+PSD_TOL = 1e-9
+# verify_cert slack on the inward flow, the decay margin and the scaled
+# pullback factor
+INWARD_TOL = 1e-9
+DECAY_TOL = 1e-6
+GAIN_TOL = 1e-9
 
 
 class SynthesisError(RuntimeError):
@@ -104,59 +114,33 @@ def lyapunov_residual(gain: GainMatrix) -> float:
     return float(np.linalg.eigvalsh(m).max())
 
 
-def _axis_candidate(q3: float, alpha: float, margin: float):
-    """Inner point of the inverse-side inequality for a fixed q3.
-
-    The off-diagonal entry q3 + alpha*q2 must vanish as the (2,2) slack
-    closes, which pins q2 = -q3/alpha; q1 then comes from tightness of the
-    (1,1) entry. Returns (q1, q2) or None when the point is not feasible.
-    """
-    if q3 <= 0.0:
-        return None
-    if 2.0 - alpha * q3 - margin < 0.0:
-        return None
-    q2 = -q3 / alpha
-    q1 = (2.0 * q3 / alpha - margin) / alpha
-    if q1 <= 0.0 or q1 * q3 - q2 * q2 <= 0.0:
-        return None
-    return q1, q2
-
-
-def solve_stabilizing_P(
-    alpha: float, margin: float = 1e-9, delta_cert: float = 1e-6
-) -> GainMatrix:
+def solve_stabilizing_P(alpha: float, margin: float = 1e-9) -> GainMatrix:
     """Solve for a stabilizing block gain at decay rate ``alpha``.
 
     Works on the inverse matrix Q = P^-1, whose stability inequality
     Q A' + A Q - 2 B B' + alpha Q <= -margin I decouples into one 2x2
-    condition per axis. The solver maximizes q3 by bisection (the largest
-    admissible q3 makes the inequality tight), assembles the axis block and
-    inverts it, then re-verifies both the 6x6 inverse-side inequality and
-    the closed-loop decay condition densely.
+    condition per axis. Its largest admissible q3 makes the inequality
+    tight: the (2,2) entry pins q3 = (2 - margin)/alpha, the off-diagonal
+    entry q2 = -q3/alpha and the (1,1) entry q1. That block is positive
+    definite exactly when margin (1 + alpha^2) < 2. The block is inverted,
+    then both the 6x6 inverse-side inequality and the closed-loop decay
+    condition are re-verified densely.
 
     Raises:
-        SynthesisError: infeasible (e.g. margin too large) or verification
-            of the assembled matrix fails.
+        SynthesisError: infeasible (margin negative or too large) or
+            verification of the assembled matrix fails.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise SynthesisError(f"alpha must be positive and finite, got {alpha}")
-    if not (math.isfinite(margin) and 0.0 <= margin < 2.0):
-        raise SynthesisError(f"margin must lie in [0, 2), got {margin}")
-    lo = (2.0 - margin) / (2.0 * alpha)
-    if _axis_candidate(lo, alpha, margin) is None:
+    if not 0.0 <= margin * (1.0 + alpha * alpha) < 2.0:
         raise SynthesisError(f"infeasible for alpha={alpha}, margin={margin}")
-    hi = lo
-    while _axis_candidate(hi, alpha, margin) is not None:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _axis_candidate(mid, alpha, margin) is not None:
-            lo = mid
-        else:
-            hi = mid
-    q3 = lo
-    q1, q2 = _axis_candidate(q3, alpha, margin)
+    q3 = (2.0 - margin) / alpha
+    q2 = -q3 / alpha
+    q1 = (2.0 * q3 / alpha - margin) / alpha
     det = q1 * q3 - q2 * q2
+    if det == 0.0:
+        # q1 and q2^2 underflow at extreme alpha
+        raise SynthesisError(f"axis block singular in floating point, alpha={alpha}")
     gain = GainMatrix(p1=q3 / det, p2=-q2 / det, p3=q1 / det, alpha=alpha)
 
     # dense re-verification of the axis-decoupled construction
@@ -165,8 +149,8 @@ def solve_stabilizing_P(
     if float(np.linalg.eigvalsh(mq).max()) > -margin + 1e-9:
         raise SynthesisError("inverse-side inequality failed dense verification")
     res = lyapunov_residual(gain)
-    if res > delta_cert:
-        raise SynthesisError(f"closed-loop residual {res} exceeds {delta_cert}")
+    if res > DELTA_CERT:
+        raise SynthesisError(f"closed-loop residual {res} exceeds {DELTA_CERT}")
     return gain
 
 
@@ -182,7 +166,7 @@ def multiplier_matrix(gain: GainMatrix, rho: float, eps: float, tau: float) -> n
     return out
 
 
-def eps_max(gain: GainMatrix, rho: float, psd_tol: float = 1e-9):
+def eps_max(gain: GainMatrix, rho: float):
     """Largest ellipsoid level whose gradient feedback stays in the command
     ball of squared radius ``rho``.
 
@@ -190,14 +174,14 @@ def eps_max(gain: GainMatrix, rho: float, psd_tol: float = 1e-9):
     eps * lambda_max(B' P B) = eps * p3, so the largest admissible level is
     rho / p3, with multiplier tau = 1 / p3. Returns (eps, tau) after
     checking the assembled 7x7 multiplier matrix is positive semidefinite
-    within ``psd_tol``.
+    within ``PSD_TOL``.
     """
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     eps = rho / gain.p3
     tau = 1.0 / gain.p3
     smin = float(np.linalg.eigvalsh(multiplier_matrix(gain, rho, eps, tau)).min())
-    if smin < -psd_tol:
+    if smin < -PSD_TOL:
         raise SynthesisError(f"multiplier matrix not PSD: min eigenvalue {smin}")
     return eps, tau
 
@@ -207,7 +191,6 @@ def synthesize_certificate(
     alpha: float,
     gamma: float,
     margin: float = 1e-9,
-    delta_cert: float = 1e-6,
 ) -> EllipsoidCert:
     """Full offline synthesis chain.
 
@@ -219,7 +202,7 @@ def synthesize_certificate(
     if gamma < 1.0:
         raise SynthesisError(f"gamma must be >= 1, got {gamma}")
     ball = max_inscribed_ball(p)
-    gain = solve_stabilizing_P(alpha, margin=margin, delta_cert=delta_cert)
+    gain = solve_stabilizing_P(alpha, margin=margin)
     eps, _tau = eps_max(gain, ball.rho)
     return EllipsoidCert(gain=gain, rho=ball.rho, eps=eps, gamma=gamma)
 
@@ -268,9 +251,6 @@ def verify_cert(
     p: ConstraintParams,
     n_samples: int,
     seed: int = 0,
-    inward_tol: float = 1e-9,
-    decay_tol: float = 1e-6,
-    gain_tol: float = 1e-9,
 ) -> VerificationReport:
     """Check the certificate on sampled boundary points of the ellipsoid.
 
@@ -300,18 +280,18 @@ def verify_cert(
     vval = p1 * _row_dot(e, e) + 2.0 * p2 * ed + p3 * dd
     vdot_margin = 2.0 * flow + gain.alpha * vval
     gmargin = gamma * lam - 1.0
-    violation = np.maximum(flow - inward_tol, vdot_margin - decay_tol)
+    violation = np.maximum(flow - INWARD_TOL, vdot_margin - DECAY_TOL)
     violation = np.where(
-        saturated, np.maximum(violation, -gmargin - gain_tol), violation
+        saturated, np.maximum(violation, -gmargin - GAIN_TOL), violation
     )
     worst = int(np.argmax(violation))
     return VerificationReport(
         n_samples=n_samples,
         seed=seed,
         n_saturated=int(np.count_nonzero(saturated)),
-        inward_failures=int(np.count_nonzero(flow > inward_tol)),
-        decay_failures=int(np.count_nonzero(vdot_margin > decay_tol)),
-        gain_failures=int(np.count_nonzero(saturated & (gmargin < -gain_tol))),
+        inward_failures=int(np.count_nonzero(flow > INWARD_TOL)),
+        decay_failures=int(np.count_nonzero(vdot_margin > DECAY_TOL)),
+        gain_failures=int(np.count_nonzero(saturated & (gmargin < -GAIN_TOL))),
         worst_inward=float(flow.max()),
         worst_decay=float(vdot_margin.max()),
         worst_gain_margin=float(gmargin[saturated].min(initial=math.inf)),

@@ -34,6 +34,36 @@ def random_gain(rng):
     return GainMatrix(p1=p1, p2=p2, p3=p3, alpha=rng.uniform(0.1, 2.0))
 
 
+def bisection_gain(alpha, margin):
+    """Reference for the closed form of :func:`solve_stabilizing_P`: the
+    largest admissible q3 found by doubling and bisection, then the same
+    inversion of the axis block. Returns (p1, p2, p3)."""
+
+    def axis_candidate(q3):
+        if q3 <= 0.0 or 2.0 - alpha * q3 - margin < 0.0:
+            return None
+        q2 = -q3 / alpha
+        q1 = (2.0 * q3 / alpha - margin) / alpha
+        if q1 <= 0.0 or q1 * q3 - q2 * q2 <= 0.0:
+            return None
+        return q1, q2
+
+    lo = (2.0 - margin) / (2.0 * alpha)
+    assert axis_candidate(lo) is not None
+    hi = lo
+    while axis_candidate(hi) is not None:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if axis_candidate(mid) is not None:
+            lo = mid
+        else:
+            hi = mid
+    q1, q2 = axis_candidate(lo)
+    det = q1 * lo - q2 * q2
+    return lo / det, -q2 / det, q1 / det
+
+
 class TestGainMatrix:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
@@ -77,10 +107,29 @@ class TestSolveStabilizing:
             assert lyapunov_residual(g) <= 1e-2
 
     def test_infeasible_margin(self):
-        with pytest.raises(SynthesisError):
-            solve_stabilizing_P(0.75, margin=2.5)
+        # feasible exactly when margin (1 + alpha^2) < 2
+        for alpha, margin in ((0.75, 2.5), (1.0, 1.0), (1.0, -1e-9), (1.0, math.nan)):
+            with pytest.raises(SynthesisError):
+                solve_stabilizing_P(alpha, margin=margin)
         with pytest.raises(SynthesisError):
             solve_stabilizing_P(-1.0)
+
+    @pytest.mark.parametrize("alpha, margin", [(1.0, 0.9), (0.5, 1.5)])
+    def test_large_feasible_margin(self, alpha, margin):
+        g = solve_stabilizing_P(alpha, margin=margin)
+        assert lyapunov_residual(g) <= 1e-6
+
+    def test_closed_form_matches_bisection(self):
+        for alpha in np.geomspace(0.05, 3.0, 50):
+            for margin in (0.0, 1e-9, 1e-3, 0.1):
+                g = solve_stabilizing_P(float(alpha), margin=margin)
+                want = bisection_gain(float(alpha), margin)
+                got = (g.p1, g.p2, g.p3)
+                for x, y in zip(got, want):
+                    assert x == pytest.approx(y, rel=1e-14, abs=0.0), (alpha, margin)
+        for alpha in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0):
+            g = solve_stabilizing_P(alpha)
+            assert (g.p1, g.p2, g.p3) == bisection_gain(alpha, 1e-9), alpha
 
 
 class TestEpsMax:
@@ -178,7 +227,7 @@ class TestProcedure:
 def verify_by_loop(cert, p, n_samples, seed):
     """Per-sample reference for :func:`verify_cert`: the scalar saturation
     kernel and dense 6x6 products at each boundary point, with the
-    verifier's default tolerances."""
+    verifier's tolerances."""
     inward_tol, decay_tol, gain_tol = 1e-9, 1e-6, 1e-9
     gain, gamma = cert.gain, cert.gamma
     P = gain.P()
