@@ -89,10 +89,17 @@ class InscribedBall:
 
 def in_U(u: PhysicalInput, p: ConstraintParams, tol: float = 0.0) -> bool:
     """Membership in the physical input box, inclusive within ``tol``."""
+    return _u_clauses(u.thrust, u.roll, u.pitch, p, tol)
+
+
+def _u_clauses(thrust: float, roll: float, pitch: float, p: ConstraintParams,
+               tol: float) -> bool:
+    """The :func:`in_U` clauses on plain floats: the one definition that
+    the public test and the simulation monitors share."""
     return (
-        -tol <= u.thrust <= p.t_max + tol
-        and abs(u.roll) <= p.phi_max + tol
-        and abs(u.pitch) <= p.theta_max + tol
+        -tol <= thrust <= p.t_max + tol
+        and abs(roll) <= p.phi_max + tol
+        and abs(pitch) <= p.theta_max + tol
     )
 
 

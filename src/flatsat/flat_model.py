@@ -55,16 +55,17 @@ class PhysicalInput:
     pitch: float
 
     def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.thrust)
-            and math.isfinite(self.roll)
-            and math.isfinite(self.pitch)
-        ):
-            raise DomainError("physical input must be finite")
-        if self.thrust < 0.0:
-            raise DomainError(f"thrust must be nonnegative, got {self.thrust}")
-        if abs(self.roll) > math.pi / 2 or abs(self.pitch) > math.pi / 2:
-            raise DomainError("roll/pitch must lie in [-pi/2, pi/2]")
+        _check_physical(self.thrust, self.roll, self.pitch)
+
+
+def _check_physical(thrust: float, roll: float, pitch: float) -> None:
+    """The :class:`PhysicalInput` domain checks on plain floats."""
+    if not (math.isfinite(thrust) and math.isfinite(roll) and math.isfinite(pitch)):
+        raise DomainError("physical input must be finite")
+    if thrust < 0.0:
+        raise DomainError(f"thrust must be nonnegative, got {thrust}")
+    if abs(roll) > math.pi / 2 or abs(pitch) > math.pi / 2:
+        raise DomainError("roll/pitch must lie in [-pi/2, pi/2]")
 
 
 def accel(u: PhysicalInput, psi: float, g: float) -> np.ndarray:
@@ -72,18 +73,20 @@ def accel(u: PhysicalInput, psi: float, g: float) -> np.ndarray:
 
     Returns the 3-vector (xdd, ydd, zdd); gravity acts on the z row.
     """
+    return np.array(_accel_floats(u.thrust, u.roll, u.pitch, psi, g))
+
+
+def _accel_floats(t: float, phi: float, theta: float, psi: float, g: float):
+    """:func:`accel` on plain floats, returning the tuple (xdd, ydd, zdd)."""
     if not (math.isfinite(psi) and math.isfinite(g)):
         raise DomainError("yaw and gravity must be finite")
-    t, phi, theta = u.thrust, u.roll, u.pitch
     cphi, sphi = math.cos(phi), math.sin(phi)
     cth, sth = math.cos(theta), math.sin(theta)
     cpsi, spsi = math.cos(psi), math.sin(psi)
-    return np.array(
-        [
-            t * (cphi * sth * cpsi + sphi * spsi),
-            t * (cphi * sth * spsi - sphi * cpsi),
-            t * cphi * cth - g,
-        ]
+    return (
+        t * (cphi * sth * cpsi + sphi * spsi),
+        t * (cphi * sth * spsi - sphi * cpsi),
+        t * cphi * cth - g,
     )
 
 
@@ -98,7 +101,13 @@ def to_physical(v, psi: float, g: float) -> PhysicalInput:
     Raises:
         DomainError: if ``v`` is not finite or ``v[2] <= -g``.
     """
-    v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
+    thrust, roll, pitch = _to_physical_floats(float(v[0]), float(v[1]), float(v[2]), psi, g)
+    return PhysicalInput(thrust, roll, pitch)
+
+
+def _to_physical_floats(v1: float, v2: float, v3: float, psi: float, g: float):
+    """:func:`to_physical` on plain floats, returning the tuple
+    (thrust, roll, pitch) after every :class:`PhysicalInput` check."""
     if not (math.isfinite(v1) and math.isfinite(v2) and math.isfinite(v3)):
         raise DomainError("acceleration command must be finite")
     if not (math.isfinite(psi) and math.isfinite(g)):
@@ -116,7 +125,8 @@ def to_physical(v, psi: float, g: float) -> PhysicalInput:
     roll = math.atan2(b, math.hypot(a, c))
     # c > 0, so atan2 lands in (-pi/2, pi/2) and equals atan of the ratio
     pitch = math.atan2(a, c)
-    return PhysicalInput(t, roll, pitch)
+    _check_physical(t, roll, pitch)
+    return t, roll, pitch
 
 
 def flat_dynamics(xi, v) -> np.ndarray:

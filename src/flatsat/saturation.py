@@ -6,7 +6,8 @@ half-space that touches the cone only at its apex, so every boundary crossing
 of the ray is a root of the sphere or the cone quadratic in the pullback
 factor: the optimal factor is the largest feasible member of a closed
 candidate list, so the control loop never runs an iterative solver.
-:func:`saturate` is the per-sample real-time path; :func:`saturate_batch`
+:func:`saturate` is the per-sample real-time path, a thin wrapper over the
+float kernel that the closed loop calls directly; :func:`saturate_batch`
 applies the same arithmetic to many commands at once for offline checks. A
 bisection oracle is provided purely for cross-checking.
 """
@@ -124,14 +125,19 @@ def saturate(v, p: ConstraintParams) -> SaturationResult:
     that feasibility check. The output always satisfies membership within
     ``DEFAULT_TOL`` and, when saturated, lies on the set boundary.
     """
-    v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
+    w1, w2, w3, lam, saturated, active = _saturate_floats(
+        float(v[0]), float(v[1]), float(v[2]), p
+    )
+    return SaturationResult(
+        v_out=np.array([w1, w2, w3]), lam=lam, saturated=saturated, active=active
+    )
+
+
+def _saturate_floats(v1: float, v2: float, v3: float, p: ConstraintParams):
+    """:func:`saturate` on plain floats, the per-sample kernel of the
+    closed loop; returns ``(w1, w2, w3, lam, saturated, active)``."""
     if _vc_clauses(v1, v2, v3, p, DEFAULT_TOL):
-        return SaturationResult(
-            v_out=np.array([v1, v2, v3]),
-            lam=1.0,
-            saturated=False,
-            active=ActiveConstraint.NONE,
-        )
+        return v1, v2, v3, 1.0, False, ActiveConstraint.NONE
     best = 0.0
     for lam in candidate_set((v1, v2, v3), p):
         if best < lam <= 1.0 and _vc_clauses(
@@ -141,7 +147,7 @@ def saturate(v, p: ConstraintParams) -> SaturationResult:
     if best == 0.0:
         # unreachable for finite v: the origin is interior, so the ray
         # always crosses the boundary at some factor in (0, 1)
-        raise DomainError(f"no feasible pullback factor for {v!r}")
+        raise DomainError(f"no feasible pullback factor for {(v1, v2, v3)!r}")
     w1, w2, w3 = best * v1, best * v2, best * v3
     c = w3 + p.g
     if w1 * w1 + w2 * w2 <= DEFAULT_TOL and c * c <= DEFAULT_TOL:
@@ -156,9 +162,7 @@ def saturate(v, p: ConstraintParams) -> SaturationResult:
             ActiveConstraint.HALFSPACE,
         )
         active = order[min(range(3), key=res.__getitem__)]
-    return SaturationResult(
-        v_out=np.array([w1, w2, w3]), lam=best, saturated=True, active=active
-    )
+    return w1, w2, w3, best, True, active
 
 
 def _real_roots_columns(a, b, c, disc):

@@ -8,23 +8,30 @@ held over the step. Because the input map linearizes the plant exactly, the
 held input produces a constant acceleration ``accel(u)``, so the step is the
 closed-form double-integrator update; tests assert the loop equals the linear
 system.
+
+:func:`run` carries the state, the commands, the physical input and the
+monitors as plain Python floats: it calls the float kernels behind the public
+functions (the raw law and saturation of :func:`control_law`, the input map
+and acceleration of ``to_physical``/``accel``, the set memberships) and
+packs each row into one flat buffer that becomes the :class:`Trace` arrays
+once, at the end or on abort.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, Union
 
 import numpy as np
 
-from .constraint_sets import ConstraintParams, in_U, in_Vc
-from .flat_model import DomainError, accel, to_physical
-from .kvformat import format_value
-from .saturation import ActiveConstraint, saturate
-from .synthesis import EllipsoidCert, GainMatrix
+from .constraint_sets import ConstraintParams, _u_clauses, _vc_clauses
+from .flat_model import DomainError, PhysicalInput, _accel_floats, _to_physical_floats
+from .saturation import ActiveConstraint, _saturate_floats
+from .synthesis import EllipsoidCert, GainMatrix, _raw_feedback
 
 __all__ = [
     "OriginReference",
@@ -232,28 +239,17 @@ class Trace:
     def to_csv(self, path) -> None:
         """Write the trace; floats carry 17 significant digits so output is
         byte-stable for a fixed scenario."""
+        numeric = np.column_stack(
+            [self.t, self.xi, self.v_raw, self.v, self.u, self.lyapunov, self.lam,
+             self.saturated, self.in_u]
+        ).tolist()
+        # 18 float columns, then saturated, active and in_u
+        row = ",".join(["%.17g"] * 18 + ["%d", "%s", "%d"]) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            for k in range(len(self.t)):
-                row = [
-                    self.t[k],
-                    *self.xi[k],
-                    *self.v_raw[k],
-                    *self.v[k],
-                    *self.u[k],
-                    self.lyapunov[k],
-                    self.lam[k],
-                    int(self.saturated[k]),
-                    self.active[k],
-                    int(self.in_u[k]),
-                ]
-                fh.write(
-                    ",".join(
-                        x if isinstance(x, str) else format_value(float(x))
-                        for x in row
-                    )
-                    + "\n"
-                )
+            fh.writelines(
+                row % (*vals[:19], act, vals[19]) for vals, act in zip(numeric, self.active)
+            )
 
 
 @dataclass(frozen=True)
@@ -264,32 +260,57 @@ class ControlDiagnostics:
     active: ActiveConstraint
 
 
+def _control_floats(e, ff, gamma: float, p2: float, p3: float, p: ConstraintParams):
+    """The controller on plain floats: the raw law on the tracking error
+    ``e = (e1, e2, e3, d1, d2, d3)`` plus the feedforward acceleration
+    ``ff`` (a 3-sequence, or None), then ray saturation. Returns
+    ``(r1, r2, r3, w1, w2, w3, lam, saturated, active)``; the one
+    definition that :func:`run` and :func:`control_law` share."""
+    e1, e2, e3, d1, d2, d3 = e
+    r1 = _raw_feedback(e1, d1, gamma, p2, p3)
+    r2 = _raw_feedback(e2, d2, gamma, p2, p3)
+    r3 = _raw_feedback(e3, d3, gamma, p2, p3)
+    if ff is not None:
+        f1, f2, f3 = np.asarray(ff, dtype=float).tolist()
+        r1 += f1
+        r2 += f2
+        r3 += f3
+    return (r1, r2, r3, *_saturate_floats(r1, r2, r3, p))
+
+
+def _lyapunov(e, p1: float, p2: float, p3: float) -> float:
+    """Lyapunov value e' P e of the error ``e = (e1, e2, e3, d1, d2, d3)``
+    from the block scalars of P, summed axis by axis: that order rounds
+    less than grouping the terms by block scalar."""
+    e1, e2, e3, d1, d2, d3 = e
+    q2 = 2.0 * p2
+    return (
+        (e1 * (p1 * e1 + q2 * d1) + p3 * d1 * d1)
+        + (e2 * (p1 * e2 + q2 * d2) + p3 * d2 * d2)
+        + (e3 * (p1 * e3 + q2 * d3) + p3 * d3 * d3)
+    )
+
+
 def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
                 feedforward_accel=None):
     """Saturated scaled gradient feedback on the tracking error.
 
-    Returns (command, diagnostics). Kept allocation-light: this is the
-    per-sample hot path whose wall time the metrics report.
+    Returns (command, diagnostics). A thin wrapper over the float kernel
+    that :func:`run` calls on every sample.
     """
-    p2, p3 = cert.gain.p2, cert.gain.p3
-    gsc = cert.gamma
-    # numpy scalar arithmetic is slow; work on plain floats in the hot path
-    e1, e2, e3, e4, e5, e6 = (np.asarray(xi, dtype=float) - xi_ref).tolist()
-    r1 = -gsc * (p2 * e1 + p3 * e4)
-    r2 = -gsc * (p2 * e2 + p3 * e5)
-    r3 = -gsc * (p2 * e3 + p3 * e6)
-    if feedforward_accel is not None:
-        r1 += float(feedforward_accel[0])
-        r2 += float(feedforward_accel[1])
-        r3 += float(feedforward_accel[2])
-    res = saturate((r1, r2, r3), p)
-    diag = ControlDiagnostics(
-        raw=np.array([r1, r2, r3]),
-        lam=res.lam,
-        saturated=res.saturated,
-        active=res.active,
+    e = (np.asarray(xi, dtype=float) - xi_ref).tolist()
+    r1, r2, r3, w1, w2, w3, lam, saturated, active = _control_floats(
+        e, feedforward_accel, cert.gamma, cert.gain.p2, cert.gain.p3, p
     )
-    return res.v_out, diag
+    diag = ControlDiagnostics(
+        raw=np.array([r1, r2, r3]), lam=lam, saturated=saturated, active=active
+    )
+    return np.array([w1, w2, w3]), diag
+
+
+# columns of one row of the run buffer: xi (6), v_raw (3), v (3), u (3),
+# lyapunov, lam, saturated, in_u, ctrl_time
+_ROW = 20
 
 
 def run(scenario: Scenario) -> Trace:
@@ -302,101 +323,106 @@ def run(scenario: Scenario) -> Trace:
     exactly at the cone apex. A non-finite command, from a NaN or infinite
     state, reference or feedforward, is rejected by the saturation and
     aborts the same way.
+
+    The loop runs on plain floats through the same kernels as
+    :func:`control_law`, ``to_physical``, ``accel``, ``in_Vc`` and ``in_U``;
+    ``ctrl_time`` times the error, the raw law, the feedforward and the
+    saturation of each sample.
     """
     p = scenario.params
     cert = scenario.cert
-    gain = cert.gain
-    P = gain.P()
-    n = int(round(scenario.duration / scenario.dt))
+    p1, p2, p3 = cert.gain.p1, cert.gain.p2, cert.gain.p3
+    gamma, g, eps = cert.gamma, p.g, cert.eps
     dt = scenario.dt
+    half_dt2 = 0.5 * dt * dt
+    n = int(round(scenario.duration / dt))
+    reference = scenario.reference
+    feedforward = scenario.feedforward
+    invariance = scenario.invariance_mode
+    psi_at = scenario.psi_at
+    clock = time.perf_counter
 
     tgrid = np.arange(n + 1) * dt
-    xi_log = np.empty((n + 1, 6))
-    vraw_log = np.empty((n + 1, 3))
-    v_log = np.empty((n + 1, 3))
-    u_log = np.empty((n + 1, 3))
-    v_lyap = np.empty(n + 1)
-    lam_log = np.empty(n + 1)
-    sat_log = np.zeros(n + 1, dtype=bool)
-    act_log: list[str] = []
-    inu_log = np.zeros(n + 1, dtype=bool)
-    ctrl_time = np.empty(n + 1)
+    rows = array("d")
+    active: list[str] = []
     violations: list[str] = []
 
     def partial(k: int) -> Trace:
+        buf = np.frombuffer(rows, dtype=float).reshape(k, _ROW)
         return Trace(
             t=tgrid[:k],
-            xi=xi_log[:k],
-            v_raw=vraw_log[:k],
-            v=v_log[:k],
-            u=u_log[:k],
-            lyapunov=v_lyap[:k],
-            lam=lam_log[:k],
-            saturated=sat_log[:k],
-            active=act_log[:k],
-            in_u=inu_log[:k],
-            ctrl_time=ctrl_time[:k],
+            xi=buf[:, 0:6],
+            v_raw=buf[:, 6:9],
+            v=buf[:, 9:12],
+            u=buf[:, 12:15],
+            lyapunov=buf[:, 15],
+            lam=buf[:, 16],
+            saturated=buf[:, 17] != 0.0,
+            active=active,
+            in_u=buf[:, 18] != 0.0,
+            ctrl_time=buf[:, 19],
             violations=violations,
         )
 
-    xi = np.array(scenario.initial_state, dtype=float)
-    err0 = xi - scenario.reference.state(0.0)
-    v0 = float(err0 @ P @ err0)
-    if scenario.invariance_mode and v0 > cert.eps * (1.0 + 1e-9):
+    v0 = _lyapunov((scenario.initial_state - reference.state(0.0)).tolist(), p1, p2, p3)
+    if invariance and v0 > eps * (1.0 + 1e-9):
         raise ValueError(
-            f"initial error level {v0} outside certified ellipsoid {cert.eps}"
+            f"initial error level {v0} outside certified ellipsoid {eps}"
         )
 
-    for k in range(n + 1):
-        t = tgrid[k]
-        ref = scenario.reference.state(t)
-        ff = scenario.reference.accel(t) if scenario.feedforward else None
-        tic = time.perf_counter()
+    x, y, z, xd, yd, zd = scenario.initial_state.tolist()
+    for k, t in enumerate(tgrid.tolist()):
+        ref = reference.state(t)
+        ff = reference.accel(t) if feedforward else None
+        tic = clock()
         try:
-            v, diag = control_law(xi, ref, cert, p, feedforward_accel=ff)
+            q1, q2, q3, q4, q5, q6 = np.asarray(ref, dtype=float).tolist()
+            e = (x - q1, y - q2, z - q3, xd - q4, yd - q5, zd - q6)
+            r1, r2, r3, w1, w2, w3, lam, saturated, act = _control_floats(
+                e, ff, gamma, p2, p3, p
+            )
         except DomainError as exc:
+            xi = np.array([x, y, z, xd, yd, zd])
             raise SimulationAborted(
                 f"controller rejected state {xi} with reference {ref} at t={t}: {exc}",
                 partial(k),
             ) from exc
-        ctrl_time[k] = time.perf_counter() - tic
-        psi_k = scenario.psi_at(t)
+        ctrl = clock() - tic
+        psi_k = psi_at(t)
 
         try:
-            u = to_physical(v, psi_k, p.g)
+            thrust, roll, pitch = _to_physical_floats(w1, w2, w3, psi_k, g)
         except DomainError as exc:
+            v = np.array([w1, w2, w3])
             raise SimulationAborted(
                 f"input map rejected command {v} at t={t}: {exc}", partial(k)
             ) from exc
 
-        err = xi - ref
-        lyap = float(err @ P @ err)
-        ok_v = in_Vc(v, p, V_MONITOR_TOL)
-        ok_u = in_U(u, p, U_MONITOR_TOL)
-        if not ok_v:
+        lyap = _lyapunov(e, p1, p2, p3)
+        ok_u = _u_clauses(thrust, roll, pitch, p, U_MONITOR_TOL)
+        if not _vc_clauses(w1, w2, w3, p, V_MONITOR_TOL):
+            v = np.array([w1, w2, w3])
             violations.append(f"t={t:.6g}: command left the convex set: {v}")
         if not ok_u:
+            u = PhysicalInput(thrust, roll, pitch)
             violations.append(f"t={t:.6g}: physical input left the box: {u}")
-        if scenario.invariance_mode and lyap > cert.eps * (1.0 + 1e-6):
+        if invariance and lyap > eps * (1.0 + 1e-6):
             violations.append(
-                f"t={t:.6g}: left the certified ellipsoid: {lyap} > {cert.eps}"
+                f"t={t:.6g}: left the certified ellipsoid: {lyap} > {eps}"
             )
 
-        xi_log[k] = xi
-        vraw_log[k] = diag.raw
-        v_log[k] = v
-        u_log[k] = (u.thrust, u.roll, u.pitch)
-        v_lyap[k] = lyap
-        lam_log[k] = diag.lam
-        sat_log[k] = diag.saturated
-        act_log.append(diag.active.value)
-        inu_log[k] = ok_u
+        rows.extend((x, y, z, xd, yd, zd, r1, r2, r3, w1, w2, w3, thrust, roll, pitch,
+                     lyap, lam, saturated, ok_u, ctrl))
+        active.append(act.value)
 
         if k < n:
-            a = accel(u, psi_k, p.g)
-            xi = np.concatenate(
-                [xi[:3] + dt * xi[3:] + 0.5 * dt * dt * a, xi[3:] + dt * a]
-            )
+            a1, a2, a3 = _accel_floats(thrust, roll, pitch, psi_k, g)
+            x = x + dt * xd + half_dt2 * a1
+            y = y + dt * yd + half_dt2 * a2
+            z = z + dt * zd + half_dt2 * a3
+            xd += dt * a1
+            yd += dt * a2
+            zd += dt * a3
 
     return partial(n + 1)
 

@@ -103,6 +103,14 @@ class EllipsoidCert:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
 
 
+def _raw_feedback(e, d, gamma: float, p2: float, p3: float):
+    """The scaled gradient feedback -gamma (p2 e + p3 d) = -gamma B' P xi of
+    one axis, for position error ``e`` and velocity error ``d``; on floats
+    or on ``(N, 3)`` blocks. The one definition of the raw control law,
+    shared by the closed loop and the verifier."""
+    return -gamma * (p2 * e + p3 * d)
+
+
 def lyapunov_residual(gain: GainMatrix) -> float:
     """Largest eigenvalue of Acl' P + P Acl + alpha P with
     Acl = A - B B' P. Nonpositive means the closed-loop decay condition
@@ -138,6 +146,9 @@ def solve_stabilizing_P(alpha: float, margin: float = 1e-9) -> GainMatrix:
     q2 = -q3 / alpha
     q1 = (2.0 * q3 / alpha - margin) / alpha
     det = q1 * q3 - q2 * q2
+    if not all(math.isfinite(x) for x in (q1, q2, q3, det)):
+        # q2 = -q3/alpha and q1 q3 overflow at tiny alpha
+        raise SynthesisError(f"axis block overflows in floating point, alpha={alpha}")
     if det == 0.0:
         # q1 and q2^2 underflow at extreme alpha
         raise SynthesisError(f"axis block singular in floating point, alpha={alpha}")
@@ -271,7 +282,7 @@ def verify_cert(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     points = math.sqrt(cert.eps) * dirs @ gain.P_inv_sqrt().T
     e, d = points[:, :3], points[:, 3:]
-    w, lam, saturated = saturate_batch(-gamma * (p2 * e + p3 * d), p)
+    w, lam, saturated = saturate_batch(_raw_feedback(e, d, gamma, p2, p3), p)
 
     # the closed loop moves xi = (e, d) along (d, w); the block structure
     # of P reduces xi' P (d, w) and xi' P xi to row dot products

@@ -85,6 +85,11 @@ class TestSynth:
         assert rc == EXIT_INFEASIBLE
         assert "synthesis error" in capsys.readouterr().err
 
+    def test_tiny_alpha_exit_code(self, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path), "--alpha", "1e-100"])
+        assert rc == EXIT_INFEASIBLE
+        assert "overflows" in capsys.readouterr().err
+
 
 class TestSaturate:
     def test_halfspace_example(self, capsys):

@@ -13,13 +13,19 @@ from flatsat import (
     Scenario,
     SetpointReference,
     SimulationAborted,
+    Trace,
+    accel,
     boundary_states,
     control_law,
+    in_U,
     in_Vc,
     metrics,
     run,
+    saturate,
     to_physical,
 )
+from flatsat.kvformat import format_value
+from flatsat.simulation import CSV_COLUMNS
 
 from conftest import CANONICAL_X0
 
@@ -34,6 +40,110 @@ def origin_scenario(cert, params, xi0, duration=20.0, **kw):
         params=params,
         **kw,
     )
+
+
+def numpy_control_law(xi, xi_ref, cert, p, feedforward_accel=None):
+    """Reference for the float kernel of :func:`control_law`: the raw law
+    on a numpy error vector, then the public ``saturate``. Returns
+    (command, raw command, saturation result)."""
+    p2, p3 = cert.gain.p2, cert.gain.p3
+    gsc = cert.gamma
+    e1, e2, e3, e4, e5, e6 = (np.asarray(xi, dtype=float) - xi_ref).tolist()
+    r1 = -gsc * (p2 * e1 + p3 * e4)
+    r2 = -gsc * (p2 * e2 + p3 * e5)
+    r3 = -gsc * (p2 * e3 + p3 * e6)
+    if feedforward_accel is not None:
+        r1 += float(feedforward_accel[0])
+        r2 += float(feedforward_accel[1])
+        r3 += float(feedforward_accel[2])
+    res = saturate((r1, r2, r3), p)
+    return res.v_out, np.array([r1, r2, r3]), res
+
+
+def numpy_run(scenario):
+    """Reference for :func:`run`: the same loop on numpy state vectors,
+    the public input map, ``accel`` and membership tests, and the dense
+    quadratic form of P. Returns the completed trace."""
+    p = scenario.params
+    cert = scenario.cert
+    P = cert.gain.P()
+    dt = scenario.dt
+    n = int(round(scenario.duration / dt))
+    tgrid = np.arange(n + 1) * dt
+    xi_log = np.empty((n + 1, 6))
+    vraw_log = np.empty((n + 1, 3))
+    v_log = np.empty((n + 1, 3))
+    u_log = np.empty((n + 1, 3))
+    v_lyap = np.empty(n + 1)
+    lam_log = np.empty(n + 1)
+    sat_log = np.zeros(n + 1, dtype=bool)
+    act_log = []
+    inu_log = np.zeros(n + 1, dtype=bool)
+    violations = []
+    xi = np.array(scenario.initial_state, dtype=float)
+    for k in range(n + 1):
+        t = tgrid[k]
+        ref = scenario.reference.state(t)
+        ff = scenario.reference.accel(t) if scenario.feedforward else None
+        v, raw, res = numpy_control_law(xi, ref, cert, p, feedforward_accel=ff)
+        psi_k = scenario.psi_at(t)
+        u = to_physical(v, psi_k, p.g)
+        err = xi - ref
+        lyap = float(err @ P @ err)
+        ok_u = in_U(u, p, 1e-6)
+        if not in_Vc(v, p, 1e-9):
+            violations.append(f"t={t:.6g}: command left the convex set: {v}")
+        if not ok_u:
+            violations.append(f"t={t:.6g}: physical input left the box: {u}")
+        if scenario.invariance_mode and lyap > cert.eps * (1.0 + 1e-6):
+            violations.append(
+                f"t={t:.6g}: left the certified ellipsoid: {lyap} > {cert.eps}"
+            )
+        xi_log[k] = xi
+        vraw_log[k] = raw
+        v_log[k] = v
+        u_log[k] = (u.thrust, u.roll, u.pitch)
+        v_lyap[k] = lyap
+        lam_log[k] = res.lam
+        sat_log[k] = res.saturated
+        act_log.append(res.active.value)
+        inu_log[k] = ok_u
+        if k < n:
+            a = accel(u, psi_k, p.g)
+            xi = np.concatenate(
+                [xi[:3] + dt * xi[3:] + 0.5 * dt * dt * a, xi[3:] + dt * a]
+            )
+    return Trace(
+        t=tgrid, xi=xi_log, v_raw=vraw_log, v=v_log, u=u_log, lyapunov=v_lyap,
+        lam=lam_log, saturated=sat_log, active=act_log, in_u=inu_log,
+        ctrl_time=np.zeros(n + 1), violations=violations,
+    )
+
+
+def format_value_csv(trace, path):
+    """Reference for :meth:`Trace.to_csv`: a per-cell writer that formats
+    every number with ``format_value``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for k in range(len(trace.t)):
+            row = [
+                trace.t[k],
+                *trace.xi[k],
+                *trace.v_raw[k],
+                *trace.v[k],
+                *trace.u[k],
+                trace.lyapunov[k],
+                trace.lam[k],
+                int(trace.saturated[k]),
+                trace.active[k],
+                int(trace.in_u[k]),
+            ]
+            fh.write(
+                ",".join(
+                    x if isinstance(x, str) else format_value(float(x)) for x in row
+                )
+                + "\n"
+            )
 
 
 class TestControlLaw:
@@ -93,12 +203,13 @@ class TestExactHoldStep:
         import flatsat.simulation as simulation
 
         calls = []
+        kernel = simulation._to_physical_floats
 
-        def counting(v, psi, g):
+        def counting(v1, v2, v3, psi, g):
             calls.append(1)
-            return to_physical(v, psi, g)
+            return kernel(v1, v2, v3, psi, g)
 
-        monkeypatch.setattr(simulation, "to_physical", counting)
+        monkeypatch.setattr(simulation, "_to_physical_floats", counting)
         sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0)
         n = 50
         assert len(run(sc)) == n + 1
@@ -234,6 +345,68 @@ class TestRun:
         assert "controller rejected" in str(excinfo.value)
 
 
+def oracle_scenarios(params, cert075, cert125):
+    """The canonical run at gamma 1/5/15, 10 boundary starts x gamma
+    1/5/15 in invariance mode, and the 60 s circle with and without
+    feedforward under a time-varying yaw."""
+    out = []
+    for gamma in (1.0, 5.0, 15.0):
+        cert = replace(cert075, gamma=gamma)
+        out.append(origin_scenario(cert, params, CANONICAL_X0))
+        for xi0 in boundary_states(cert.gain, cert.eps, 10):
+            out.append(origin_scenario(cert, params, xi0, invariance_mode=True))
+    for ff in (False, True):
+        out.append(
+            Scenario(
+                reference=CircularReference(),
+                initial_state=[0.1, -0.1, 0.0, 0.0, 0.0, 0.0],
+                duration=60.0,
+                dt=0.02,
+                cert=replace(cert125, gamma=4.5),
+                params=params,
+                psi=lambda t: 0.7 * math.sin(t),
+                feedforward=ff,
+            )
+        )
+    return out
+
+
+class TestFloatLoopOracle:
+    def test_matches_numpy_loop(self, params, cert075, cert125):
+        bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+        scenarios = oracle_scenarios(params, cert075, cert125)
+        n_saturated = 0
+        for i, sc in enumerate(scenarios):
+            got, want = run(sc), numpy_run(sc)
+            for name in ("t", "xi", "v_raw", "v", "u", "lam"):
+                np.testing.assert_array_equal(
+                    bits(getattr(got, name)), bits(getattr(want, name)), err_msg=f"{i} {name}"
+                )
+            for name in ("saturated", "in_u"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert got.active == want.active and got.violations == want.violations
+            # the block-scalar sum runs in another order than e' P e
+            scale = np.maximum(1.0, np.abs(want.lyapunov))
+            assert np.all(np.abs(got.lyapunov - want.lyapunov) <= 1e-15 * scale), i
+            n_saturated += int(got.saturated.sum())
+        assert n_saturated > 0
+
+    def test_abort_keeps_completed_rows(self, params, cert075):
+        class NanFromOneSecond(OriginReference):
+            def state(self, t):
+                return np.full(6, math.nan) if t >= 1.0 else super().state(t)
+
+        sc = origin_scenario(replace(cert075, gamma=15.0), params, CANONICAL_X0)
+        full = run(origin_scenario(sc.cert, params, CANONICAL_X0, duration=0.98))
+        with pytest.raises(SimulationAborted) as excinfo:
+            run(replace(sc, reference=NanFromOneSecond()))
+        part = excinfo.value.trace
+        assert len(part) == 50 and len(part.active) == 50
+        for name in ("t", "xi", "v_raw", "v", "u", "lyapunov", "lam", "saturated", "in_u"):
+            np.testing.assert_array_equal(getattr(part, name), getattr(full, name))
+        assert part.active == full.active
+
+
 class TestTraceExport:
     def test_csv_shape_and_header(self, tmp_path, params, cert075):
         from flatsat.simulation import CSV_COLUMNS
@@ -246,6 +419,34 @@ class TestTraceExport:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + 51  # header + n+1 samples at dt=0.02
         assert all(len(l.split(",")) == len(CSV_COLUMNS) for l in lines[1:])
+
+    def test_csv_bytes_match_per_cell_writer(self, tmp_path, params, cert075):
+        class NanFromHalfSecond(OriginReference):
+            def state(self, t):
+                return np.full(6, math.nan) if t >= 0.5 else super().state(t)
+
+        saturated = run(origin_scenario(replace(cert075, gamma=15.0), params, CANONICAL_X0))
+        unsaturated = run(origin_scenario(cert075, params, CANONICAL_X0))
+        sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0)
+        with pytest.raises(SimulationAborted) as excinfo:
+            run(replace(sc, reference=NanFromHalfSecond()))
+        aborted = excinfo.value.trace
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0 / 3.0, -5e-324]
+        m = len(special)
+        col = np.array(special)
+        block = np.tile(col[:, None], (1, 6))
+        hand = Trace(
+            t=col, xi=block, v_raw=block[:, :3], v=-block[:, 3:], u=block[:, ::2],
+            lyapunov=-col, lam=col, saturated=np.arange(m) % 2 == 0,
+            active=["none", "ball", "cone", "halfspace", "none", "ball", "cone"],
+            in_u=np.arange(m) % 3 == 0, ctrl_time=col,
+        )
+        assert saturated.saturated.any() and not unsaturated.saturated.any()
+        for i, trace in enumerate((saturated, unsaturated, aborted, hand)):
+            got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+            trace.to_csv(got)
+            format_value_csv(trace, want)
+            assert got.read_bytes() == want.read_bytes(), i
 
     def test_boundary_starts_deterministic_and_on_level_set(self, cert075):
         a = boundary_states(cert075.gain, cert075.eps, 20)

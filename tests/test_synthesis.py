@@ -114,6 +114,13 @@ class TestSolveStabilizing:
         with pytest.raises(SynthesisError):
             solve_stabilizing_P(-1.0)
 
+    @pytest.mark.parametrize("alpha", [1e-100, 1e-160, 1e-300])
+    @pytest.mark.parametrize("margin", [0.0, 1e-9])
+    def test_tiny_alpha_overflow_is_infeasible(self, alpha, margin):
+        # q2 = -q3/alpha or q1 q3 overflows, so no finite gain exists
+        with pytest.raises(SynthesisError, match="overflows"):
+            solve_stabilizing_P(alpha, margin=margin)
+
     @pytest.mark.parametrize("alpha, margin", [(1.0, 0.9), (0.5, 1.5)])
     def test_large_feasible_margin(self, alpha, margin):
         g = solve_stabilizing_P(alpha, margin=margin)
