@@ -54,7 +54,6 @@ from .synthesis import (
     synthesize_certificate,
     save_certificate,
     solve_stabilizing_P,
-    multiplier_matrix,
     verify_cert,
 )
 
@@ -99,7 +98,6 @@ __all__ = [
     "saturate_oracle",
     "save_certificate",
     "solve_stabilizing_P",
-    "multiplier_matrix",
     "to_physical",
     "verify_cert",
 ]

@@ -474,10 +474,10 @@ def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:
     p = scenario.params
     tgrid = trace.t
     n = len(tgrid)
-    ref_pos = np.stack([scenario.reference.state(t)[:3] for t in tgrid])
-    pos_err = np.linalg.norm(trace.xi[:, :3] - ref_pos, axis=1)
     steady = tgrid >= 0.75 * tgrid[-1]
-    rms = float(np.sqrt(np.mean(pos_err[steady] ** 2)))
+    ref_pos = np.stack([scenario.reference.state(t)[:3] for t in tgrid[steady]])
+    pos_err = np.linalg.norm(trace.xi[steady, :3] - ref_pos, axis=1)
+    rms = float(np.sqrt(np.mean(pos_err ** 2)))
 
     alpha = scenario.cert.gain.alpha
     if n >= 3:

@@ -5,20 +5,22 @@ Produces, for a chosen decay rate, a structured stabilizing gain matrix
 level set on which the scaled gradient feedback, after ray saturation, keeps
 every command inside the inscribed command ball. The three decoupled
 position axes make the matrix inequalities block-identical, so everything
-reduces to one 2x2 axis block with a closed-form solution; the full 6x6
-inequalities are re-verified densely by eigenvalue checks afterwards, and
-certificates can be re-verified by boundary sampling at any time.
+reduces to one 2x2 axis block with a closed-form solution. The matrix
+conditions are then decided on that block from the exact rational values of
+the stored floats, and certificates can be re-verified by boundary sampling
+at any time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
 from .constraint_sets import ConstraintParams, max_inscribed_ball
-from .flat_model import A_MATRIX, B_MATRIX
 from .kvformat import dump_kv, parse_kv
 from .saturation import saturate_batch
 
@@ -30,7 +32,6 @@ __all__ = [
     "lyapunov_residual",
     "solve_stabilizing_P",
     "eps_max",
-    "multiplier_matrix",
     "synthesize_certificate",
     "verify_cert",
     "save_certificate",
@@ -40,8 +41,6 @@ __all__ = [
 
 # largest closed-loop Lyapunov residual a synthesized gain may show
 DELTA_CERT = 1e-6
-# slack below zero of the multiplier matrix's smallest eigenvalue
-PSD_TOL = 1e-9
 # verify_cert slack on the inward flow, the decay margin and the scaled
 # pullback factor
 INWARD_TOL = 1e-9
@@ -111,15 +110,32 @@ def _raw_feedback(e, d, gamma: float, p2: float, p3: float):
     return -gamma * (p2 * e + p3 * d)
 
 
+def _lambda_max_2x2(m11: Fraction, m12: Fraction, m22: Fraction) -> float:
+    """Largest eigenvalue of the symmetric block [[m11, m12], [m12, m22]] of
+    exact rationals, rounded to float (+-inf beyond its range). The root
+    (s + r)/2, with trace s and r = sqrt((m11 - m22)^2 + 4 m12^2), cancels
+    when s < 0, where it is taken as 2 det/(s - r). Trace, determinant, r
+    and the quotient are rounded at 34 digits, far below a float ulp."""
+    exact = (m11 + m22, m11 * m22 - m12 * m12, (m11 - m22) ** 2 + 4 * m12 * m12)
+    with localcontext() as ctx:
+        ctx.prec = 34
+        s, det, disc = (Decimal(x.numerator) / x.denominator for x in exact)
+        r = disc.sqrt()
+        return float((s + r) / 2 if s >= 0 else 2 * det / (s - r))
+
+
 def lyapunov_residual(gain: GainMatrix) -> float:
     """Largest eigenvalue of Acl' P + P Acl + alpha P with
-    Acl = A - B B' P. Nonpositive means the closed-loop decay condition
-    holds; small positive values indicate a matrix sitting on the
-    feasibility boundary (e.g. scalars rounded to few digits)."""
-    P = gain.P()
-    acl = A_MATRIX - B_MATRIX @ B_MATRIX.T @ P
-    m = acl.T @ P + P @ acl + gain.alpha * P
-    return float(np.linalg.eigvalsh(m).max())
+    Acl = A - B B' P, taken exactly on its 2x2 axis block and rounded once.
+    Nonpositive means the closed-loop decay condition holds; small positive
+    values indicate a matrix sitting on the feasibility boundary (e.g.
+    scalars rounded to few digits)."""
+    p1, p2, p3, alpha = map(Fraction, (gain.p1, gain.p2, gain.p3, gain.alpha))
+    return _lambda_max_2x2(
+        alpha * p1 - 2 * p2 * p2,
+        p1 - 2 * p2 * p3 + alpha * p2,
+        2 * p2 - 2 * p3 * p3 + alpha * p3,
+    )
 
 
 def solve_stabilizing_P(alpha: float, margin: float = 1e-9) -> GainMatrix:
@@ -131,12 +147,12 @@ def solve_stabilizing_P(alpha: float, margin: float = 1e-9) -> GainMatrix:
     tight: the (2,2) entry pins q3 = (2 - margin)/alpha, the off-diagonal
     entry q2 = -q3/alpha and the (1,1) entry q1. That block is positive
     definite exactly when margin (1 + alpha^2) < 2. The block is inverted,
-    then both the 6x6 inverse-side inequality and the closed-loop decay
-    condition are re-verified densely.
+    then the inverse-side inequality and the closed-loop decay condition
+    are decided exactly on their 2x2 axis blocks of the stored floats.
 
     Raises:
         SynthesisError: infeasible (margin negative or too large) or
-            verification of the assembled matrix fails.
+            either check of the assembled matrix fails.
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise SynthesisError(f"alpha must be positive and finite, got {alpha}")
@@ -154,47 +170,29 @@ def solve_stabilizing_P(alpha: float, margin: float = 1e-9) -> GainMatrix:
         raise SynthesisError(f"axis block singular in floating point, alpha={alpha}")
     gain = GainMatrix(p1=q3 / det, p2=-q2 / det, p3=q1 / det, alpha=alpha)
 
-    # dense re-verification of the axis-decoupled construction
-    Q = np.kron(np.array([[q1, q2], [q2, q3]]), np.eye(3))
-    mq = Q @ A_MATRIX.T + A_MATRIX @ Q - 2.0 * B_MATRIX @ B_MATRIX.T + alpha * Q
-    if float(np.linalg.eigvalsh(mq).max()) > -margin + 1e-9:
-        raise SynthesisError("inverse-side inequality failed dense verification")
+    fq1, fq2, fq3, fa = map(Fraction, (q1, q2, q3, alpha))
+    worst = _lambda_max_2x2(2 * fq2 + fa * fq1, fq3 + fa * fq2, fa * fq3 - 2)
+    if not worst <= -margin + 1e-9:
+        raise SynthesisError(f"inverse-side inequality fails: largest eigenvalue {worst}")
     res = lyapunov_residual(gain)
-    if res > DELTA_CERT:
+    if not res <= DELTA_CERT:
         raise SynthesisError(f"closed-loop residual {res} exceeds {DELTA_CERT}")
     return gain
 
 
-def multiplier_matrix(gain: GainMatrix, rho: float, eps: float, tau: float) -> np.ndarray:
-    """Assembled 7x7 multiplier matrix whose positive semidefiniteness
-    certifies: ||xi||_P^2 <= eps implies ||B' P xi||^2 <= rho."""
-    P = gain.P()
-    pb = P @ B_MATRIX
-    top = P - tau * pb @ pb.T
-    out = np.zeros((7, 7))
-    out[:6, :6] = top
-    out[6, 6] = tau * rho - eps
-    return out
-
-
-def eps_max(gain: GainMatrix, rho: float):
+def eps_max(gain: GainMatrix, rho: float) -> float:
     """Largest ellipsoid level whose gradient feedback stays in the command
     ball of squared radius ``rho``.
 
     On the level set { ||xi||_P^2 <= eps } the maximum of ||B' P xi||^2 is
     eps * lambda_max(B' P B) = eps * p3, so the largest admissible level is
-    rho / p3, with multiplier tau = 1 / p3. Returns (eps, tau) after
-    checking the assembled 7x7 multiplier matrix is positive semidefinite
-    within ``PSD_TOL``.
+    rho / p3. With the S-procedure multiplier tau = 1 / p3 the multiplier
+    matrix is diag((p1 - p2^2/p3) I3, 0 I3, 0), positive semidefinite
+    because :class:`GainMatrix` is positive definite.
     """
     if rho <= 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    eps = rho / gain.p3
-    tau = 1.0 / gain.p3
-    smin = float(np.linalg.eigvalsh(multiplier_matrix(gain, rho, eps, tau)).min())
-    if smin < -PSD_TOL:
-        raise SynthesisError(f"multiplier matrix not PSD: min eigenvalue {smin}")
-    return eps, tau
+    return rho / gain.p3
 
 
 def synthesize_certificate(
@@ -207,14 +205,16 @@ def synthesize_certificate(
 
     Picks the largest inscribed command ball, solves for the stabilizing
     gain at decay rate ``alpha``, computes the maximal invariant ellipsoid
-    level, and records ``gamma`` unchanged (any value >= 1 preserves
-    invariance; it only scales the feedback aggressiveness).
+    level, and records ``gamma`` unchanged: it only scales the feedback
+    aggressiveness. In continuous time any value >= 1 preserves invariance.
+    Under the zero-order hold of the simulator, V is nonincreasing at every
+    step only while gamma * p3 * dt stays below about 2.
     """
     if gamma < 1.0:
         raise SynthesisError(f"gamma must be >= 1, got {gamma}")
     ball = max_inscribed_ball(p)
     gain = solve_stabilizing_P(alpha, margin=margin)
-    eps, _tau = eps_max(gain, ball.rho)
+    eps = eps_max(gain, ball.rho)
     return EllipsoidCert(gain=gain, rho=ball.rho, eps=eps, gamma=gamma)
 
 

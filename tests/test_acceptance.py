@@ -29,13 +29,13 @@ from flatsat import (
     saturate,
     saturate_oracle,
     solve_stabilizing_P,
-    multiplier_matrix,
     to_physical,
 )
 from flatsat.cli import EXIT_OK, EXIT_VIOLATIONS, main
 
 from conftest import CANONICAL_X0
 from test_saturation import fuzz_commands
+from test_synthesis import multiplier_matrix
 
 G = 9.81
 RHO_REF = 2.9019
@@ -60,7 +60,8 @@ def test_criterion_1_inscribed_ball(params):
 
 def test_criterion_2_invariant_level():
     gain = GainMatrix(*GAIN_A075, alpha=0.75)
-    eps, tau = eps_max(gain, RHO_REF)
+    eps = eps_max(gain, RHO_REF)
+    tau = 1.0 / gain.p3
     smin = float(np.linalg.eigvalsh(multiplier_matrix(gain, RHO_REF, eps, tau)).min())
     ok = abs(eps - EPS_REF) <= 1e-3 and tau == pytest.approx(1 / 0.75) and smin >= -1e-9
     check(2, "invariant level", ok, f"eps={eps:.6f}, min eig={smin:.2e}")

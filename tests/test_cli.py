@@ -86,9 +86,12 @@ class TestSynth:
         assert "synthesis error" in capsys.readouterr().err
 
     def test_tiny_alpha_exit_code(self, tmp_path, capsys):
-        rc = main(["synth", "--out", str(tmp_path), "--alpha", "1e-100"])
-        assert rc == EXIT_INFEASIBLE
-        assert "overflows" in capsys.readouterr().err
+        # the huge alpha builds a finite gain whose exact residual is positive
+        for args, why in ((["--alpha", "1e-100"], "overflows"),
+                          (["--alpha", "1e79", "--margin", "0"], "residual")):
+            rc = main(["synth", "--out", str(tmp_path), *args])
+            assert rc == EXIT_INFEASIBLE
+            assert why in capsys.readouterr().err
 
 
 class TestSaturate:

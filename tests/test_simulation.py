@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from flatsat import (
     to_physical,
 )
 from flatsat.kvformat import format_value
-from flatsat.simulation import CSV_COLUMNS
+from flatsat.simulation import CSV_COLUMNS, RunMetrics
 
 from conftest import CANONICAL_X0
 
@@ -409,7 +409,7 @@ class TestFloatLoopOracle:
 
 class TestTraceExport:
     def test_csv_shape_and_header(self, tmp_path, params, cert075):
-        from flatsat.simulation import CSV_COLUMNS
+        from flatsat.simulation import CSV_COLUMNS, RunMetrics
 
         sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0)
         trace = run(sc)
@@ -461,6 +461,46 @@ class TestTraceExport:
         assert d.min() > 1e-2
 
 
+def metrics_full_reference(trace, scenario):
+    """Reference for :func:`metrics`: the reference evaluated at every
+    sample, then the steady window taken from the position errors."""
+    p = scenario.params
+    tgrid = trace.t
+    n = len(tgrid)
+    ref_pos = np.stack([scenario.reference.state(t)[:3] for t in tgrid])
+    pos_err = np.linalg.norm(trace.xi[:, :3] - ref_pos, axis=1)
+    steady = tgrid >= 0.75 * tgrid[-1]
+    rms = float(np.sqrt(np.mean(pos_err[steady] ** 2)))
+
+    alpha = scenario.cert.gain.alpha
+    if n >= 3:
+        vdot = (trace.lyapunov[2:] - trace.lyapunov[:-2]) / (2.0 * scenario.dt)
+        decay = float(np.max(vdot + alpha * trace.lyapunov[1:-1]))
+    else:
+        decay = -math.inf
+
+    v1, v2, v3 = trace.v[:, 0], trace.v[:, 1], trace.v[:, 2]
+    c = v3 + p.g
+    h2 = v1 * v1 + v2 * v2
+    thrust, roll, pitch = trace.u[:, 0], trace.u[:, 1], trace.u[:, 2]
+
+    return RunMetrics(
+        rms_pos_error_steady=rms,
+        max_decay_residual=decay,
+        saturation_duty=float(np.mean(trace.saturated)),
+        ctrl_time_mean=float(np.mean(trace.ctrl_time)),
+        ctrl_time_p99=float(np.percentile(trace.ctrl_time, 99)),
+        max_lyapunov=float(np.max(trace.lyapunov)),
+        min_ball_margin=float(np.min(p.t2_max - (h2 + c * c))),
+        min_cone_margin=float(np.min(c * c * p.tan2_eps - h2)),
+        min_half_margin=float(np.min(c)),
+        min_thrust_margin=float(np.min(np.minimum(thrust, p.t_max - thrust))),
+        min_roll_margin=float(np.min(p.phi_max - np.abs(roll))),
+        min_pitch_margin=float(np.min(p.theta_max - np.abs(pitch))),
+        n_violations=len(trace.violations),
+    )
+
+
 class TestMetrics:
     def test_perfect_hover(self, params, cert075):
         sc = Scenario(
@@ -503,6 +543,26 @@ class TestMetrics:
         c_cal = max(results[1.0] / dt**2, 1.0)
         assert results[5.0] <= c_cal * dt**2
         assert results[15.0] <= c_cal * dt**2
+
+    def test_matches_full_reference(self, params, cert075, cert125):
+        # the canonical run, the setpoint run and the 60 s circle with and
+        # without feedforward
+        scenarios = [
+            origin_scenario(replace(cert075, gamma=5.0), params, CANONICAL_X0),
+            Scenario(
+                reference=SetpointReference(position=(0.3, 0.3, 0.8)),
+                initial_state=np.zeros(6),
+                duration=20.0,
+                dt=0.02,
+                cert=replace(cert125, gamma=5.0),
+                params=params,
+            ),
+        ] + oracle_scenarios(params, cert075, cert125)[-2:]
+        bits = lambda m: np.array(astuple(m), dtype=float).view(np.uint64)
+        for i, sc in enumerate(scenarios):
+            trace = run(sc)
+            got, want = metrics(trace, sc), metrics_full_reference(trace, sc)
+            np.testing.assert_array_equal(bits(got), bits(want), err_msg=str(i))
 
     def test_circular_reference_modes(self):
         ref = CircularReference()

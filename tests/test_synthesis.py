@@ -1,10 +1,14 @@
 import math
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from flatsat import (
+    A_MATRIX,
     B_MATRIX,
     GainMatrix,
     SynthesisError,
@@ -15,10 +19,10 @@ from flatsat import (
     synthesize_certificate,
     save_certificate,
     solve_stabilizing_P,
-    multiplier_matrix,
     saturate,
     verify_cert,
 )
+from flatsat.synthesis import DELTA_CERT
 
 # frozen reference scalars for the canonical desk-scale setting
 GAIN_A075 = (0.2109, 0.2813, 0.75)
@@ -62,6 +66,80 @@ def bisection_gain(alpha, margin):
     q1, q2 = axis_candidate(lo)
     det = q1 * lo - q2 * q2
     return lo / det, -q2 / det, q1 / det
+
+
+def dense_lyapunov_residual(gain):
+    """Reference for :func:`lyapunov_residual`: the largest float
+    eigenvalue of the assembled 6x6 decay matrix."""
+    P = gain.P()
+    acl = A_MATRIX - B_MATRIX @ B_MATRIX.T @ P
+    return float(np.linalg.eigvalsh(acl.T @ P + P @ acl + gain.alpha * P).max())
+
+
+def dense_inverse_side(q1, q2, q3, alpha):
+    """Largest float eigenvalue of the assembled 6x6 inverse-side matrix
+    Q A' + A Q - 2 B B' + alpha Q."""
+    Q = np.kron(np.array([[q1, q2], [q2, q3]]), np.eye(3))
+    m = Q @ A_MATRIX.T + A_MATRIX @ Q - 2.0 * B_MATRIX @ B_MATRIX.T + alpha * Q
+    return float(np.linalg.eigvalsh(m).max())
+
+
+def multiplier_matrix(gain, rho, eps, tau):
+    """Assembled 7x7 S-procedure matrix whose positive semidefiniteness
+    certifies: ||xi||_P^2 <= eps implies ||B' P xi||^2 <= rho."""
+    P = gain.P()
+    pb = P @ B_MATRIX
+    out = np.zeros((7, 7))
+    out[:6, :6] = P - tau * pb @ pb.T
+    out[6, 6] = tau * rho - eps
+    return out
+
+
+def decay_block(gain):
+    """Exact axis block of the decay matrix."""
+    p1, p2, p3, a = map(Fraction, (gain.p1, gain.p2, gain.p3, gain.alpha))
+    return (
+        a * p1 - 2 * p2 * p2,
+        p1 - 2 * p2 * p3 + a * p2,
+        2 * p2 - 2 * p3 * p3 + a * p3,
+    )
+
+
+def exact_lambda_max_le(block, t):
+    """Exact verdict of lambda_max([[m11, m12], [m12, m22]]) <= t."""
+    m11, m12, m22 = block
+    t = Fraction(t)
+    return t - m11 >= 0 and t - m22 >= 0 and (t - m11) * (t - m22) >= m12 * m12
+
+
+def mp_lambda_max(block):
+    """Largest eigenvalue of an exact 2x2 block, rounded once to float from
+    enough binary digits that the rational entries convert exactly."""
+    bits = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in block)
+    with mpmath.workprec(4 * bits + 200):
+        a, b, d = (mpmath.mpf(x.numerator) / x.denominator for x in block)
+        return float((a + d + mpmath.sqrt((a - d) ** 2 + 4 * b * b)) / 2)
+
+
+def closed_form_blocks(alpha, margin):
+    """The inverse axis block (q1, q2, q3) and the gain of
+    :func:`solve_stabilizing_P`, or None where the margin is infeasible,
+    the floats overflow or the block is singular."""
+    if not margin * (1.0 + alpha * alpha) < 2.0:
+        return None
+    q3 = (2.0 - margin) / alpha
+    q2 = -q3 / alpha
+    q1 = (2.0 * q3 / alpha - margin) / alpha
+    det = q1 * q3 - q2 * q2
+    if not all(map(math.isfinite, (q1, q2, q3, det))) or det == 0.0:
+        return None
+    return (q1, q2, q3), GainMatrix(p1=q3 / det, p2=-q2 / det, p3=q1 / det, alpha=alpha)
+
+
+FULL_GRID = [(float(a), m) for a in np.geomspace(1e-300, 1e300, 601) for m in (0.0, 1e-9)]
+WORKING_GRID = [
+    (float(a), m) for a in np.geomspace(1e-3, 1e2, 501) for m in (0.0, 1e-9, 1e-3, 0.1)
+]
 
 
 class TestGainMatrix:
@@ -126,6 +204,84 @@ class TestSolveStabilizing:
         g = solve_stabilizing_P(alpha, margin=margin)
         assert lyapunov_residual(g) <= 1e-6
 
+    @pytest.mark.parametrize("alpha", [1e79, 1e80, 1e81])
+    def test_huge_alpha_exact_residual_is_infeasible(self, alpha):
+        # the gain entries reach about 1e233; the exact residual is positive
+        with pytest.raises(SynthesisError, match="residual"):
+            solve_stabilizing_P(alpha, margin=0.0)
+
+    def test_huge_alpha_gain_is_certified(self):
+        res = lyapunov_residual(solve_stabilizing_P(1e78, margin=0.0))
+        assert math.isfinite(res) and res < 0.0
+
+    def test_verdicts_equal_exact_oracle(self):
+        # alpha over the whole float range: only SynthesisError is raised,
+        # and a gain is returned exactly when both inequalities hold in
+        # exact arithmetic on the stored floats
+        n_accepted = 0
+        for alpha, margin in FULL_GRID:
+            blocks = closed_form_blocks(alpha, margin)
+            want = blocks is not None
+            if want:
+                (q1, q2, q3), gain = blocks
+                fq1, fq2, fq3, fa = map(Fraction, (q1, q2, q3, alpha))
+                inverse = (2 * fq2 + fa * fq1, fq3 + fa * fq2, fa * fq3 - 2)
+                want = exact_lambda_max_le(inverse, -margin + 1e-9)
+                want = want and exact_lambda_max_le(decay_block(gain), DELTA_CERT)
+            try:
+                got = solve_stabilizing_P(alpha, margin=margin)
+            except SynthesisError:
+                got = None
+            assert (got is not None) == want, (alpha, margin)
+            if want:
+                assert got == gain
+                n_accepted += 1
+        assert n_accepted > 0
+
+    def test_working_range_matches_dense_checks(self):
+        # the verdicts of the dense eigenvalue checks, and the residual
+        # within 1e-14 of the largest summand of its block
+        n_accepted = 0
+        for alpha, margin in WORKING_GRID:
+            blocks = closed_form_blocks(alpha, margin)
+            try:
+                got = solve_stabilizing_P(alpha, margin=margin)
+            except SynthesisError:
+                got = None
+            if blocks is None:
+                assert got is None
+                continue
+            (q1, q2, q3), gain = blocks
+            dense = dense_lyapunov_residual(gain)
+            want = (
+                dense_inverse_side(q1, q2, q3, alpha) <= -margin + 1e-9
+                and dense <= DELTA_CERT
+            )
+            assert (got is not None) == want, (alpha, margin)
+            p1, p2, p3 = gain.p1, gain.p2, gain.p3
+            summands = (alpha * p1, 2 * p2 * p2, p1, 2 * p2 * p3, alpha * p2, 2 * p2,
+                        2 * p3 * p3, alpha * p3)
+            scale = max(map(abs, summands))
+            assert abs(lyapunov_residual(gain) - dense) <= 1e-14 * scale, (alpha, margin)
+            n_accepted += want
+        assert n_accepted > 0
+
+    def test_residual_within_one_ulp_of_exact(self):
+        rng = np.random.default_rng(47)
+        gains = [random_gain(rng) for _ in range(200)]
+        for alpha, margin in FULL_GRID + WORKING_GRID:
+            blocks = closed_form_blocks(alpha, margin)
+            if blocks is not None:
+                gains.append(blocks[1])
+        n_checked = 0
+        for gain in gains:
+            want = mp_lambda_max(decay_block(gain))
+            if math.isfinite(want) and abs(want) >= sys.float_info.min:
+                got = lyapunov_residual(gain)
+                assert abs(got - want) <= math.ulp(want), gain
+                n_checked += 1
+        assert n_checked > 0.9 * len(gains)
+
     def test_closed_form_matches_bisection(self):
         for alpha in np.geomspace(0.05, 3.0, 50):
             for margin in (0.0, 1e-9, 1e-3, 0.1):
@@ -142,13 +298,15 @@ class TestSolveStabilizing:
 class TestEpsMax:
     def test_reference_value(self):
         gain = GainMatrix(*GAIN_A075, alpha=0.75)
-        eps, tau = eps_max(gain, RHO_REF)
+        eps = eps_max(gain, RHO_REF)
+        tau = 1.0 / gain.p3
         assert eps == pytest.approx(EPS_REF, abs=1e-3)
         assert tau == pytest.approx(1.0 / 0.75, rel=1e-12)
 
     def test_identity_block(self):
         gain = GainMatrix(p1=2.0, p2=0.0, p3=1.0, alpha=0.5)
-        eps, tau = eps_max(gain, 1.0)
+        eps = eps_max(gain, 1.0)
+        tau = 1.0 / gain.p3
         assert eps == 1.0 and tau == 1.0
 
     def test_multiplier_matrix_feasible_at_solution(self):
@@ -156,7 +314,8 @@ class TestEpsMax:
         for _ in range(50):
             gain = random_gain(rng)
             rho = rng.uniform(0.1, 10.0)
-            eps, tau = eps_max(gain, rho)
+            eps = eps_max(gain, rho)
+            tau = 1.0 / gain.p3
             smin = np.linalg.eigvalsh(multiplier_matrix(gain, rho, eps, tau)).min()
             assert smin >= -1e-9
 
@@ -165,7 +324,7 @@ class TestEpsMax:
         for _ in range(20):
             gain = random_gain(rng)
             rho = rng.uniform(0.1, 10.0)
-            eps, _ = eps_max(gain, rho)
+            eps = eps_max(gain, rho)
             bad_eps = eps * (1.0 + 1e-3)
             for tau in np.linspace(0.0, 2.0 / gain.p3, 200):
                 smin = np.linalg.eigvalsh(multiplier_matrix(gain, rho, bad_eps, tau)).min()
@@ -176,14 +335,14 @@ class TestEpsMax:
         for _ in range(50):
             gain = random_gain(rng)
             rho = rng.uniform(0.1, 10.0)
-            eps, _ = eps_max(gain, rho)
+            eps = eps_max(gain, rho)
             btpb_max = np.linalg.eigvalsh(B_MATRIX.T @ gain.P() @ B_MATRIX).max()
             assert abs(eps * btpb_max - rho) <= 1e-9
 
     def test_implication_by_sampling(self, params):
         gain = solve_stabilizing_P(0.75)
         rho = max_inscribed_ball(params).rho
-        eps, _ = eps_max(gain, rho)
+        eps = eps_max(gain, rho)
         rng = np.random.default_rng(43)
         dirs = rng.standard_normal((100_000, 6))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
