@@ -26,7 +26,6 @@ from .flat_model import (
 from .saturation import (
     ActiveConstraint,
     SaturationResult,
-    candidate_set,
     saturate,
     saturate_batch,
     saturate_oracle,
@@ -80,7 +79,6 @@ __all__ = [
     "VerificationReport",
     "accel",
     "boundary_states",
-    "candidate_set",
     "control_law",
     "eps_max",
     "epsilon_angle",

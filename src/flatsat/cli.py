@@ -138,33 +138,9 @@ class RunConfig:
         )
 
 
-_CONFIG_PARSERS = {
-    "g": float,
-    "t_max": float,
-    "phi_max": float,
-    "theta_max": float,
-    "alpha": float,
-    "gamma": float,
-    "margin": float,
-    "scenario": str,
-    "setpoint": _parse_floats,
-    "circle_radius": float,
-    "circle_center_x": float,
-    "circle_center_y": float,
-    "circle_altitude": float,
-    "circle_omega": float,
-    "circle_velocity_mode": str,
-    "initial_state": _parse_floats,
-    "duration": float,
-    "dt": float,
-    "psi": float,
-    "feedforward": _parse_bool,
-    "invariance_mode": _parse_bool,
-    "seed": int,
-    "outdir": str,
-    "gammas": _parse_floats,
-}
-assert set(_CONFIG_PARSERS) == {f.name for f in fields(RunConfig)}
+# each config key is parsed by the type of its default
+_PARSER_OF_TYPE = {float: float, int: int, str: str, bool: _parse_bool, tuple: _parse_floats}
+_CONFIG_PARSERS = {f.name: _PARSER_OF_TYPE[type(f.default)] for f in fields(RunConfig)}
 
 
 def load_config(path) -> RunConfig:

@@ -114,6 +114,12 @@ class TestSaturate:
         assert rc == EXIT_USAGE
         assert "no feasible pullback factor" in capsys.readouterr().err
 
+    def test_overflowing_command_rejected(self, capsys):
+        # "--" keeps argparse from reading the exponent form as an option
+        rc = main(["saturate", "--", "0", "0", "-1e200"])
+        assert rc == EXIT_USAGE
+        assert "no feasible pullback factor" in capsys.readouterr().err
+
     def test_oracle_flag(self, capsys):
         rc = main(["saturate", "1.5", "-2.0", "-30.0", "--oracle"])
         assert rc == EXIT_OK

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,14 @@ from flatsat import (
     ActiveConstraint,
     ConstraintParams,
     DomainError,
-    candidate_set,
     in_Vc,
     saturate,
     saturate_batch,
     saturate_oracle,
+    to_physical,
 )
+
+from conftest import residual_active
 
 G = 9.81
 PARAMS = ConstraintParams()
@@ -74,62 +78,6 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-class TestCandidateSet:
-    def test_halfspace_crossing_present(self):
-        cands = candidate_set((0.0, 0.0, -2 * G), PARAMS)
-        assert any(abs(c - 0.5) < 1e-15 for c in cands)
-
-    def test_horizontal_ray_degenerate_entries(self):
-        # v3 = 0: the quadratics still deliver the cone tangency and sphere
-        # crossings
-        c = 5.0
-        cands = candidate_set((c, 0.0, 0.0), PARAMS)
-        ball = math.sqrt(PARAMS.t2_max - G * G) / c
-        cone = G * PARAMS.tan_eps / c
-        assert any(abs(x - ball) < 1e-12 for x in cands)
-        assert any(abs(x - cone) < 1e-12 for x in cands)
-
-    def test_every_candidate_is_a_boundary_crossing(self):
-        # each factor must put lam * v on the sphere, the cone or the plane
-        # c = 0; each residual is relative to the sum of the magnitudes of
-        # its terms, with c = w3 + g expanded (the cone's double root on a
-        # vertical ray is only accurate to sqrt(machine epsilon))
-        rng = np.random.default_rng(21)
-        commands = fuzz_commands(rng, 2000) + [
-            tuple(rng.normal(0.0, 5.0, 3)) for _ in range(500)
-        ]
-        for v in commands:
-            for lam in candidate_set(v, PARAMS):
-                w1, w2, w3 = lam * v[0], lam * v[1], lam * v[2]
-                c = w3 + G
-                h2 = w1 * w1 + w2 * w2
-                s2 = (abs(w3) + G) ** 2
-                sphere = abs(h2 + c * c - PARAMS.t2_max) / (h2 + s2 + PARAMS.t2_max)
-                cone = abs(h2 - c * c * PARAMS.tan2_eps) / (h2 + s2 * PARAMS.tan2_eps)
-                plane = abs(c) / (abs(w3) + G)
-                assert min(sphere, cone, plane) <= 1e-9, (v, lam)
-
-    def test_at_most_four_candidates(self):
-        # two cone roots and two sphere roots; the half-space boundary is
-        # the cone apex, reached as a cone root
-        rng = np.random.default_rng(23)
-        rows = fuzz_commands(rng, 2000) + [tuple(r) for r in fuzz_batch(rng, 7000)]
-        counts = [len(candidate_set(v, PARAMS)) for v in rows if any(v)]
-        assert max(counts) <= 4
-
-    def test_zero_command_rejected(self):
-        with pytest.raises(DomainError):
-            candidate_set((0.0, 0.0, 0.0), PARAMS)
-
-    def test_degenerate_cone_quadratic_linear_root(self):
-        # direction exactly on the mathematical cone of directions: the
-        # quadratic degenerates to a linear equation, root -g/(2 v3)
-        v3 = -3.0
-        h = abs(v3) * PARAMS.tan_eps
-        cands = candidate_set((h, 0.0, v3), PARAMS)
-        assert any(abs(x - (-G / (2 * v3))) < 1e-12 for x in cands)
-
-
 class TestSaturate:
     def test_feasible_passthrough(self):
         res = saturate((0.1, -0.2, 0.5), PARAMS)
@@ -162,6 +110,35 @@ class TestSaturate:
         assert res.v_out[0] == pytest.approx(1.7299, abs=2e-4)
         assert res.active is ActiveConstraint.CONE
 
+    def test_horizontal_ray(self):
+        # v3 = 0: the cone exit g tan(eps)/c is below the ball exit sqrt(k)/c
+        c = 5.0
+        res = saturate((c, 0.0, 0.0), PARAMS)
+        assert res.lam == pytest.approx(G * PARAMS.tan_eps / c, rel=1e-15)
+        assert res.lam < math.sqrt(PARAMS.t2_max - G * G) / c
+        assert res.active is ActiveConstraint.CONE
+
+    @pytest.mark.parametrize("v3", [-12.0, -30.0, -100.0])
+    def test_direction_on_the_cone_surface(self, v3):
+        # the direction (tan(eps), 0, -1) is parallel to a generator of the
+        # cone, which the ray meets once, at -g/(2 v3); (3 tan(eps), 0, -3)
+        # itself is feasible (factor g/6 > 1), so longer rays are used
+        res = saturate((-v3 * PARAMS.tan_eps, 0.0, v3), PARAMS)
+        assert res.lam == pytest.approx(-G / (2 * v3), rel=1e-15)
+        assert res.active is ActiveConstraint.CONE
+
+    def test_active_matches_residual_oracle(self):
+        # away from the apex, whose neighbourhood (|w3 + g| up to about
+        # 3e-5) is classified as the half-space by the apex test
+        v = fuzz_batch(np.random.default_rng(31), 70_000)
+        n = 0
+        for row in v:
+            res = saturate(row, PARAMS)
+            if res.saturated and res.v_out[2] + G > 1e-4:
+                assert res.active is residual_active(res.v_out, PARAMS), row
+                n += 1
+        assert n > 40_000
+
     def test_saturated_output_on_boundary(self):
         rng = np.random.default_rng(3)
         for v in fuzz_commands(rng, 500):
@@ -191,6 +168,29 @@ class TestNonFinite:
         rows = np.array([[0.1, 0.2, 0.3], v, [30.0, 0.0, 0.0]])
         with pytest.raises(DomainError, match="row 1"):
             saturate_batch(rows, PARAMS)
+
+    @pytest.mark.parametrize(
+        "v",
+        [(0.0, 0.0, -1e200), (1e200, 0.0, 0.0), (0.0, 0.0, 1e200),
+         (1e154, 1e154, 0.0), (0.0, 0.0, -1.4e154)],
+    )
+    def test_overflowing_squared_norm_rejected_by_both_kernels(self, v):
+        with pytest.raises(DomainError):
+            saturate(v, PARAMS)
+        rows = np.array([[0.1, 0.2, 0.3], v, [30.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="row 1"):
+                saturate_batch(rows, PARAMS)
+
+    @pytest.mark.parametrize(
+        "v", [(1e154, 0.0, 0.0), (0.0, 0.0, -1.3e154), (0.0, 0.0, 1.3e154)]
+    )
+    def test_largest_finite_squared_norm_saturates(self, v):
+        res = saturate(v, PARAMS)
+        assert res.saturated and in_Vc(res.v_out, PARAMS)
+        _, lam, _ = saturate_batch(np.array([v]), PARAMS)
+        assert bits(lam[0]) == bits(res.lam)
 
 
 class TestSaturateBatch:
@@ -233,6 +233,50 @@ class TestSaturateBatch:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             saturate_batch(np.zeros(3), PARAMS)
+
+
+def grazing_rays(rng, n, lo, hi):
+    """(n, 3) downward rays below the apex whose horizontal part is a
+    log-uniform fraction in [lo, hi] of the vertical one."""
+    v3 = -rng.uniform(1.01 * G, 60.0, n)
+    h = np.abs(v3) * 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    return np.column_stack([h * np.cos(phi), h * np.sin(phi), v3])
+
+
+def exact_factor(row, p):
+    """The smaller of the ball and the cone exit factor of the ray through
+    the float command ``row``, in 50-digit arithmetic on the float
+    parameters."""
+    with mpmath.workdps(50):
+        g, t_max, tan_eps = (mpmath.mpf(x) for x in (p.g, p.t_max, p.tan_eps))
+        v1, v2, v3 = (mpmath.mpf(float(x)) for x in row)
+        h2 = v1 * v1 + v2 * v2
+        a = h2 + v3 * v3
+        beta = g * v3
+        ball = (mpmath.sqrt(beta * beta + a * (t_max * t_max - g * g)) - beta) / a
+        den = mpmath.sqrt(h2) - v3 * tan_eps
+        return min(ball, g * tan_eps / den) if den > 0 else ball
+
+
+class TestExactness:
+    def test_batch_factor_matches_exact_factor(self):
+        rng = np.random.default_rng(41)
+        v = np.vstack([fuzz_batch(rng, 7000), grazing_rays(rng, 2000, 1e-18, 1e-4)])
+        _, lam, saturated = saturate_batch(v, PARAMS)
+        assert np.count_nonzero(saturated) > 6000
+        for row, got in zip(v[saturated], lam[saturated]):
+            want = exact_factor(row, PARAMS)
+            assert abs(mpmath.mpf(float(got)) - want) <= 1e-15 * want, row
+
+    def test_grazing_rays_land_above_the_apex(self):
+        # only rays vertical to within rounding may land on or below it
+        v = grazing_rays(np.random.default_rng(43), 5000, 1e-15, 1e-4)
+        w, _, saturated = saturate_batch(v, PARAMS)
+        assert saturated.all()
+        assert np.all(w[:, 2] + G > 0.0)
+        for row in w:
+            to_physical(row, 0.0, G)
 
 
 class TestOracle:

@@ -27,7 +27,7 @@ from flatsat import (
 from flatsat.kvformat import format_value
 from flatsat.simulation import CSV_COLUMNS, RunMetrics
 
-from conftest import CANONICAL_X0
+from conftest import CANONICAL_X0, residual_active
 
 
 def origin_scenario(cert, params, xi0, duration=20.0, **kw):
@@ -389,6 +389,19 @@ class TestFloatLoopOracle:
             scale = np.maximum(1.0, np.abs(want.lyapunov))
             assert np.all(np.abs(got.lyapunov - want.lyapunov) <= 1e-15 * scale), i
             n_saturated += int(got.saturated.sum())
+        assert n_saturated > 0
+
+    def test_active_matches_residual_oracle(self, params, cert075, cert125):
+        # the canonical and boundary-start runs; no saturated command of
+        # theirs lands near the cone apex
+        n_saturated = 0
+        for sc in oracle_scenarios(params, cert075, cert125):
+            if isinstance(sc.reference, OriginReference):
+                trace = run(sc)
+                for w, act, sat in zip(trace.v, trace.active, trace.saturated):
+                    if sat:
+                        assert act == residual_active(w, params).value
+                        n_saturated += 1
         assert n_saturated > 0
 
     def test_abort_keeps_completed_rows(self, params, cert075):
