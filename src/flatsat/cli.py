@@ -299,6 +299,19 @@ def cmd_sweep(args) -> int:
     return EXIT_VIOLATIONS if any_violations else EXIT_OK
 
 
+class _NegativeFloatLiteral:
+    """A stand-in for argparse's negative-number pattern: ``match`` is true
+    for every string that ``float()`` reads."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flatsat",
@@ -320,6 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("saturate", help="saturate one command vector")
+    # argparse reads an argument that starts with "-" as an option unless it
+    # matches this pattern, which by default spells only plain negative
+    # decimals; widen it to every negative literal float() reads ("-2e1",
+    # "-inf"), which no option of this subcommand looks like
+    sp._negative_number_matcher = _NegativeFloatLiteral()
     sp.add_argument("v1", type=float)
     sp.add_argument("v2", type=float)
     sp.add_argument("v3", type=float)

@@ -89,17 +89,18 @@ class InscribedBall:
 
 def in_U(u: PhysicalInput, p: ConstraintParams, tol: float = 0.0) -> bool:
     """Membership in the physical input box, inclusive within ``tol``."""
-    return _u_clauses(u.thrust, u.roll, u.pitch, p, tol)
+    return bool(_u_clauses(u.thrust, u.roll, u.pitch, p, tol))
 
 
-def _u_clauses(thrust: float, roll: float, pitch: float, p: ConstraintParams,
-               tol: float) -> bool:
-    """The :func:`in_U` clauses on plain floats: the one definition that
-    the public test and the simulation monitors share."""
+def _u_clauses(thrust, roll, pitch, p: ConstraintParams, tol: float):
+    """The :func:`in_U` clauses joined with ``&``, on floats or row-wise on
+    1-D arrays: the one definition that the public test and the
+    simulation monitors share."""
     return (
-        -tol <= thrust <= p.t_max + tol
-        and abs(roll) <= p.phi_max + tol
-        and abs(pitch) <= p.theta_max + tol
+        (thrust >= -tol)
+        & (thrust <= p.t_max + tol)
+        & (abs(roll) <= p.phi_max + tol)
+        & (abs(pitch) <= p.theta_max + tol)
     )
 
 

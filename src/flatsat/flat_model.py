@@ -72,17 +72,28 @@ def accel(u: PhysicalInput, psi: float, g: float) -> np.ndarray:
     """Translational acceleration produced by input ``u`` at yaw ``psi``.
 
     Returns the 3-vector (xdd, ydd, zdd); gravity acts on the z row.
+
+    Raises:
+        DomainError: if ``psi`` or ``g`` is not finite.
     """
-    return np.array(_accel_floats(u.thrust, u.roll, u.pitch, psi, g))
+    cpsi, spsi = _yaw_trig(psi, g)
+    return np.array(_accel_floats(u.thrust, u.roll, u.pitch, cpsi, spsi, g))
 
 
-def _accel_floats(t: float, phi: float, theta: float, psi: float, g: float):
-    """:func:`accel` on plain floats, returning the tuple (xdd, ydd, zdd)."""
+def _yaw_trig(psi: float, g: float):
+    """The cosine and sine of the yaw, after checking that the yaw and
+    gravity are finite: the one check the float kernels rely on."""
     if not (math.isfinite(psi) and math.isfinite(g)):
         raise DomainError("yaw and gravity must be finite")
+    return math.cos(psi), math.sin(psi)
+
+
+def _accel_floats(t: float, phi: float, theta: float, cpsi: float, spsi: float,
+                  g: float):
+    """:func:`accel` on plain floats at a yaw given by its cosine and sine,
+    returning the tuple (xdd, ydd, zdd)."""
     cphi, sphi = math.cos(phi), math.sin(phi)
     cth, sth = math.cos(theta), math.sin(theta)
-    cpsi, spsi = math.cos(psi), math.sin(psi)
     return (
         t * (cphi * sth * cpsi + sphi * spsi),
         t * (cphi * sth * spsi - sphi * cpsi),
@@ -99,24 +110,27 @@ def to_physical(v, psi: float, g: float) -> PhysicalInput:
     thrust direction degenerates and the pitch angle is undefined.
 
     Raises:
-        DomainError: if ``v`` is not finite or ``v[2] <= -g``.
+        DomainError: if ``psi`` or ``g`` is not finite, ``v`` is not
+            finite, or ``v[2] <= -g``.
     """
-    thrust, roll, pitch = _to_physical_floats(float(v[0]), float(v[1]), float(v[2]), psi, g)
+    cpsi, spsi = _yaw_trig(psi, g)
+    thrust, roll, pitch = _to_physical_floats(
+        float(v[0]), float(v[1]), float(v[2]), cpsi, spsi, g
+    )
     return PhysicalInput(thrust, roll, pitch)
 
 
-def _to_physical_floats(v1: float, v2: float, v3: float, psi: float, g: float):
-    """:func:`to_physical` on plain floats, returning the tuple
-    (thrust, roll, pitch) after every :class:`PhysicalInput` check."""
+def _to_physical_floats(v1: float, v2: float, v3: float, cpsi: float, spsi: float,
+                        g: float):
+    """:func:`to_physical` on plain floats at a yaw given by its cosine and
+    sine (``g`` finite), returning the tuple (thrust, roll, pitch) after
+    every :class:`PhysicalInput` check."""
     if not (math.isfinite(v1) and math.isfinite(v2) and math.isfinite(v3)):
         raise DomainError("acceleration command must be finite")
-    if not (math.isfinite(psi) and math.isfinite(g)):
-        raise DomainError("yaw and gravity must be finite")
     c = v3 + g
     if c <= 0.0:
         raise DomainError(f"v3 must exceed -g, got v3={v3} with g={g}")
     t = math.sqrt(v1 * v1 + v2 * v2 + c * c)
-    cpsi, spsi = math.cos(psi), math.sin(psi)
     a = v1 * cpsi + v2 * spsi
     b = v1 * spsi - v2 * cpsi
     # roll = arcsin(b / t), but evaluated as atan2(b, hypot(a, c)): the same

@@ -2,26 +2,28 @@
 
 The loop per step: sample the reference, form the scaled gradient feedback on
 the tracking error, saturate it onto the convex command set, map the command
-to (thrust, roll, pitch), record monitors (Lyapunov value, set memberships,
-controller wall time), and advance the plant with the physical input and yaw
-held over the step. Because the input map linearizes the plant exactly, the
-held input produces a constant acceleration ``accel(u)``, so the step is the
-closed-form double-integrator update; tests assert the loop equals the linear
-system.
+to (thrust, roll, pitch), and advance the plant with the physical input and
+yaw held over the step. Because the input map linearizes the plant exactly,
+the held input produces a constant acceleration ``accel(u)``, so the step is
+the closed-form double-integrator update; tests assert the loop equals the
+linear system.
 
-:func:`run` carries the state, the commands, the physical input and the
-monitors as plain Python floats: it calls the float kernels behind the public
-functions (the raw law and saturation of :func:`control_law`, the input map
-and acceleration of ``to_physical``/``accel``, the set memberships) and
-packs each row into one flat buffer that becomes the :class:`Trace` arrays
-once, at the end or on abort.
+:func:`run` keeps only this feedback path in its per-sample loop, on plain
+Python floats: it calls the float kernels behind the public functions (the
+raw law and saturation of :func:`control_law`, the input map and
+acceleration of ``to_physical``/``accel``) and packs each row (state,
+reference, commands, physical input, pullback factor, controller wall time)
+into one flat buffer. At the end, or on abort, the buffer becomes the
+:class:`Trace` arrays, and the monitors (Lyapunov value, set memberships,
+ellipsoid, violation messages) run over it as array code with the same
+clauses as the scalar tests.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import time
-from array import array
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, Union
@@ -29,7 +31,13 @@ from typing import Callable, Union
 import numpy as np
 
 from .constraint_sets import ConstraintParams, _u_clauses, _vc_clauses
-from .flat_model import DomainError, PhysicalInput, _accel_floats, _to_physical_floats
+from .flat_model import (
+    DomainError,
+    PhysicalInput,
+    _accel_floats,
+    _to_physical_floats,
+    _yaw_trig,
+)
 from .saturation import ActiveConstraint, _saturate_floats
 from .synthesis import EllipsoidCert, GainMatrix, _raw_feedback
 
@@ -215,13 +223,16 @@ CSV_COLUMNS = (
 class Trace:
     """Uniform-grid record of one run; one row per sample instant.
 
-    The command columns hold both the raw feedback and its saturated value;
+    ``xi_ref`` is the reference state read at each sample. The command
+    columns hold both the raw feedback and its saturated value;
     ``lyapunov`` is the tracking-error Lyapunov value. ``violations``
-    collects human-readable monitor failures (empty on a clean run).
+    collects human-readable monitor failures (empty on a clean run). The
+    trace CSV holds every column but ``xi_ref`` and ``ctrl_time``.
     """
 
     t: np.ndarray
     xi: np.ndarray
+    xi_ref: np.ndarray
     v_raw: np.ndarray
     v: np.ndarray
     u: np.ndarray
@@ -278,10 +289,11 @@ def _control_floats(e, ff, gamma: float, p2: float, p3: float, p: ConstraintPara
     return (r1, r2, r3, *_saturate_floats(r1, r2, r3, p))
 
 
-def _lyapunov(e, p1: float, p2: float, p3: float) -> float:
+def _lyapunov(e, p1: float, p2: float, p3: float):
     """Lyapunov value e' P e of the error ``e = (e1, e2, e3, d1, d2, d3)``
-    from the block scalars of P, summed axis by axis: that order rounds
-    less than grouping the terms by block scalar."""
+    from the block scalars of P, on floats or row-wise on 1-D columns,
+    summed axis by axis: that order rounds less than grouping the terms by
+    block scalar."""
     e1, e2, e3, d1, d2, d3 = e
     q2 = 2.0 * p2
     return (
@@ -308,26 +320,31 @@ def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
     return np.array([w1, w2, w3]), diag
 
 
-# columns of one row of the run buffer: xi (6), v_raw (3), v (3), u (3),
-# lyapunov, lam, saturated, in_u, ctrl_time
-_ROW = 20
+# one row of the run buffer: xi (0:6), the reference xi_ref (6:12), v_raw
+# (12:15), v (15:18), u (18:21), lam, saturated, ctrl_time
+_ROW = struct.Struct("24d")
 
 
 def run(scenario: Scenario) -> Trace:
     """Execute a scenario on the fixed grid t_k = k dt, k = 0..n.
 
-    Controls and monitors are evaluated at every grid point including the
-    final one (the last command is recorded but not applied). A command
-    rejected by the input map raises SimulationAborted with the completed
-    rows attached; the saturation guarantees make that unreachable except
-    exactly at the cone apex. A non-finite command, from a NaN or infinite
-    state, reference or feedforward, is rejected by the saturation and
-    aborts the same way.
+    Controls are evaluated at every grid point including the final one (the
+    last command is recorded but not applied). A command rejected by the
+    input map raises SimulationAborted with the completed rows attached; the
+    saturation guarantees make that unreachable except exactly at the cone
+    apex or under a non-finite yaw. A non-finite command, from a NaN or
+    infinite state, reference or feedforward, is rejected by the saturation
+    and aborts the same way.
 
-    The loop runs on plain floats through the same kernels as
-    :func:`control_law`, ``to_physical``, ``accel``, ``in_Vc`` and ``in_U``;
-    ``ctrl_time`` times the error, the raw law, the feedforward and the
-    saturation of each sample.
+    The per-sample loop holds only the feedback path, on plain floats: the
+    reference, the control law of :func:`control_law`, the input map
+    ``to_physical``, ``accel`` and the exact hold update, with the yaw read
+    and its cosine and sine taken once per sample. ``ctrl_time`` times the
+    error, the raw law, the feedforward and the saturation of each sample.
+    Everything that only observes the run (the Lyapunov value, the
+    ``in_Vc``/``in_U`` and ellipsoid monitors, their violation messages and
+    ``in_u``) is computed afterwards, as array code over the completed rows,
+    with the same operations as the scalar definitions.
     """
     p = scenario.params
     cert = scenario.cert
@@ -341,26 +358,49 @@ def run(scenario: Scenario) -> Trace:
     invariance = scenario.invariance_mode
     psi_at = scenario.psi_at
     clock = time.perf_counter
+    pack = _ROW.pack
 
     tgrid = np.arange(n + 1) * dt
-    rows = array("d")
-    active: list[str] = []
-    violations: list[str] = []
+    times = tgrid.tolist()
+    rows = bytearray()
+    acts: list[ActiveConstraint] = []
 
     def partial(k: int) -> Trace:
-        buf = np.frombuffer(rows, dtype=float).reshape(k, _ROW)
+        buf = np.frombuffer(rows, dtype=float).reshape(k, _ROW.size // 8)
+        xi, xi_ref, v, u = buf[:, 0:6], buf[:, 6:12], buf[:, 15:18], buf[:, 18:21]
+        lyapunov = _lyapunov((xi - xi_ref).T, p1, p2, p3)
+        in_u = _u_clauses(u[:, 0], u[:, 1], u[:, 2], p, U_MONITOR_TOL)
+        bad_v = ~_vc_clauses(v[:, 0], v[:, 1], v[:, 2], p, V_MONITOR_TOL)
+        bad_e = invariance & (lyapunov > eps * (1.0 + 1e-6))
+        violations = []
+        # the messages of a sample in the order command set, input box,
+        # ellipsoid, samples in time order
+        for i in np.flatnonzero(bad_v | ~in_u | bad_e).tolist():
+            t = times[i]
+            if bad_v[i]:
+                violations.append(f"t={t:.6g}: command left the convex set: {v[i]}")
+            if not in_u[i]:
+                ui = PhysicalInput(*u[i].tolist())
+                violations.append(f"t={t:.6g}: physical input left the box: {ui}")
+            if bad_e[i]:
+                violations.append(
+                    f"t={t:.6g}: left the certified ellipsoid: {float(lyapunov[i])} > {eps}"
+                )
         return Trace(
             t=tgrid[:k],
-            xi=buf[:, 0:6],
-            v_raw=buf[:, 6:9],
-            v=buf[:, 9:12],
-            u=buf[:, 12:15],
-            lyapunov=buf[:, 15],
-            lam=buf[:, 16],
-            saturated=buf[:, 17] != 0.0,
-            active=active,
-            in_u=buf[:, 18] != 0.0,
-            ctrl_time=buf[:, 19],
+            xi=xi,
+            xi_ref=xi_ref,
+            v_raw=buf[:, 12:15],
+            v=v,
+            u=u,
+            lyapunov=lyapunov,
+            lam=buf[:, 21],
+            saturated=buf[:, 22] != 0.0,
+            # _value_ is where an enum member keeps its value; reading it
+            # skips the per-member property lookup of .value
+            active=[a._value_ for a in acts],
+            in_u=in_u,
+            ctrl_time=buf[:, 23],
             violations=violations,
         )
 
@@ -371,15 +411,14 @@ def run(scenario: Scenario) -> Trace:
         )
 
     x, y, z, xd, yd, zd = scenario.initial_state.tolist()
-    for k, t in enumerate(tgrid.tolist()):
+    for k, t in enumerate(times):
         ref = reference.state(t)
         ff = reference.accel(t) if feedforward else None
         tic = clock()
         try:
             q1, q2, q3, q4, q5, q6 = np.asarray(ref, dtype=float).tolist()
-            e = (x - q1, y - q2, z - q3, xd - q4, yd - q5, zd - q6)
             r1, r2, r3, w1, w2, w3, lam, saturated, act = _control_floats(
-                e, ff, gamma, p2, p3, p
+                (x - q1, y - q2, z - q3, xd - q4, yd - q5, zd - q6), ff, gamma, p2, p3, p
             )
         except DomainError as exc:
             xi = np.array([x, y, z, xd, yd, zd])
@@ -388,35 +427,22 @@ def run(scenario: Scenario) -> Trace:
                 partial(k),
             ) from exc
         ctrl = clock() - tic
-        psi_k = psi_at(t)
 
         try:
-            thrust, roll, pitch = _to_physical_floats(w1, w2, w3, psi_k, g)
+            cpsi, spsi = _yaw_trig(psi_at(t), g)
+            thrust, roll, pitch = _to_physical_floats(w1, w2, w3, cpsi, spsi, g)
         except DomainError as exc:
             v = np.array([w1, w2, w3])
             raise SimulationAborted(
                 f"input map rejected command {v} at t={t}: {exc}", partial(k)
             ) from exc
 
-        lyap = _lyapunov(e, p1, p2, p3)
-        ok_u = _u_clauses(thrust, roll, pitch, p, U_MONITOR_TOL)
-        if not _vc_clauses(w1, w2, w3, p, V_MONITOR_TOL):
-            v = np.array([w1, w2, w3])
-            violations.append(f"t={t:.6g}: command left the convex set: {v}")
-        if not ok_u:
-            u = PhysicalInput(thrust, roll, pitch)
-            violations.append(f"t={t:.6g}: physical input left the box: {u}")
-        if invariance and lyap > eps * (1.0 + 1e-6):
-            violations.append(
-                f"t={t:.6g}: left the certified ellipsoid: {lyap} > {eps}"
-            )
-
-        rows.extend((x, y, z, xd, yd, zd, r1, r2, r3, w1, w2, w3, thrust, roll, pitch,
-                     lyap, lam, saturated, ok_u, ctrl))
-        active.append(act.value)
+        rows += pack(x, y, z, xd, yd, zd, q1, q2, q3, q4, q5, q6, r1, r2, r3,
+                     w1, w2, w3, thrust, roll, pitch, lam, saturated, ctrl)
+        acts.append(act)
 
         if k < n:
-            a1, a2, a3 = _accel_floats(thrust, roll, pitch, psi_k, g)
+            a1, a2, a3 = _accel_floats(thrust, roll, pitch, cpsi, spsi, g)
             x = x + dt * xd + half_dt2 * a1
             y = y + dt * yd + half_dt2 * a2
             z = z + dt * zd + half_dt2 * a3
@@ -470,13 +496,15 @@ class RunMetrics:
 
 def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:
     """Summarize a completed trace (tracking error, decay residual,
-    saturation duty cycle, controller timing, constraint margins)."""
+    saturation duty cycle, controller timing, constraint margins).
+
+    The tracking error is read against the trace's own ``xi_ref``, so the
+    reference is not evaluated again."""
     p = scenario.params
     tgrid = trace.t
     n = len(tgrid)
     steady = tgrid >= 0.75 * tgrid[-1]
-    ref_pos = np.stack([scenario.reference.state(t)[:3] for t in tgrid[steady]])
-    pos_err = np.linalg.norm(trace.xi[steady, :3] - ref_pos, axis=1)
+    pos_err = np.linalg.norm(trace.xi[steady, :3] - trace.xi_ref[steady, :3], axis=1)
     rms = float(np.sqrt(np.mean(pos_err ** 2)))
 
     alpha = scenario.cert.gain.alpha

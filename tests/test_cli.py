@@ -115,10 +115,32 @@ class TestSaturate:
         assert "no feasible pullback factor" in capsys.readouterr().err
 
     def test_overflowing_command_rejected(self, capsys):
-        # "--" keeps argparse from reading the exponent form as an option
+        # "--" ends the options; the exponent form also parses without it
         rc = main(["saturate", "--", "0", "0", "-1e200"])
         assert rc == EXIT_USAGE
         assert "no feasible pullback factor" in capsys.readouterr().err
+
+    def test_negative_exponent_form_is_a_component(self, capsys):
+        rc = main(["saturate", "0", "0", "-2e1"])
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert main(["saturate", "--", "0", "0", "-2e1"]) == EXIT_OK
+        assert out == capsys.readouterr().out
+        assert parse_kv(out)["active"] == "halfspace"
+
+    @pytest.mark.parametrize("v3", ["-1e200", "-inf"])
+    def test_negative_non_finite_or_overflowing_component_rejected(self, capsys, v3):
+        rc = main(["saturate", "0", "0", v3])
+        assert rc == EXIT_USAGE
+        assert "no feasible pullback factor" in capsys.readouterr().err
+
+    def test_options_parse_beside_negative_components(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "c.txt", g=9.81)
+        rc = main(["saturate", "-1.5e0", "--config", cfg, "-2", "-3E1",
+                   "--oracle", "--iters", "40"])
+        assert rc == EXIT_OK
+        out = parse_kv(capsys.readouterr().out)
+        assert abs(float(out["lambda"]) - float(out["lambda_oracle"])) <= 1e-8
 
     def test_oracle_flag(self, capsys):
         rc = main(["saturate", "1.5", "-2.0", "-30.0", "--oracle"])

@@ -91,6 +91,15 @@ def test_non_finite_inputs_rejected():
         to_physical((math.nan, 0.0, 0.0), psi=0.0, g=G)
 
 
+@pytest.mark.parametrize("psi, g", [(math.nan, G), (math.inf, G), (-math.inf, G),
+                                    (0.0, math.nan), (0.0, math.inf)])
+def test_non_finite_yaw_or_gravity_rejected(psi, g):
+    with pytest.raises(DomainError, match="yaw and gravity must be finite"):
+        to_physical((0.1, -0.2, 0.3), psi=psi, g=g)
+    with pytest.raises(DomainError, match="yaw and gravity must be finite"):
+        accel(PhysicalInput(G, 0.05, -0.05), psi=psi, g=g)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     v1=st.floats(-60.0, 60.0),

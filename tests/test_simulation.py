@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from flatsat import (
+    ActiveConstraint,
     CircularReference,
     ConstraintParams,
+    DomainError,
     EllipsoidCert,
     GainMatrix,
     OriginReference,
     Scenario,
+    SaturationResult,
     SetpointReference,
     SimulationAborted,
     Trace,
@@ -60,36 +63,63 @@ def numpy_control_law(xi, xi_ref, cert, p, feedforward_accel=None):
     return res.v_out, np.array([r1, r2, r3]), res
 
 
+def scalar_lyapunov(e, p1, p2, p3):
+    """Reference for the Lyapunov column: e' P e of one error 6-tuple from
+    the block scalars of P, summed axis by axis on Python floats."""
+    e1, e2, e3, d1, d2, d3 = e
+    q2 = 2.0 * p2
+    return (
+        (e1 * (p1 * e1 + q2 * d1) + p3 * d1 * d1)
+        + (e2 * (p1 * e2 + q2 * d2) + p3 * d2 * d2)
+        + (e3 * (p1 * e3 + q2 * d3) + p3 * d3 * d3)
+    )
+
+
 def numpy_run(scenario):
     """Reference for :func:`run`: the same loop on numpy state vectors,
-    the public input map, ``accel`` and membership tests, and the dense
-    quadratic form of P. Returns the completed trace."""
+    with the public input map, ``accel`` and membership tests evaluated
+    sample by sample. Returns the completed trace, or raises
+    SimulationAborted with the rows completed before the rejected sample."""
     p = scenario.params
     cert = scenario.cert
-    P = cert.gain.P()
+    g = cert.gain
     dt = scenario.dt
     n = int(round(scenario.duration / dt))
     tgrid = np.arange(n + 1) * dt
-    xi_log = np.empty((n + 1, 6))
-    vraw_log = np.empty((n + 1, 3))
-    v_log = np.empty((n + 1, 3))
-    u_log = np.empty((n + 1, 3))
-    v_lyap = np.empty(n + 1)
-    lam_log = np.empty(n + 1)
-    sat_log = np.zeros(n + 1, dtype=bool)
-    act_log = []
-    inu_log = np.zeros(n + 1, dtype=bool)
+    rows = []  # (xi, ref, raw, v, u, lyap, lam, saturated, active, in_u)
     violations = []
+
+    def partial():
+        cols = list(zip(*rows)) or [()] * 10
+        block = lambda i, w: np.array(cols[i], dtype=float).reshape(len(rows), w)
+        return Trace(
+            t=tgrid[: len(rows)], xi=block(0, 6), xi_ref=block(1, 6), v_raw=block(2, 3),
+            v=block(3, 3), u=block(4, 3), lyapunov=np.array(cols[5], dtype=float),
+            lam=np.array(cols[6], dtype=float), saturated=np.array(cols[7], dtype=bool),
+            active=list(cols[8]), in_u=np.array(cols[9], dtype=bool),
+            ctrl_time=np.zeros(len(rows)), violations=violations,
+        )
+
     xi = np.array(scenario.initial_state, dtype=float)
     for k in range(n + 1):
         t = tgrid[k]
         ref = scenario.reference.state(t)
         ff = scenario.reference.accel(t) if scenario.feedforward else None
-        v, raw, res = numpy_control_law(xi, ref, cert, p, feedforward_accel=ff)
+        try:
+            v, raw, res = numpy_control_law(xi, ref, cert, p, feedforward_accel=ff)
+        except DomainError as exc:
+            raise SimulationAborted(
+                f"controller rejected state {xi} with reference {ref} at t={t}: {exc}",
+                partial(),
+            ) from exc
         psi_k = scenario.psi_at(t)
-        u = to_physical(v, psi_k, p.g)
-        err = xi - ref
-        lyap = float(err @ P @ err)
+        try:
+            u = to_physical(v, psi_k, p.g)
+        except DomainError as exc:
+            raise SimulationAborted(
+                f"input map rejected command {v} at t={t}: {exc}", partial()
+            ) from exc
+        lyap = scalar_lyapunov((xi - ref).tolist(), g.p1, g.p2, g.p3)
         ok_u = in_U(u, p, 1e-6)
         if not in_Vc(v, p, 1e-9):
             violations.append(f"t={t:.6g}: command left the convex set: {v}")
@@ -99,25 +129,14 @@ def numpy_run(scenario):
             violations.append(
                 f"t={t:.6g}: left the certified ellipsoid: {lyap} > {cert.eps}"
             )
-        xi_log[k] = xi
-        vraw_log[k] = raw
-        v_log[k] = v
-        u_log[k] = (u.thrust, u.roll, u.pitch)
-        v_lyap[k] = lyap
-        lam_log[k] = res.lam
-        sat_log[k] = res.saturated
-        act_log.append(res.active.value)
-        inu_log[k] = ok_u
+        rows.append((xi, ref, raw, v, (u.thrust, u.roll, u.pitch), lyap, res.lam,
+                     res.saturated, res.active.value, ok_u))
         if k < n:
             a = accel(u, psi_k, p.g)
             xi = np.concatenate(
                 [xi[:3] + dt * xi[3:] + 0.5 * dt * dt * a, xi[3:] + dt * a]
             )
-    return Trace(
-        t=tgrid, xi=xi_log, v_raw=vraw_log, v=v_log, u=u_log, lyapunov=v_lyap,
-        lam=lam_log, saturated=sat_log, active=act_log, in_u=inu_log,
-        ctrl_time=np.zeros(n + 1), violations=violations,
-    )
+    return partial()
 
 
 def format_value_csv(trace, path):
@@ -200,20 +219,28 @@ class TestExactHoldStep:
         assert np.max(np.abs(trace.xi[1:] - want)) <= 1e-10
 
     def test_input_map_evaluated_once_per_sample(self, params, cert075, monkeypatch):
+        # the input map runs on every sample, the acceleration on every
+        # sample but the last, whose command is recorded but not applied
         import flatsat.simulation as simulation
 
-        calls = []
-        kernel = simulation._to_physical_floats
+        calls = {"_to_physical_floats": 0, "_accel_floats": 0}
 
-        def counting(v1, v2, v3, psi, g):
-            calls.append(1)
-            return kernel(v1, v2, v3, psi, g)
+        def counting(name):
+            kernel = getattr(simulation, name)
 
-        monkeypatch.setattr(simulation, "_to_physical_floats", counting)
+            def wrapper(a, b, c, cpsi, spsi, g):
+                calls[name] += 1
+                return kernel(a, b, c, cpsi, spsi, g)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(simulation, name, counting(name))
         sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0)
         n = 50
         assert len(run(sc)) == n + 1
-        assert len(calls) == n + 1
+        assert calls["_to_physical_floats"] == n + 1
+        assert calls["_accel_floats"] == n
 
 
 class TestRun:
@@ -345,6 +372,33 @@ class TestRun:
         assert "controller rejected" in str(excinfo.value)
 
 
+    @pytest.mark.parametrize("psi", [math.nan, math.inf])
+    def test_non_finite_constant_yaw_aborts_before_any_row(self, params, cert075, psi):
+        sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0, psi=psi)
+        v, _ = control_law(CANONICAL_X0, np.zeros(6), cert075, params)
+        with pytest.raises(SimulationAborted) as excinfo:
+            run(sc)
+        assert len(excinfo.value.trace) == 0
+        assert str(excinfo.value) == (
+            f"input map rejected command {v} at t=0.0: yaw and gravity must be finite"
+        )
+
+    def test_yaw_turning_infinite_aborts_with_partial_trace(self, params, cert075):
+        sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0,
+                             psi=lambda t: math.inf if t >= 0.5 else 0.3)
+        # the clean run up to t = 0.5 ends on the command that is rejected
+        clean = run(replace(sc, duration=0.5, psi=0.3))
+        with pytest.raises(SimulationAborted) as excinfo:
+            run(sc)
+        trace = excinfo.value.trace
+        assert len(trace) == 25 and not trace.violations
+        np.testing.assert_array_equal(trace.xi, clean.xi[:25])
+        assert str(excinfo.value) == (
+            f"input map rejected command {clean.v[25]} at t=0.5: "
+            "yaw and gravity must be finite"
+        )
+
+
 def oracle_scenarios(params, cert075, cert125):
     """The canonical run at gamma 1/5/15, 10 boundary starts x gamma
     1/5/15 in invariance mode, and the 60 s circle with and without
@@ -371,25 +425,86 @@ def oracle_scenarios(params, cert075, cert125):
     return out
 
 
+def assert_same_trace(got, want, tag):
+    """Every column but ``ctrl_time`` bitwise equal, and the same active
+    constraints and violation messages."""
+    bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+    for name in ("t", "xi", "xi_ref", "v_raw", "v", "u", "lyapunov", "lam"):
+        np.testing.assert_array_equal(
+            bits(getattr(got, name)), bits(getattr(want, name)), err_msg=f"{tag} {name}"
+        )
+    for name in ("saturated", "in_u"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.active == want.active, tag
+    assert got.violations == want.violations, tag
+
+
+def passthrough_saturation(monkeypatch):
+    """Replace both saturation kernels, the float one that :func:`run`
+    calls and the public one that ``numpy_run`` calls, with the identity
+    on the raw command."""
+    import flatsat.simulation as simulation
+
+    monkeypatch.setattr(
+        simulation, "_saturate_floats",
+        lambda r1, r2, r3, p: (r1, r2, r3, 1.0, False, ActiveConstraint.NONE),
+    )
+    monkeypatch.setitem(
+        globals(), "saturate",
+        lambda v, p: SaturationResult(np.array(v, dtype=float), 1.0, False,
+                                      ActiveConstraint.NONE),
+    )
+
+
 class TestFloatLoopOracle:
     def test_matches_numpy_loop(self, params, cert075, cert125):
-        bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
         scenarios = oracle_scenarios(params, cert075, cert125)
         n_saturated = 0
         for i, sc in enumerate(scenarios):
             got, want = run(sc), numpy_run(sc)
-            for name in ("t", "xi", "v_raw", "v", "u", "lam"):
-                np.testing.assert_array_equal(
-                    bits(getattr(got, name)), bits(getattr(want, name)), err_msg=f"{i} {name}"
-                )
-            for name in ("saturated", "in_u"):
-                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-            assert got.active == want.active and got.violations == want.violations
+            assert_same_trace(got, want, i)
             # the block-scalar sum runs in another order than e' P e
-            scale = np.maximum(1.0, np.abs(want.lyapunov))
-            assert np.all(np.abs(got.lyapunov - want.lyapunov) <= 1e-15 * scale), i
+            err = want.xi - want.xi_ref
+            dense = np.einsum("ij,jk,ik->i", err, sc.cert.gain.P(), err)
+            scale = np.maximum(1.0, np.abs(dense))
+            assert np.all(np.abs(got.lyapunov - dense) <= 1e-15 * scale), i
             n_saturated += int(got.saturated.sum())
         assert n_saturated > 0
+
+    def test_violations_match_numpy_loop(self, params, cert075, cert125, monkeypatch):
+        # a circle started on the reference with a tiny ellipsoid leaves it
+        ref = CircularReference()
+        sc = Scenario(
+            reference=ref,
+            initial_state=ref.state(0.0),
+            duration=60.0,
+            dt=0.02,
+            cert=replace(cert125, eps=1e-4, gamma=2.0),
+            params=params,
+            psi=lambda t: 0.7 * math.sin(t),
+            invariance_mode=True,
+        )
+        got = run(sc)
+        assert_same_trace(got, numpy_run(sc), "ellipsoid")
+        assert got.violations and all("ellipsoid" in m for m in got.violations)
+
+        # unsaturated raw commands leave the command set and the input box
+        passthrough_saturation(monkeypatch)
+        sc = origin_scenario(replace(cert075, gamma=5.0), params, CANONICAL_X0)
+        got = run(sc)
+        assert_same_trace(got, numpy_run(sc), "passthrough")
+        assert any("convex set" in m for m in got.violations)
+        assert any("left the box" in m for m in got.violations)
+
+        # an abort keeps the violations of the completed rows
+        sc = replace(sc, psi=lambda t: math.inf if t >= 0.1 else 0.3)
+        with pytest.raises(SimulationAborted) as got_exc:
+            run(sc)
+        with pytest.raises(SimulationAborted) as want_exc:
+            numpy_run(sc)
+        assert str(got_exc.value) == str(want_exc.value)
+        assert len(got_exc.value.trace) == 5 and got_exc.value.trace.violations
+        assert_same_trace(got_exc.value.trace, want_exc.value.trace, "aborted")
 
     def test_active_matches_residual_oracle(self, params, cert075, cert125):
         # the canonical and boundary-start runs; no saturated command of
@@ -415,7 +530,8 @@ class TestFloatLoopOracle:
             run(replace(sc, reference=NanFromOneSecond()))
         part = excinfo.value.trace
         assert len(part) == 50 and len(part.active) == 50
-        for name in ("t", "xi", "v_raw", "v", "u", "lyapunov", "lam", "saturated", "in_u"):
+        for name in ("t", "xi", "xi_ref", "v_raw", "v", "u", "lyapunov", "lam", "saturated",
+                     "in_u"):
             np.testing.assert_array_equal(getattr(part, name), getattr(full, name))
         assert part.active == full.active
 
@@ -449,7 +565,7 @@ class TestTraceExport:
         col = np.array(special)
         block = np.tile(col[:, None], (1, 6))
         hand = Trace(
-            t=col, xi=block, v_raw=block[:, :3], v=-block[:, 3:], u=block[:, ::2],
+            t=col, xi=block, xi_ref=-block, v_raw=block[:, :3], v=-block[:, 3:], u=block[:, ::2],
             lyapunov=-col, lam=col, saturated=np.arange(m) % 2 == 0,
             active=["none", "ball", "cone", "halfspace", "none", "ball", "cone"],
             in_u=np.arange(m) % 3 == 0, ctrl_time=col,
