@@ -9,18 +9,19 @@ Subcommands:
 
 Configuration lives in a ``key = value`` text file (``#`` comments allowed;
 unknown keys rejected); every key has a default mirroring the desk-scale
-nano-drone setting, so a bare run needs no file at all. The output directory
+nano-drone setting, so a bare run needs no file at all. A key that sets a
+library parameter reads its default from the class or constant that defines
+it, and each key is parsed by the type of its default. The output directory
 resolves as: ``--out`` flag, else ``FLATSAT_OUTDIR`` environment variable,
 else the config value.
 
-Exit codes: 0 clean, 1 usage or config error, 2 synthesis infeasible,
-3 monitor or verification failures.
+Exit codes: 0 clean, 1 usage or config error (argparse's own errors
+included), 2 synthesis infeasible, 3 monitor or verification failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -39,6 +40,7 @@ from .simulation import (
     run,
 )
 from .synthesis import (
+    DEFAULT_MARGIN,
     EllipsoidCert,
     SynthesisError,
     load_certificate,
@@ -73,27 +75,27 @@ def _parse_floats(s: str) -> tuple[float, ...]:
 class RunConfig:
     """Validated configuration; defaults reproduce the canonical setting."""
 
-    g: float = 9.81
-    t_max: float = 1.45 * 9.81
-    phi_max: float = math.pi / 18
-    theta_max: float = math.pi / 18
+    g: float = ConstraintParams.g
+    t_max: float = ConstraintParams.t_max
+    phi_max: float = ConstraintParams.phi_max
+    theta_max: float = ConstraintParams.theta_max
     alpha: float = 0.75
     gamma: float = 1.0
-    margin: float = 1e-9
+    margin: float = DEFAULT_MARGIN
     scenario: str = "origin"
     setpoint: tuple = (0.3, 0.3, 0.8)
-    circle_radius: float = 0.5
-    circle_center_x: float = 0.2
-    circle_center_y: float = 0.0
-    circle_altitude: float = 0.3
-    circle_omega: float = 0.3 * math.pi
-    circle_velocity_mode: str = "analytic"
+    circle_radius: float = CircularReference.radius
+    circle_center_x: float = CircularReference.center[0]
+    circle_center_y: float = CircularReference.center[1]
+    circle_altitude: float = CircularReference.altitude
+    circle_omega: float = CircularReference.omega
+    circle_velocity_mode: str = CircularReference.velocity_mode
     initial_state: tuple = (-3.77, -0.46, -3.60, 0.94, -0.24, 2.31)
     duration: float = 20.0
     dt: float = 0.02
-    psi: float = 0.0
-    feedforward: bool = False
-    invariance_mode: bool = False
+    psi: float = Scenario.psi
+    feedforward: bool = Scenario.feedforward
+    invariance_mode: bool = Scenario.invariance_mode
     seed: int = 0
     outdir: str = "flatsat_out"
     gammas: tuple = (1.0, 5.0, 15.0)
@@ -262,9 +264,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.samples <= 0:
-        print("verify: --samples must be positive", file=sys.stderr)
-        return EXIT_USAGE
     params, cert, meta = load_certificate(args.certificate)
     seed = meta["seed"] if args.seed is None else args.seed
     residual = lyapunov_residual(cert.gain)
@@ -320,16 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, synth_knobs=True):
+    def add_common(sp):
         sp.add_argument("--config", help="key = value config file")
         sp.add_argument("--out", help="output directory")
-        if synth_knobs:
-            sp.add_argument("--alpha", type=float, help="decay rate")
-            sp.add_argument("--gamma", type=float, help="feedback scale (>= 1)")
-            sp.add_argument("--margin", type=float, help="synthesis margin")
+        sp.add_argument("--alpha", type=float, help="decay rate")
+        sp.add_argument("--margin", type=float, help="synthesis margin")
 
     sp = sub.add_parser("synth", help="synthesize and write a certificate")
     add_common(sp)
+    sp.add_argument("--gamma", type=float, help="feedback scale (>= 1)")
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("saturate", help="saturate one command vector")
@@ -348,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="run one closed-loop scenario")
     add_common(sp)
+    sp.add_argument("--gamma", type=float, help="feedback scale (>= 1)")
     sp.add_argument("--certificate", help="use this certificate file instead of synthesizing")
     sp.set_defaults(func=cmd_simulate)
 
@@ -357,7 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None, help="override the stored seed")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("sweep", help="run the scenario once per gamma value")
+    # no abbreviations here, so that "--gamma" is not read as "--gammas"
+    sp = sub.add_parser(
+        "sweep", help="run the scenario once per gamma value", allow_abbrev=False
+    )
     add_common(sp)
     sp.add_argument("--gammas", help="comma-separated gamma list")
     sp.set_defaults(func=cmd_sweep)
@@ -366,8 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error (or the help) and exits 2
+        # (or 0); 2 is the infeasible-synthesis code here
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
     except SynthesisError as exc:

@@ -26,7 +26,9 @@ __all__ = [
     "max_inscribed_ball",
 ]
 
-# absolute slack on the squared-quantity membership inequalities
+# absolute slack on the squared-quantity membership inequalities: the
+# default of in_Vc, the feasibility slack of the saturation and the command
+# slack of the run monitors
 DEFAULT_TOL = 1e-9
 
 

@@ -24,13 +24,13 @@ from __future__ import annotations
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 from typing import Callable, Union
 
 import numpy as np
 
-from .constraint_sets import ConstraintParams, _u_clauses, _vc_clauses
+from .constraint_sets import DEFAULT_TOL, ConstraintParams, _u_clauses, _vc_clauses
 from .flat_model import (
     DomainError,
     PhysicalInput,
@@ -58,10 +58,10 @@ __all__ = [
 ]
 
 # membership slack used by the run monitors; commands are checked on the
-# squared quantities (1e-9, the saturation feasibility slack), physical
-# inputs on plain units where boundary outputs can pick up slightly
-# amplified rounding near the cone apex
-V_MONITOR_TOL = 1e-9
+# squared quantities (the saturation feasibility slack), physical inputs on
+# plain units where boundary outputs can pick up slightly amplified rounding
+# near the cone apex
+V_MONITOR_TOL = DEFAULT_TOL
 U_MONITOR_TOL = 1e-6
 
 _ZERO3 = np.zeros(3)
@@ -71,8 +71,8 @@ _ZERO6.setflags(write=False)
 
 
 class SimulationAborted(RuntimeError):
-    """The controller or the input map rejected a sample mid-run; carries
-    the partial trace."""
+    """The controller, the yaw check or the input map rejected a sample
+    mid-run; carries the partial trace."""
 
     def __init__(self, message: str, trace: "Trace"):
         super().__init__(message)
@@ -334,7 +334,9 @@ def run(scenario: Scenario) -> Trace:
     saturation guarantees make that unreachable except exactly at the cone
     apex or under a non-finite yaw. A non-finite command, from a NaN or
     infinite state, reference or feedforward, is rejected by the saturation
-    and aborts the same way.
+    and aborts the same way. The abort message names the time, the state
+    and the reference of the sample, then the rejecting kernel's reason,
+    which names the command when the command is at fault.
 
     The per-sample loop holds only the feedback path, on plain floats: the
     reference, the control law of :func:`control_law`, the input map
@@ -420,21 +422,14 @@ def run(scenario: Scenario) -> Trace:
             r1, r2, r3, w1, w2, w3, lam, saturated, act = _control_floats(
                 (x - q1, y - q2, z - q3, xd - q4, yd - q5, zd - q6), ff, gamma, p2, p3, p
             )
-        except DomainError as exc:
-            xi = np.array([x, y, z, xd, yd, zd])
-            raise SimulationAborted(
-                f"controller rejected state {xi} with reference {ref} at t={t}: {exc}",
-                partial(k),
-            ) from exc
-        ctrl = clock() - tic
-
-        try:
+            ctrl = clock() - tic
             cpsi, spsi = _yaw_trig(psi_at(t), g)
             thrust, roll, pitch = _to_physical_floats(w1, w2, w3, cpsi, spsi, g)
         except DomainError as exc:
-            v = np.array([w1, w2, w3])
+            xi = np.array([x, y, z, xd, yd, zd])
             raise SimulationAborted(
-                f"input map rejected command {v} at t={t}: {exc}", partial(k)
+                f"sample at t={t} rejected, state {xi}, reference {ref}: {exc}",
+                partial(k),
             ) from exc
 
         rows += pack(x, y, z, xd, yd, zd, q1, q2, q3, q4, q5, q6, r1, r2, r3,
@@ -477,21 +472,7 @@ class RunMetrics:
     n_violations: int
 
     def to_kv(self) -> dict:
-        return {
-            "rms_pos_error_steady": self.rms_pos_error_steady,
-            "max_decay_residual": self.max_decay_residual,
-            "saturation_duty": self.saturation_duty,
-            "ctrl_time_mean": self.ctrl_time_mean,
-            "ctrl_time_p99": self.ctrl_time_p99,
-            "max_lyapunov": self.max_lyapunov,
-            "min_ball_margin": self.min_ball_margin,
-            "min_cone_margin": self.min_cone_margin,
-            "min_half_margin": self.min_half_margin,
-            "min_thrust_margin": self.min_thrust_margin,
-            "min_roll_margin": self.min_roll_margin,
-            "min_pitch_margin": self.min_pitch_margin,
-            "n_violations": self.n_violations,
-        }
+        return asdict(self)
 
 
 def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:

@@ -14,7 +14,7 @@ at any time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -39,6 +39,10 @@ __all__ = [
     "CERT_FORMAT",
 ]
 
+# default synthesis margin: the inverse-side inequality must hold with every
+# eigenvalue at most -margin; every function and config key that takes a
+# margin defaults to it
+DEFAULT_MARGIN = 1e-9
 # largest closed-loop Lyapunov residual a synthesized gain may show
 DELTA_CERT = 1e-6
 # verify_cert slack on the inward flow, the decay margin and the scaled
@@ -138,7 +142,7 @@ def lyapunov_residual(gain: GainMatrix) -> float:
     )
 
 
-def solve_stabilizing_P(alpha: float, margin: float = 1e-9) -> GainMatrix:
+def solve_stabilizing_P(alpha: float, margin: float = DEFAULT_MARGIN) -> GainMatrix:
     """Solve for a stabilizing block gain at decay rate ``alpha``.
 
     Works on the inverse matrix Q = P^-1, whose stability inequality
@@ -199,7 +203,7 @@ def synthesize_certificate(
     p: ConstraintParams,
     alpha: float,
     gamma: float,
-    margin: float = 1e-9,
+    margin: float = DEFAULT_MARGIN,
 ) -> EllipsoidCert:
     """Full offline synthesis chain.
 
@@ -242,19 +246,7 @@ class VerificationReport:
         )
 
     def to_kv(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "n_saturated": self.n_saturated,
-            "inward_failures": self.inward_failures,
-            "decay_failures": self.decay_failures,
-            "gain_failures": self.gain_failures,
-            "worst_inward": self.worst_inward,
-            "worst_decay": self.worst_decay,
-            "worst_gain_margin": self.worst_gain_margin,
-            "worst_sample": self.worst_sample,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_cert(
@@ -340,7 +332,7 @@ def save_certificate(
     p: ConstraintParams,
     cert: EllipsoidCert,
     seed: int = 0,
-    margin: float = 1e-9,
+    margin: float = DEFAULT_MARGIN,
 ) -> None:
     """Write the certificate file (documented key = value schema).
 

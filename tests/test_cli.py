@@ -1,6 +1,10 @@
 
+import inspect
+from dataclasses import replace
+
 import pytest
 
+from flatsat import CircularReference, ConstraintParams, Scenario
 from flatsat.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -11,7 +15,13 @@ from flatsat.cli import (
     main,
 )
 from flatsat.kvformat import parse_kv
-from flatsat.synthesis import load_certificate, synthesize_certificate
+from flatsat.synthesis import (
+    DEFAULT_MARGIN,
+    load_certificate,
+    save_certificate,
+    solve_stabilizing_P,
+    synthesize_certificate,
+)
 
 
 def write_config(path, **pairs):
@@ -53,6 +63,22 @@ class TestConfig:
         path = write_config(tmp_path / "c.txt", alpha="fast")
         with pytest.raises(ValueError, match="alpha"):
             load_config(path)
+
+    def test_library_defaults(self):
+        cfg = RunConfig()
+        assert cfg.params() == ConstraintParams()
+        cfg = replace(cfg, scenario="circular")
+        assert cfg.reference() == CircularReference()
+        sc = cfg.build_scenario(synthesize_certificate(cfg.params(), 0.75, 1.0), cfg.params())
+        for name in ("psi", "feedforward", "invariance_mode"):
+            assert getattr(sc, name) == getattr(Scenario, name), name
+
+    def test_margin_defaults_are_one_constant(self):
+        defaults = [
+            inspect.signature(f).parameters["margin"].default
+            for f in (solve_stabilizing_P, synthesize_certificate, save_certificate)
+        ]
+        assert defaults + [RunConfig().margin] == [DEFAULT_MARGIN] * 4
 
 
 class TestSynth:
@@ -158,6 +184,12 @@ class TestSimulate:
         assert (tmp_path / "summary.txt").exists()
         summary = parse_kv((tmp_path / "summary.txt").read_text())
         assert int(summary["n_violations"]) == 0
+        assert list(summary) == [
+            "rms_pos_error_steady", "max_decay_residual", "saturation_duty",
+            "ctrl_time_mean", "ctrl_time_p99", "max_lyapunov", "min_ball_margin",
+            "min_cone_margin", "min_half_margin", "min_thrust_margin",
+            "min_roll_margin", "min_pitch_margin", "n_violations", "gamma",
+        ]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path / "c.txt", duration="2.0")
@@ -262,6 +294,17 @@ class TestVerify:
         assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
         rc = main(["verify", str(tmp_path / "certificate.txt"), "--samples", "0"])
         assert rc == EXIT_USAGE
+        assert "n_samples must be positive" in capsys.readouterr().err
+
+    def test_report_keys_in_order(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "certificate.txt"), "--samples", "200"]) == EXIT_OK
+        assert list(parse_kv(capsys.readouterr().out)) == [
+            "closed_loop_residual", "n_samples", "seed", "n_saturated",
+            "inward_failures", "decay_failures", "gain_failures", "worst_inward",
+            "worst_decay", "worst_gain_margin", "worst_sample", "passed",
+        ]
 
 
 class TestSweep:
@@ -299,3 +342,25 @@ class TestSweep:
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
         assert rc == EXIT_INFEASIBLE
         assert not list(tmp_path.glob("trace_gamma_*.csv"))
+
+
+class TestUsageErrors:
+    """argparse's own errors exit 1 like every other usage error; 2 means
+    synthesis infeasible."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
+            (["verify"], "the following arguments are required: certificate"),
+            (["verify", "c.txt", "--samples", "x"], "invalid int value: 'x'"),
+            (["sweep", "--gamma", "3", "--gammas", "1"], "unrecognized arguments: --gamma 3"),
+        ],
+    )
+    def test_parse_error_returns_usage_code(self, argv, message, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    def test_help_returns_ok(self, capsys):
+        assert main(["simulate", "--help"]) == EXIT_OK
+        assert "--certificate" in capsys.readouterr().out

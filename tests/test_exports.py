@@ -1,0 +1,39 @@
+import flatsat
+from flatsat import constraint_sets, flat_model, saturation, simulation, synthesis
+
+MODULES = (flat_model, constraint_sets, saturation, synthesis, simulation)
+
+# the names the package exported before it derived its list from the modules
+EXPORTED_BEFORE = {
+    "A_MATRIX", "ActiveConstraint", "B_MATRIX", "CircularReference",
+    "ConstraintParams", "DomainError", "EllipsoidCert", "GainMatrix",
+    "InscribedBall", "OriginReference", "PhysicalInput", "SaturationResult",
+    "Scenario", "SetpointReference", "SimulationAborted", "SynthesisError",
+    "Trace", "VerificationReport", "accel", "boundary_states", "control_law",
+    "eps_max", "epsilon_angle", "flat_dynamics", "in_U", "in_Vc",
+    "load_certificate", "lyapunov_residual", "max_inscribed_ball", "metrics",
+    "run", "synthesize_certificate", "saturate", "saturate_batch",
+    "saturate_oracle", "save_certificate", "solve_stabilizing_P",
+    "to_physical", "verify_cert",
+}
+
+
+def test_all_is_the_module_lists_joined():
+    joined = [name for module in MODULES for name in module.__all__]
+    assert flatsat.__all__ == joined
+    assert len(set(joined)) == len(joined)
+
+
+def test_every_name_resolves_to_its_module_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(flatsat, name) is getattr(module, name), name
+
+
+def test_no_name_lost():
+    assert len(EXPORTED_BEFORE) == 39
+    assert EXPORTED_BEFORE <= set(flatsat.__all__)
+    assert set(flatsat.__all__) - EXPORTED_BEFORE == {
+        "DEFAULT_TOL", "CSV_COLUMNS", "ControlDiagnostics", "RunMetrics", "CERT_FORMAT",
+    }
+    assert "kvformat" not in flatsat.__all__

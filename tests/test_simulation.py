@@ -107,17 +107,12 @@ def numpy_run(scenario):
         ff = scenario.reference.accel(t) if scenario.feedforward else None
         try:
             v, raw, res = numpy_control_law(xi, ref, cert, p, feedforward_accel=ff)
-        except DomainError as exc:
-            raise SimulationAborted(
-                f"controller rejected state {xi} with reference {ref} at t={t}: {exc}",
-                partial(),
-            ) from exc
-        psi_k = scenario.psi_at(t)
-        try:
+            psi_k = scenario.psi_at(t)
             u = to_physical(v, psi_k, p.g)
         except DomainError as exc:
             raise SimulationAborted(
-                f"input map rejected command {v} at t={t}: {exc}", partial()
+                f"sample at t={t} rejected, state {xi}, reference {ref}: {exc}",
+                partial(),
             ) from exc
         lyap = scalar_lyapunov((xi - ref).tolist(), g.p1, g.p2, g.p3)
         ok_u = in_U(u, p, 1e-6)
@@ -349,7 +344,10 @@ class TestRun:
         with pytest.raises(SimulationAborted) as excinfo:
             run(sc)
         assert len(excinfo.value.trace) == 0
-        assert "rejected command" in str(excinfo.value)
+        assert str(excinfo.value) == (
+            f"sample at t=0.0 rejected, state {np.array(sc.initial_state)}, "
+            f"reference {np.zeros(6)}: v3 must exceed -g, got v3=-9.0 with g=9.0"
+        )
 
     def test_non_finite_reference_aborts_with_partial_trace(self, params, cert075):
         class NanAfterHalfSecond(OriginReference):
@@ -369,24 +367,28 @@ class TestRun:
         trace = excinfo.value.trace
         assert len(trace) == 25 and trace.t[-1] == pytest.approx(0.48)
         assert np.all(np.isfinite(trace.xi)) and not trace.violations
-        assert "controller rejected" in str(excinfo.value)
+        assert str(excinfo.value).startswith("sample at t=0.5 rejected, state ")
+        assert str(excinfo.value).endswith(
+            f"reference {np.full(6, math.nan)}: no feasible pullback factor for (nan, nan, nan)"
+        )
 
 
     @pytest.mark.parametrize("psi", [math.nan, math.inf])
     def test_non_finite_constant_yaw_aborts_before_any_row(self, params, cert075, psi):
         sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0, psi=psi)
-        v, _ = control_law(CANONICAL_X0, np.zeros(6), cert075, params)
         with pytest.raises(SimulationAborted) as excinfo:
             run(sc)
         assert len(excinfo.value.trace) == 0
+        # the command is finite and inside the set, so the message leaves it out
         assert str(excinfo.value) == (
-            f"input map rejected command {v} at t=0.0: yaw and gravity must be finite"
+            f"sample at t=0.0 rejected, state {np.array(CANONICAL_X0)}, "
+            f"reference {np.zeros(6)}: yaw and gravity must be finite"
         )
 
     def test_yaw_turning_infinite_aborts_with_partial_trace(self, params, cert075):
         sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0,
                              psi=lambda t: math.inf if t >= 0.5 else 0.3)
-        # the clean run up to t = 0.5 ends on the command that is rejected
+        # the clean run up to t = 0.5 ends on the sample that is rejected
         clean = run(replace(sc, duration=0.5, psi=0.3))
         with pytest.raises(SimulationAborted) as excinfo:
             run(sc)
@@ -394,8 +396,8 @@ class TestRun:
         assert len(trace) == 25 and not trace.violations
         np.testing.assert_array_equal(trace.xi, clean.xi[:25])
         assert str(excinfo.value) == (
-            f"input map rejected command {clean.v[25]} at t=0.5: "
-            "yaw and gravity must be finite"
+            f"sample at t=0.5 rejected, state {clean.xi[25]}, "
+            f"reference {np.zeros(6)}: yaw and gravity must be finite"
         )
 
 
