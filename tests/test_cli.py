@@ -64,12 +64,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="alpha"):
             load_config(path)
 
-    def test_library_defaults(self):
-        cfg = RunConfig()
+    def test_library_defaults(self, params, cert075):
+        cfg = replace(RunConfig(), scenario="circular")
         assert cfg.params() == ConstraintParams()
-        cfg = replace(cfg, scenario="circular")
         assert cfg.reference() == CircularReference()
-        sc = cfg.build_scenario(synthesize_certificate(cfg.params(), 0.75, 1.0), cfg.params())
+        sc = cfg.build_scenario(cert075, params)
         for name in ("psi", "feedforward", "invariance_mode"):
             assert getattr(sc, name) == getattr(Scenario, name), name
 
