@@ -43,6 +43,7 @@ from .synthesis import (
     DEFAULT_MARGIN,
     EllipsoidCert,
     SynthesisError,
+    _check_gamma,
     load_certificate,
     lyapunov_residual,
     synthesize_certificate,
@@ -67,7 +68,8 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _parse_floats(s: str) -> tuple[float, ...]:
+def float_list(s: str) -> tuple[float, ...]:
+    """Comma-separated floats; argparse names it in its error message."""
     return tuple(float(x) for x in s.split(","))
 
 
@@ -141,7 +143,7 @@ class RunConfig:
 
 
 # each config key is parsed by the type of its default
-_PARSER_OF_TYPE = {float: float, int: int, str: str, bool: _parse_bool, tuple: _parse_floats}
+_PARSER_OF_TYPE = {float: float, int: int, str: str, bool: _parse_bool, tuple: float_list}
 _CONFIG_PARSERS = {f.name: _PARSER_OF_TYPE[type(f.default)] for f in fields(RunConfig)}
 
 
@@ -164,11 +166,9 @@ def load_config(path) -> RunConfig:
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {}
-    for name in ("alpha", "gamma", "margin"):
+    for name in ("alpha", "gamma", "margin", "gammas"):
         if getattr(args, name, None) is not None:
             overrides[name] = getattr(args, name)
-    if getattr(args, "gammas", None) is not None:
-        overrides["gammas"] = _parse_floats(args.gammas)
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -223,9 +223,7 @@ def cmd_saturate(args) -> int:
         "active": res.active.value,
     }
     if args.oracle:
-        lines["lambda_oracle"] = saturate_oracle(
-            (args.v1, args.v2, args.v3), params, iters=args.iters
-        )
+        lines["lambda_oracle"] = saturate_oracle((args.v1, args.v2, args.v3), params)
     sys.stdout.write(dump_kv(lines))
     return EXIT_OK
 
@@ -239,18 +237,28 @@ def _load_or_synthesize(args, cfg: RunConfig):
     return params, cert
 
 
+def _run_to_csv(scenario: Scenario, path: Path):
+    """Run ``scenario`` and write its trace to ``path``. On an abort, write
+    the completed rows to ``<stem>_partial.csv`` beside it, print the reason
+    and return None."""
+    try:
+        trace = run(scenario)
+    except SimulationAborted as exc:
+        exc.trace.to_csv(path.with_name(f"{path.stem}_partial.csv"))
+        print(f"simulation aborted: {exc}", file=sys.stderr)
+        return None
+    trace.to_csv(path)
+    return trace
+
+
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     params, cert = _load_or_synthesize(args, cfg)
     scenario = cfg.build_scenario(cert, params)
     out = _resolve_outdir(args, cfg)
-    try:
-        trace = run(scenario)
-    except SimulationAborted as exc:
-        exc.trace.to_csv(out / "trace_partial.csv")
-        print(f"simulation aborted: {exc}", file=sys.stderr)
+    trace = _run_to_csv(scenario, out / "trace.csv")
+    if trace is None:
         return EXIT_VIOLATIONS
-    trace.to_csv(out / "trace.csv")
     summary = metrics(trace, scenario).to_kv()
     summary["gamma"] = cert.gamma
     text = dump_kv(summary, header="simulation summary")
@@ -277,16 +285,19 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     params = cfg.params()
-    # gamma does not enter synthesis: synthesize once (the smallest gamma
-    # validates the whole list) and vary only the feedback scale
-    base = synthesize_certificate(params, cfg.alpha, min(cfg.gammas), margin=cfg.margin)
+    # gamma does not enter synthesis: check every gamma before any run,
+    # synthesize once and vary only the feedback scale
+    for gamma in cfg.gammas:
+        _check_gamma(gamma)
+    base = synthesize_certificate(params, cfg.alpha, cfg.gammas[0], margin=cfg.margin)
     out = _resolve_outdir(args, cfg)
     combined: dict = {}
     any_violations = False
     for i, gamma in enumerate(cfg.gammas):
         scenario = cfg.build_scenario(replace(base, gamma=gamma), params)
-        trace = run(scenario)
-        trace.to_csv(out / f"trace_gamma_{_gamma_tag(gamma)}.csv")
+        trace = _run_to_csv(scenario, out / f"trace_gamma_{_gamma_tag(gamma)}.csv")
+        if trace is None:
+            return EXIT_VIOLATIONS
         summary = metrics(trace, scenario)
         combined[f"run{i}_gamma"] = gamma
         for key, value in summary.to_kv().items():
@@ -341,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("v3", type=float)
     sp.add_argument("--config", help="key = value config file")
     sp.add_argument("--oracle", action="store_true", help="also print bisection factor")
-    sp.add_argument("--iters", type=int, default=60, help="bisection iterations")
     sp.set_defaults(func=cmd_saturate)
 
     sp = sub.add_parser("simulate", help="run one closed-loop scenario")
@@ -361,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run the scenario once per gamma value", allow_abbrev=False
     )
     add_common(sp)
-    sp.add_argument("--gammas", help="comma-separated gamma list")
+    sp.add_argument("--gammas", type=float_list, help="comma-separated gamma list")
     sp.set_defaults(func=cmd_sweep)
 
     return parser

@@ -14,15 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .flat_model import DomainError, PhysicalInput
+from .flat_model import PhysicalInput
 
 __all__ = [
     "DEFAULT_TOL",
     "ConstraintParams",
-    "InscribedBall",
     "in_U",
     "in_Vc",
-    "epsilon_angle",
     "max_inscribed_ball",
 ]
 
@@ -79,16 +77,6 @@ class ConstraintParams:
         object.__setattr__(self, "t2_max", self.t_max * self.t_max)
 
 
-@dataclass(frozen=True)
-class InscribedBall:
-    """Largest origin-centered ball inside the convex command set.
-
-    ``rho`` is the squared radius: the ball is { v : ||v||^2 <= rho }.
-    """
-
-    rho: float
-
-
 def in_U(u: PhysicalInput, p: ConstraintParams, tol: float = 0.0) -> bool:
     """Membership in the physical input box, inclusive within ``tol``."""
     return bool(_u_clauses(u.thrust, u.roll, u.pitch, p, tol))
@@ -132,19 +120,9 @@ def _vc_clauses(v1, v2, v3, p: ConstraintParams, tol: float):
     )
 
 
-def epsilon_angle(v, g: float) -> float:
-    """Tilt angle implied by an acceleration command: the angle between the
-    commanded thrust direction and vertical. Upper-bounds both attitude
-    angles produced by the input map. Requires ``v[2] > -g``."""
-    v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
-    c = v3 + g
-    if c <= 0.0:
-        raise DomainError(f"v3 must exceed -g, got v3={v3} with g={g}")
-    return math.atan(math.sqrt(v1 * v1 + v2 * v2) / c)
-
-
-def max_inscribed_ball(p: ConstraintParams) -> InscribedBall:
-    """Closed-form largest origin-centered ball inside the command set.
+def max_inscribed_ball(p: ConstraintParams) -> float:
+    """Squared radius ``rho`` of the largest origin-centered ball
+    { v : ||v||^2 <= rho } inside the command set, in closed form.
 
     The origin sits on the cone axis at height g above the apex (0, 0, -g).
     Its distance to the shifted sphere is t_max - g, to the cone's lateral
@@ -153,4 +131,4 @@ def max_inscribed_ball(p: ConstraintParams) -> InscribedBall:
     min(t_max - g, g*sin(eps_max))^2.
     """
     r = min(p.t_max - p.g, p.g * math.sin(p.eps_max))
-    return InscribedBall(rho=r * r)
+    return r * r

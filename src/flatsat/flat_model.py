@@ -20,25 +20,13 @@ import numpy as np
 __all__ = [
     "DomainError",
     "PhysicalInput",
-    "A_MATRIX",
-    "B_MATRIX",
     "accel",
     "to_physical",
-    "flat_dynamics",
 ]
 
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of a model map."""
-
-
-# xi_dot = A xi + B v with xi = (pos, vel), v the commanded acceleration
-A_MATRIX = np.block(
-    [[np.zeros((3, 3)), np.eye(3)], [np.zeros((3, 3)), np.zeros((3, 3))]]
-)
-B_MATRIX = np.vstack([np.zeros((3, 3)), np.eye(3)])
-A_MATRIX.setflags(write=False)
-B_MATRIX.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -142,9 +130,3 @@ def _to_physical_floats(v1: float, v2: float, v3: float, cpsi: float, spsi: floa
     _check_physical(t, roll, pitch)
     return t, roll, pitch
 
-
-def flat_dynamics(xi, v) -> np.ndarray:
-    """State derivative of the acceleration-commanded model: (vel, v)."""
-    xi = np.asarray(xi, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return np.concatenate([xi[3:], v])

@@ -3,7 +3,7 @@
 Grammar: one ``key = value`` pair per line; blank lines and lines starting
 with ``#`` are ignored; an inline ``#`` starts a comment unless the value is
 needed verbatim (values never contain ``#``). Keys are lowercase identifiers.
-Values are stored as strings; typed access goes through the helpers below.
+Values are stored as strings; the reader of each file converts them.
 Floats are written with 17 significant digits so files round-trip exactly.
 """
 

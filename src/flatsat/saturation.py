@@ -151,20 +151,20 @@ def saturate_batch(v, p: ConstraintParams):
     return v * lam[:, None], lam, ~feasible
 
 
-def saturate_oracle(v, p: ConstraintParams, iters: int = 60) -> float:
+def saturate_oracle(v, p: ConstraintParams) -> float:
     """Bisection reference for the pullback factor.
 
     The feasible factors along a ray form an interval [0, lam*] because the
     set is convex with the origin interior, so the membership predicate is
-    monotone in the factor and bisection converges to lam* within 2^-iters.
-    Bisects the exact membership predicate (zero slack) so it stays an
-    independent reference for the closed-form factor of :func:`saturate`.
+    monotone in the factor, and 60 bisection steps come within 2^-60 of
+    lam*. Bisects the exact membership predicate (zero slack) so it stays
+    an independent reference for the closed-form factor of :func:`saturate`.
     """
     v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
     if in_Vc((v1, v2, v3), p, 0.0):
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if in_Vc((mid * v1, mid * v2, mid * v3), p, 0.0):
             lo = mid

@@ -38,7 +38,7 @@ from .flat_model import (
     _to_physical_floats,
     _yaw_trig,
 )
-from .saturation import ActiveConstraint, _saturate_floats
+from .saturation import ActiveConstraint, SaturationResult, _saturate_floats
 from .synthesis import EllipsoidCert, GainMatrix, _raw_feedback
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "CircularReference",
     "Scenario",
     "Trace",
-    "ControlDiagnostics",
     "RunMetrics",
     "SimulationAborted",
     "control_law",
@@ -263,14 +262,6 @@ class Trace:
             )
 
 
-@dataclass(frozen=True)
-class ControlDiagnostics:
-    raw: np.ndarray
-    lam: float
-    saturated: bool
-    active: ActiveConstraint
-
-
 def _control_floats(e, ff, gamma: float, p2: float, p3: float, p: ConstraintParams):
     """The controller on plain floats: the raw law on the tracking error
     ``e = (e1, e2, e3, d1, d2, d3)`` plus the feedforward acceleration
@@ -305,19 +296,21 @@ def _lyapunov(e, p1: float, p2: float, p3: float):
 
 def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
                 feedforward_accel=None):
-    """Saturated scaled gradient feedback on the tracking error.
+    """Saturated scaled gradient feedback on the tracking error
+    ``xi - xi_ref``, with ``feedforward_accel`` (if given) added before the
+    saturation.
 
-    Returns (command, diagnostics). A thin wrapper over the float kernel
-    that :func:`run` calls on every sample.
+    Returns ``(command, result)``: the saturated command and the
+    :class:`SaturationResult` of the raw one, whose ``v_out`` is that same
+    command. A thin wrapper over the float kernel that :func:`run` calls on
+    every sample; a run keeps the raw command as ``Trace.v_raw``.
     """
     e = (np.asarray(xi, dtype=float) - xi_ref).tolist()
-    r1, r2, r3, w1, w2, w3, lam, saturated, active = _control_floats(
+    _, _, _, w1, w2, w3, lam, saturated, active = _control_floats(
         e, feedforward_accel, cert.gamma, cert.gain.p2, cert.gain.p3, p
     )
-    diag = ControlDiagnostics(
-        raw=np.array([r1, r2, r3]), lam=lam, saturated=saturated, active=active
-    )
-    return np.array([w1, w2, w3]), diag
+    v = np.array([w1, w2, w3])
+    return v, SaturationResult(v_out=v, lam=lam, saturated=saturated, active=active)
 
 
 # one row of the run buffer: xi (0:6), the reference xi_ref (6:12), v_raw

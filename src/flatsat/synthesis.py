@@ -17,6 +17,7 @@ import math
 from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -100,10 +101,11 @@ class EllipsoidCert:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.rho <= 0.0 or self.eps <= 0.0:
-            raise ValueError("rho and eps must be positive")
-        if self.gamma < 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        # positive comparisons, so that NaN fails them
+        if not (0.0 < self.rho < math.inf and 0.0 < self.eps < math.inf):
+            raise ValueError(f"rho {self.rho} and eps {self.eps} must be positive and finite")
+        if not 1.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be >= 1 and finite, got {self.gamma}")
 
 
 def _raw_feedback(e, d, gamma: float, p2: float, p3: float):
@@ -194,8 +196,8 @@ def eps_max(gain: GainMatrix, rho: float) -> float:
     matrix is diag((p1 - p2^2/p3) I3, 0 I3, 0), positive semidefinite
     because :class:`GainMatrix` is positive definite.
     """
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     return rho / gain.p3
 
 
@@ -214,12 +216,17 @@ def synthesize_certificate(
     Under the zero-order hold of the simulator, V is nonincreasing at every
     step only while gamma * p3 * dt stays below about 2.
     """
-    if gamma < 1.0:
-        raise SynthesisError(f"gamma must be >= 1, got {gamma}")
-    ball = max_inscribed_ball(p)
+    _check_gamma(gamma)
+    rho = max_inscribed_ball(p)
     gain = solve_stabilizing_P(alpha, margin=margin)
-    eps = eps_max(gain, ball.rho)
-    return EllipsoidCert(gain=gain, rho=ball.rho, eps=eps, gamma=gamma)
+    return EllipsoidCert(gain=gain, rho=rho, eps=eps_max(gain, rho), gamma=gamma)
+
+
+def _check_gamma(gamma: float) -> None:
+    """Raise :class:`SynthesisError` unless 1 <= ``gamma`` < inf (a NaN
+    fails): the check that synthesis applies to the feedback scale."""
+    if not 1.0 <= gamma < math.inf:
+        raise SynthesisError(f"gamma must be >= 1 and finite, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -308,23 +315,27 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 CERT_FORMAT = "flatsat-certificate-1"
 
-_CERT_KEYS = (
-    "format",
-    "g",
-    "t_max",
-    "phi_max",
-    "theta_max",
-    "eps_max",
-    "alpha",
-    "gamma",
-    "rho",
-    "eps",
-    "p1",
-    "p2",
-    "p3",
-    "seed",
-    "margin",
-)
+# The certificate file's keys in file order, each with the holder whose
+# attribute of that name is the value (the ConstraintParams "limits", the
+# GainMatrix "gain", the EllipsoidCert "cert", the format tag's "file", the
+# seed and margin "meta") and the type the value is read back as.
+CERT_KEYS = {
+    "format": ("file", str),
+    "g": ("limits", float),
+    "t_max": ("limits", float),
+    "phi_max": ("limits", float),
+    "theta_max": ("limits", float),
+    "eps_max": ("limits", float),
+    "alpha": ("gain", float),
+    "gamma": ("cert", float),
+    "rho": ("cert", float),
+    "eps": ("cert", float),
+    "p1": ("gain", float),
+    "p2": ("gain", float),
+    "p3": ("gain", float),
+    "seed": ("meta", int),
+    "margin": ("meta", float),
+}
 
 
 def save_certificate(
@@ -334,29 +345,18 @@ def save_certificate(
     seed: int = 0,
     margin: float = DEFAULT_MARGIN,
 ) -> None:
-    """Write the certificate file (documented key = value schema).
-
-    Keys: format, g, t_max, phi_max, theta_max, eps_max, alpha, gamma, rho,
-    eps, p1, p2, p3, seed, margin. Floats carry 17 significant digits so the
-    file round-trips bit-exactly.
+    """Write the certificate file: one ``key = value`` line per entry of
+    :data:`CERT_KEYS`, in its order. Floats carry 17 significant digits so
+    the file round-trips bit-exactly.
     """
-    pairs = {
-        "format": CERT_FORMAT,
-        "g": p.g,
-        "t_max": p.t_max,
-        "phi_max": p.phi_max,
-        "theta_max": p.theta_max,
-        "eps_max": p.eps_max,
-        "alpha": cert.gain.alpha,
-        "gamma": cert.gamma,
-        "rho": cert.rho,
-        "eps": cert.eps,
-        "p1": cert.gain.p1,
-        "p2": cert.gain.p2,
-        "p3": cert.gain.p3,
-        "seed": seed,
-        "margin": margin,
+    holders = {
+        "file": SimpleNamespace(format=CERT_FORMAT),
+        "limits": p,
+        "gain": cert.gain,
+        "cert": cert,
+        "meta": SimpleNamespace(seed=seed, margin=margin),
     }
+    pairs = {key: getattr(holders[holder], key) for key, (holder, _) in CERT_KEYS.items()}
     text = dump_kv(pairs, header="invariant-ellipsoid certificate")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -365,37 +365,28 @@ def save_certificate(
 def load_certificate(path):
     """Read a certificate file back to (ConstraintParams, EllipsoidCert, meta).
 
-    ``meta`` is a dict with the seed and margin. Unknown or missing keys and
-    an inconsistent stored eps_max are rejected.
+    ``meta`` is a dict with the seed and margin. Unknown or missing keys, an
+    unsupported format and an inconsistent stored eps_max are rejected.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = parse_kv(fh.read())
-    if set(raw) != set(_CERT_KEYS):
-        missing = sorted(set(_CERT_KEYS) - set(raw))
-        unknown = sorted(set(raw) - set(_CERT_KEYS))
+    if set(raw) != set(CERT_KEYS):
+        missing = sorted(set(CERT_KEYS) - set(raw))
+        unknown = sorted(set(raw) - set(CERT_KEYS))
         raise ValueError(
             f"bad certificate schema: missing keys {missing}, unknown keys {unknown}"
         )
-    if raw["format"] != CERT_FORMAT:
-        raise ValueError(f"unsupported certificate format {raw['format']!r}")
     try:
-        vals = {k: float(raw[k]) for k in _CERT_KEYS if k not in ("format", "seed")}
-        seed = int(raw["seed"])
+        v = SimpleNamespace(**{key: read(raw[key]) for key, (_, read) in CERT_KEYS.items()})
     except ValueError as exc:
         raise ValueError(f"bad certificate value: {exc}") from exc
-    p = ConstraintParams(
-        g=vals["g"],
-        t_max=vals["t_max"],
-        phi_max=vals["phi_max"],
-        theta_max=vals["theta_max"],
-    )
-    if abs(p.eps_max - vals["eps_max"]) > 1e-12:
-        raise ValueError(
-            f"stored eps_max {vals['eps_max']} inconsistent with angle limits"
-        )
-    gain = GainMatrix(p1=vals["p1"], p2=vals["p2"], p3=vals["p3"], alpha=vals["alpha"])
-    cert = EllipsoidCert(
-        gain=gain, rho=vals["rho"], eps=vals["eps"], gamma=vals["gamma"]
-    )
-    meta = {"seed": seed, "margin": vals["margin"]}
+    if v.format != CERT_FORMAT:
+        raise ValueError(f"unsupported certificate format {v.format!r}")
+    p = ConstraintParams(g=v.g, t_max=v.t_max, phi_max=v.phi_max, theta_max=v.theta_max)
+    if abs(p.eps_max - v.eps_max) > 1e-12:
+        raise ValueError(f"stored eps_max {v.eps_max} inconsistent with angle limits")
+    gain = GainMatrix(p1=v.p1, p2=v.p2, p3=v.p3, alpha=v.alpha)
+    cert = EllipsoidCert(gain=gain, rho=v.rho, eps=v.eps, gamma=v.gamma)
+    meta = {key: getattr(v, key) for key, (holder, _) in CERT_KEYS.items()
+            if holder == "meta"}
     return p, cert, meta

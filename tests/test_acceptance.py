@@ -52,10 +52,10 @@ def check(num, name, ok, detail=""):
 def test_criterion_1_inscribed_ball(params):
     tic = time.perf_counter()
     for _ in range(100):
-        ball = max_inscribed_ball(params)
+        rho = max_inscribed_ball(params)
     per_call = (time.perf_counter() - tic) / 100
-    ok = abs(ball.rho - RHO_REF) <= 1e-3 and per_call < 1e-3
-    check(1, "inscribed ball", ok, f"rho={ball.rho:.6f}, {per_call * 1e6:.1f} us/call")
+    ok = abs(rho - RHO_REF) <= 1e-3 and per_call < 1e-3
+    check(1, "inscribed ball", ok, f"rho={rho:.6f}, {per_call * 1e6:.1f} us/call")
 
 
 def test_criterion_2_invariant_level():
@@ -90,7 +90,7 @@ def test_criterion_4_saturation_oracle_equivalence(params):
     tight_ok = True
     for v in commands:
         res = saturate(v, params)
-        lam_b = saturate_oracle(v, params, iters=60)
+        lam_b = saturate_oracle(v, params)
         worst = max(worst, abs(res.lam - lam_b))
         if not in_Vc(res.v_out, params):
             tight_ok = False

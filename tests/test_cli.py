@@ -110,6 +110,13 @@ class TestSynth:
         assert rc == EXIT_INFEASIBLE
         assert "synthesis error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_infeasible(self, tmp_path, capsys, gamma):
+        rc = main(["synth", "--out", str(tmp_path), "--gamma", gamma])
+        assert rc == EXIT_INFEASIBLE
+        assert "gamma must be >= 1 and finite" in capsys.readouterr().err
+        assert not (tmp_path / "certificate.txt").exists()
+
     def test_tiny_alpha_exit_code(self, tmp_path, capsys):
         # the huge alpha builds a finite gain whose exact residual is positive
         for args, why in ((["--alpha", "1e-100"], "overflows"),
@@ -161,8 +168,7 @@ class TestSaturate:
 
     def test_options_parse_beside_negative_components(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "c.txt", g=9.81)
-        rc = main(["saturate", "-1.5e0", "--config", cfg, "-2", "-3E1",
-                   "--oracle", "--iters", "40"])
+        rc = main(["saturate", "-1.5e0", "--config", cfg, "-2", "-3E1", "--oracle"])
         assert rc == EXIT_OK
         out = parse_kv(capsys.readouterr().out)
         assert abs(float(out["lambda"]) - float(out["lambda_oracle"])) <= 1e-8
@@ -257,6 +263,18 @@ class TestSimulate:
         assert "whole number of steps" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_certificate_with_nan_gamma_rejected(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
+        cert_path = tmp_path / "certificate.txt"
+        cert_path.write_text(cert_path.read_text().replace("gamma = 1\n", "gamma = nan\n"))
+        capsys.readouterr()
+        cfg = write_config(tmp_path / "c.txt", duration="1.0")
+        rc = main(["simulate", "--config", cfg, "--certificate", str(cert_path),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "gamma" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trace*.csv"))
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.txt", duration="1.0")
         env_dir = tmp_path / "from_env"
@@ -342,6 +360,29 @@ class TestSweep:
         assert rc == EXIT_INFEASIBLE
         assert not list(tmp_path.glob("trace_gamma_*.csv"))
 
+    @pytest.mark.parametrize("gammas", ["1,nan", "nan,1", "1,inf"])
+    def test_non_finite_gamma_infeasible_before_any_trace(self, tmp_path, capsys, gammas):
+        cfg = write_config(tmp_path / "c.txt", duration="1.0")
+        rc = main(["sweep", "--config", cfg, "--gammas", gammas, "--out", str(tmp_path)])
+        assert rc == EXIT_INFEASIBLE
+        assert "gamma must be >= 1 and finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trace_gamma_*.csv"))
+
+    def test_aborted_run_writes_partial_trace(self, tmp_path, capsys):
+        # a NaN yaw aborts each run at its first sample, as in simulate
+        cfg = write_config(tmp_path / "c.txt", duration="1.0", psi="nan", gammas="1, 5")
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_VIOLATIONS
+        assert "simulation aborted" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.glob("trace*.csv")) == [
+            "trace_gamma_1_partial.csv"
+        ]
+        assert not (tmp_path / "sweep_summary.txt").exists()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_VIOLATIONS
+        assert (tmp_path / "trace_partial.csv").read_bytes() == (
+            tmp_path / "trace_gamma_1_partial.csv"
+        ).read_bytes()
+
 
 class TestUsageErrors:
     """argparse's own errors exit 1 like every other usage error; 2 means
@@ -354,6 +395,7 @@ class TestUsageErrors:
             (["verify"], "the following arguments are required: certificate"),
             (["verify", "c.txt", "--samples", "x"], "invalid int value: 'x'"),
             (["sweep", "--gamma", "3", "--gammas", "1"], "unrecognized arguments: --gamma 3"),
+            (["sweep", "--gammas", "1,x"], "argument --gammas: invalid float_list value: '1,x'"),
         ],
     )
     def test_parse_error_returns_usage_code(self, argv, message, capsys):

@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatsat import (
-    A_MATRIX,
-    B_MATRIX,
-    DomainError,
-    PhysicalInput,
-    accel,
-    epsilon_angle,
-    flat_dynamics,
-    to_physical,
-)
+from flatsat import DomainError, PhysicalInput, accel, to_physical
+
+from conftest import A_MATRIX, B_MATRIX, epsilon_angle, flat_dynamics
 
 G = 9.81
 

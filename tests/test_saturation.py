@@ -211,7 +211,7 @@ class TestSaturateBatch:
         # every row, those whose output is the cone apex included
         v = fuzz_batch(np.random.default_rng(9), 10_000)
         _, lam, _ = saturate_batch(v, PARAMS)
-        oracle = np.array([saturate_oracle(row, PARAMS, iters=60) for row in v])
+        oracle = np.array([saturate_oracle(row, PARAMS) for row in v])
         at_apex = np.array(
             [saturate(row, PARAMS).active is ActiveConstraint.HALFSPACE for row in v]
         )
@@ -222,7 +222,7 @@ class TestSaturateBatch:
         h = np.array([1e-7, 1e-6, 1e-5])
         v = np.column_stack([h, np.zeros_like(h), np.full_like(h, -2 * G)])
         _, lam, _ = saturate_batch(v, PARAMS)
-        oracle = [saturate_oracle(row, PARAMS, iters=60) for row in v]
+        oracle = [saturate_oracle(row, PARAMS) for row in v]
         assert np.max(np.abs(lam - oracle)) <= 1e-8
 
     def test_empty_input(self):
@@ -281,7 +281,7 @@ class TestExactness:
 
 class TestOracle:
     def test_matches_closed_form(self):
-        lam = saturate_oracle((0.0, 0.0, -2 * G), PARAMS, iters=40)
+        lam = saturate_oracle((0.0, 0.0, -2 * G), PARAMS)
         assert lam == pytest.approx(0.5, abs=1e-12)
 
     def test_scaled_boundary_point(self):
@@ -293,7 +293,7 @@ class TestOracle:
         worst = 0.0
         for v in fuzz_commands(rng, 10_000):
             la = saturate(v, PARAMS).lam
-            lb = saturate_oracle(v, PARAMS, iters=60)
+            lb = saturate_oracle(v, PARAMS)
             worst = max(worst, abs(la - lb))
         assert worst <= 1e-8
 

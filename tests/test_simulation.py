@@ -163,23 +163,24 @@ def format_value_csv(trace, path):
 class TestControlLaw:
     def test_at_reference_hover(self, params, cert075):
         xi = np.array([0.3, 0.3, 0.8, 0.0, 0.0, 0.0])
-        v, diag = control_law(xi, xi, cert075, params)
+        v, res = control_law(xi, xi, cert075, params)
         assert np.all(v == 0.0)
-        assert not diag.saturated
+        assert not res.saturated
+        assert res.active is ActiveConstraint.NONE and res.v_out is v
         u = to_physical(v, 0.0, params.g)
         assert u.thrust == params.g and u.roll == 0.0 and u.pitch == 0.0
 
     def test_boundary_state_unsaturated_at_unit_gamma(self, params, cert075):
         for xi in boundary_states(cert075.gain, cert075.eps, 16):
-            v, diag = control_law(xi, np.zeros(6), cert075, params)
-            assert not diag.saturated
+            v, res = control_law(xi, np.zeros(6), cert075, params)
+            assert not res.saturated
             assert float(v @ v) <= cert075.rho + 1e-9
 
     def test_far_state_saturates_on_boundary(self, params, cert075):
         cert = replace(cert075, gamma=15.0)
         xi = 4.0 * CANONICAL_X0
-        v, diag = control_law(xi, np.zeros(6), cert, params)
-        assert diag.saturated
+        v, res = control_law(xi, np.zeros(6), cert, params)
+        assert res.saturated
         c = v[2] + params.g
         h2 = v[0] ** 2 + v[1] ** 2
         rel = min(
@@ -191,8 +192,9 @@ class TestControlLaw:
     def test_feedforward_added_before_saturation(self, params, cert075):
         xi = np.zeros(6)
         ff = (0.3, -0.2, 0.1)
-        v, diag = control_law(xi, xi, cert075, params, feedforward_accel=ff)
-        assert np.allclose(diag.raw, ff)
+        v, res = control_law(xi, xi, cert075, params, feedforward_accel=ff)
+        # unsaturated, so the command is the raw feedback (zero) plus ff
+        assert res.lam == 1.0 and not res.saturated
         assert np.allclose(v, ff)
 
 

@@ -1,15 +1,16 @@
 import math
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 from flatsat import (
-    A_MATRIX,
-    B_MATRIX,
+    EllipsoidCert,
     GainMatrix,
     SynthesisError,
     eps_max,
@@ -22,7 +23,10 @@ from flatsat import (
     saturate,
     verify_cert,
 )
-from flatsat.synthesis import DELTA_CERT
+from flatsat.kvformat import parse_kv
+from flatsat.synthesis import CERT_KEYS, DELTA_CERT
+
+from conftest import A_MATRIX, B_MATRIX
 
 # frozen reference scalars for the canonical desk-scale setting
 GAIN_A075 = (0.2109, 0.2813, 0.75)
@@ -150,6 +154,17 @@ class TestGainMatrix:
             GainMatrix(p1=-1.0, p2=0.0, p3=1.0, alpha=0.5)
         with pytest.raises(ValueError):
             GainMatrix(p1=1.0, p2=0.0, p3=1.0, alpha=0.0)
+
+    @pytest.mark.parametrize(
+        "rho, eps, gamma",
+        [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (math.inf, 1.0, 1.0),
+         (1.0, math.inf, 1.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+         (math.nan, math.nan, math.inf)],
+    )
+    def test_certificate_rejects_non_finite_levels_and_gamma(self, rho, eps, gamma):
+        gain = GainMatrix(p1=2.0, p2=0.5, p3=1.0, alpha=1.0)
+        with pytest.raises(ValueError):
+            EllipsoidCert(gain=gain, rho=rho, eps=eps, gamma=gamma)
 
     def test_block_assembly(self):
         g = GainMatrix(p1=2.0, p2=0.5, p3=1.0, alpha=1.0)
@@ -341,7 +356,7 @@ class TestEpsMax:
 
     def test_implication_by_sampling(self, params):
         gain = solve_stabilizing_P(0.75)
-        rho = max_inscribed_ball(params).rho
+        rho = max_inscribed_ball(params)
         eps = eps_max(gain, rho)
         rng = np.random.default_rng(43)
         dirs = rng.standard_normal((100_000, 6))
@@ -376,6 +391,11 @@ class TestProcedure:
     def test_gamma_below_one_rejected(self, params):
         with pytest.raises(SynthesisError):
             synthesize_certificate(params, alpha=0.75, gamma=0.5)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, params, gamma):
+        with pytest.raises(SynthesisError, match="gamma"):
+            synthesize_certificate(params, alpha=0.75, gamma=gamma)
 
     def test_level_and_projection_area_shrink_with_alpha(self, params):
         alphas = (0.25, 0.5, 0.75, 1.0)
@@ -506,3 +526,21 @@ class TestCertificateFile:
         path.write_text(text)
         with pytest.raises(ValueError, match="eps_max"):
             load_certificate(path)
+
+    def test_rejects_nan_gamma(self, tmp_path, params, cert075):
+        path = tmp_path / "cert.txt"
+        save_certificate(path, params, cert075)
+        path.write_text(path.read_text().replace("gamma = 1\n", "gamma = nan\n"))
+        with pytest.raises(ValueError, match="gamma"):
+            load_certificate(path)
+
+    def test_keys_in_table_order_and_as_documented(self, tmp_path, params, cert075):
+        path = tmp_path / "cert.txt"
+        save_certificate(path, params, cert075)
+        keys = list(parse_kv(path.read_text()))
+        # the README's "File formats" list: the backticked names after the
+        # colon of its certificate paragraph
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        para = readme.split("\nCertificate (", 1)[1].split("\n\n", 1)[0]
+        documented = re.findall(r"`(\w+)`", para.split(":", 1)[1])
+        assert keys == list(CERT_KEYS) == documented
