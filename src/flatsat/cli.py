@@ -184,7 +184,13 @@ def _resolve_outdir(args, cfg: RunConfig) -> Path:
 
 
 def _gamma_tag(g: float) -> str:
-    return f"{g:g}".replace(".", "p").replace("-", "m")
+    """The file-name tag of a sweep gamma: its short ``g`` form when that
+    reads back as ``g``, else its full-precision repr, so that two distinct
+    gammas never share a trace file."""
+    text = f"{g:g}"
+    if float(text) != g:
+        text = repr(g)
+    return text.replace(".", "p").replace("-", "m")
 
 
 def cmd_synth(args) -> int:
@@ -289,6 +295,12 @@ def cmd_sweep(args) -> int:
     # synthesize once and vary only the feedback scale
     for gamma in cfg.gammas:
         _check_gamma(gamma)
+    for i, gamma in enumerate(cfg.gammas):
+        if gamma in cfg.gammas[:i]:
+            raise ValueError(
+                f"--gammas (or the gammas config key) lists gamma {gamma!r} twice; "
+                "each gamma writes its own trace file"
+            )
     base = synthesize_certificate(params, cfg.alpha, cfg.gammas[0], margin=cfg.margin)
     out = _resolve_outdir(args, cfg)
     combined: dict = {}

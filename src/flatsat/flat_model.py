@@ -111,8 +111,8 @@ def to_physical(v, psi: float, g: float) -> PhysicalInput:
 def _to_physical_floats(v1: float, v2: float, v3: float, cpsi: float, spsi: float,
                         g: float):
     """:func:`to_physical` on plain floats at a yaw given by its cosine and
-    sine (``g`` finite), returning the tuple (thrust, roll, pitch) after
-    every :class:`PhysicalInput` check."""
+    sine (``g`` finite), returning the tuple (thrust, roll, pitch) with
+    every :class:`PhysicalInput` check passed."""
     if not (math.isfinite(v1) and math.isfinite(v2) and math.isfinite(v3)):
         raise DomainError("acceleration command must be finite")
     c = v3 + g
@@ -127,6 +127,11 @@ def _to_physical_floats(v1: float, v2: float, v3: float, cpsi: float, spsi: floa
     roll = math.atan2(b, math.hypot(a, c))
     # c > 0, so atan2 lands in (-pi/2, pi/2) and equals atan of the ratio
     pitch = math.atan2(a, c)
-    _check_physical(t, roll, pitch)
+    # of the PhysicalInput checks only thrust overflow can fail here: v is
+    # finite and |cpsi|, |spsi| <= 1, so a and b are finite or +-inf, never
+    # NaN; atan2 with a second argument >= c > 0 is then finite and within
+    # [-pi/2, pi/2], and t >= c > 0 is never NaN or negative
+    if t == math.inf:
+        raise DomainError("physical input must be finite")
     return t, roll, pitch
 

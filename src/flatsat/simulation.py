@@ -1,22 +1,24 @@
 """Closed-loop simulation of the saturated flat-space controller.
 
-The loop per step: sample the reference, form the scaled gradient feedback on
-the tracking error, saturate it onto the convex command set, map the command
-to (thrust, roll, pitch), and advance the plant with the physical input and
-yaw held over the step. Because the input map linearizes the plant exactly,
-the held input produces a constant acceleration ``accel(u)``, so the step is
-the closed-form double-integrator update; tests assert the loop equals the
-linear system.
+The loop per step: take the reference sample, form the scaled gradient
+feedback on the tracking error, saturate it onto the convex command set, map
+the command to (thrust, roll, pitch), and advance the plant with the physical
+input and yaw held over the step. Because the input map linearizes the plant
+exactly, the held input produces a constant acceleration ``accel(u)``, so the
+step is the closed-form double-integrator update; tests assert the loop
+equals the linear system.
 
-:func:`run` keeps only this feedback path in its per-sample loop, on plain
-Python floats: it calls the float kernels behind the public functions (the
-raw law and saturation of :func:`control_law`, the input map and
-acceleration of ``to_physical``/``accel``) and packs each row (state,
-reference, commands, physical input, pullback factor, controller wall time)
-into one flat buffer. At the end, or on abort, the buffer becomes the
-:class:`Trace` arrays, and the monitors (Lyapunov value, set memberships,
-ellipsoid, violation messages) run over it as array code with the same
-clauses as the scalar tests.
+:func:`run` first samples every signal that the state does not affect over
+the whole time grid: the reference state, the feedforward acceleration and
+the yaw (each reference takes a float or an array of times). Its per-sample
+loop then keeps only the feedback path, on plain Python floats: it calls the
+float kernels behind the public functions (the raw law and saturation of
+:func:`control_law`, the input map and acceleration of
+``to_physical``/``accel``) and packs each row (state, commands, physical
+input, pullback factor, controller wall time) into one flat buffer. At the
+end, or on abort, the buffer becomes the :class:`Trace` arrays, and the
+monitors (Lyapunov value, set memberships, ellipsoid, violation messages) run
+over it as array code with the same clauses as the scalar tests.
 """
 
 from __future__ import annotations
@@ -63,12 +65,6 @@ __all__ = [
 V_MONITOR_TOL = DEFAULT_TOL
 U_MONITOR_TOL = 1e-6
 
-_ZERO3 = np.zeros(3)
-_ZERO6 = np.zeros(6)
-_ZERO3.setflags(write=False)
-_ZERO6.setflags(write=False)
-
-
 class SimulationAborted(RuntimeError):
     """The controller, the yaw check or the input map rejected a sample
     mid-run; carries the partial trace."""
@@ -80,36 +76,38 @@ class SimulationAborted(RuntimeError):
 
 @dataclass(frozen=True)
 class OriginReference:
-    """Regulation to the origin of the flat state space."""
+    """Regulation to the origin of the flat state space.
 
-    def state(self, t: float) -> np.ndarray:
-        return _ZERO6
+    Like every reference, ``state(t)`` and ``accel(t)`` take a float or an
+    array of times and return the reference state (6 values) and
+    acceleration (3 values) along a last axis: one elementwise definition
+    that :func:`run` evaluates once over the whole grid."""
 
-    def accel(self, t: float) -> np.ndarray:
-        return _ZERO3
+    def state(self, t) -> np.ndarray:
+        return np.zeros(np.shape(t) + (6,))
+
+    def accel(self, t) -> np.ndarray:
+        return np.zeros(np.shape(t) + (3,))
 
 
 @dataclass(frozen=True)
 class SetpointReference:
-    """Hold a fixed position with zero velocity."""
+    """Hold a fixed position with zero velocity; ``t`` is a float or an
+    array of times."""
 
     position: tuple[float, float, float]
 
-    def __post_init__(self) -> None:
-        xi = np.array([*self.position, 0.0, 0.0, 0.0], dtype=float)
-        xi.setflags(write=False)
-        object.__setattr__(self, "_state", xi)
+    def state(self, t) -> np.ndarray:
+        return np.full(np.shape(t) + (6,), [*self.position, 0.0, 0.0, 0.0], dtype=float)
 
-    def state(self, t: float) -> np.ndarray:
-        return self._state
-
-    def accel(self, t: float) -> np.ndarray:
-        return _ZERO3
+    def accel(self, t) -> np.ndarray:
+        return np.zeros(np.shape(t) + (3,))
 
 
 @dataclass(frozen=True)
 class CircularReference:
-    """Horizontal circle at fixed altitude.
+    """Horizontal circle at fixed altitude; ``t`` is a float or an array of
+    times.
 
     ``velocity_mode`` selects how the reference velocity is formed: the
     analytic derivative of the circle ("analytic", default) or zero
@@ -126,29 +124,31 @@ class CircularReference:
         if self.velocity_mode not in ("analytic", "zero"):
             raise ValueError(f"velocity_mode must be analytic|zero, got {self.velocity_mode!r}")
 
-    def state(self, t: float) -> np.ndarray:
-        wt = self.omega * t
-        c, s = math.cos(wt), math.sin(wt)
+    def state(self, t) -> np.ndarray:
+        wt = self.omega * np.asarray(t, dtype=float)
+        c, s = np.cos(wt), np.sin(wt)
+        zero = np.zeros_like(wt)
         if self.velocity_mode == "analytic":
             vx = -self.radius * self.omega * s
             vy = self.radius * self.omega * c
         else:
-            vx = vy = 0.0
-        return np.array(
+            vx = vy = zero
+        return np.stack(
             [
                 self.center[0] + self.radius * c,
                 self.center[1] + self.radius * s,
-                self.altitude,
+                np.full_like(wt, self.altitude),
                 vx,
                 vy,
-                0.0,
-            ]
+                zero,
+            ],
+            axis=-1,
         )
 
-    def accel(self, t: float) -> np.ndarray:
-        wt = self.omega * t
+    def accel(self, t) -> np.ndarray:
+        wt = self.omega * np.asarray(t, dtype=float)
         w2r = self.radius * self.omega * self.omega
-        return np.array([-w2r * math.cos(wt), -w2r * math.sin(wt), 0.0])
+        return np.stack([-w2r * np.cos(wt), -w2r * np.sin(wt), np.zeros_like(wt)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -222,8 +222,9 @@ CSV_COLUMNS = (
 class Trace:
     """Uniform-grid record of one run; one row per sample instant.
 
-    ``xi_ref`` is the reference state read at each sample. The command
-    columns hold both the raw feedback and its saturated value;
+    ``xi_ref`` is the reference state at each sample: the rows of the one
+    ``reference.state`` call on the time grid, cut to the kept rows. The
+    command columns hold both the raw feedback and its saturated value;
     ``lyapunov`` is the tracking-error Lyapunov value. ``violations``
     collects human-readable monitor failures (empty on a clean run). The
     trace CSV holds every column but ``xi_ref`` and ``ctrl_time``.
@@ -265,7 +266,7 @@ class Trace:
 def _control_floats(e, ff, gamma: float, p2: float, p3: float, p: ConstraintParams):
     """The controller on plain floats: the raw law on the tracking error
     ``e = (e1, e2, e3, d1, d2, d3)`` plus the feedforward acceleration
-    ``ff`` (a 3-sequence, or None), then ray saturation. Returns
+    ``ff`` (three floats, or None), then ray saturation. Returns
     ``(r1, r2, r3, w1, w2, w3, lam, saturated, active)``; the one
     definition that :func:`run` and :func:`control_law` share."""
     e1, e2, e3, d1, d2, d3 = e
@@ -273,7 +274,7 @@ def _control_floats(e, ff, gamma: float, p2: float, p3: float, p: ConstraintPara
     r2 = _raw_feedback(e2, d2, gamma, p2, p3)
     r3 = _raw_feedback(e3, d3, gamma, p2, p3)
     if ff is not None:
-        f1, f2, f3 = np.asarray(ff, dtype=float).tolist()
+        f1, f2, f3 = ff
         r1 += f1
         r2 += f2
         r3 += f3
@@ -306,16 +307,34 @@ def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
     every sample; a run keeps the raw command as ``Trace.v_raw``.
     """
     e = (np.asarray(xi, dtype=float) - xi_ref).tolist()
+    ff = None if feedforward_accel is None else np.asarray(feedforward_accel, dtype=float).tolist()
     _, _, _, w1, w2, w3, lam, saturated, active = _control_floats(
-        e, feedforward_accel, cert.gamma, cert.gain.p2, cert.gain.p3, p
+        e, ff, cert.gamma, cert.gain.p2, cert.gain.p3, p
     )
     v = np.array([w1, w2, w3])
     return v, SaturationResult(v_out=v, lam=lam, saturated=saturated, active=active)
 
 
-# one row of the run buffer: xi (0:6), the reference xi_ref (6:12), v_raw
-# (12:15), v (15:18), u (18:21), lam, saturated, ctrl_time
-_ROW = struct.Struct("24d")
+# one row of the run buffer: xi (0:6), v_raw (6:9), v (9:12), u (12:15), lam,
+# saturated, ctrl_time
+_ROW = struct.Struct("18d")
+
+
+def _on_grid(signal: Callable, tgrid: np.ndarray, width: int, name: str) -> np.ndarray:
+    """``signal(tgrid)`` as a float array of shape ``(len(tgrid), width)``;
+    a ValueError names the reference method that rejected the array of
+    times or returned another shape."""
+    want = (len(tgrid), width)
+    try:
+        values = np.asarray(signal(tgrid), dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"reference.{name} must accept an array of times: {exc}") from exc
+    if values.shape != want:
+        raise ValueError(
+            f"reference.{name} must map an array of {want[0]} times to shape {want}, "
+            f"got {values.shape}"
+        )
+    return values
 
 
 def run(scenario: Scenario) -> Trace:
@@ -331,15 +350,22 @@ def run(scenario: Scenario) -> Trace:
     and the reference of the sample, then the rejecting kernel's reason,
     which names the command when the command is at fault.
 
-    The per-sample loop holds only the feedback path, on plain floats: the
-    reference, the control law of :func:`control_law`, the input map
-    ``to_physical``, ``accel`` and the exact hold update, with the yaw read
-    and its cosine and sine taken once per sample. ``ctrl_time`` times the
-    error, the raw law, the feedforward and the saturation of each sample.
-    Everything that only observes the run (the Lyapunov value, the
-    ``in_Vc``/``in_U`` and ellipsoid monitors, their violation messages and
-    ``in_u``) is computed afterwards, as array code over the completed rows,
-    with the same operations as the scalar definitions.
+    Nothing that the state does not affect is evaluated per sample: the
+    reference state, the feedforward acceleration (only when
+    ``feedforward`` is on) and the yaw are sampled once over the whole
+    grid before the loop. ``reference.state`` and ``reference.accel`` are
+    each called once, on the array of grid times, and must return shape
+    ``(n+1, 6)`` and ``(n+1, 3)``; another shape (as from a reference that
+    takes only scalar times) raises ValueError. The per-sample loop then
+    holds only the feedback path, on plain floats: the control law of
+    :func:`control_law`, the yaw check with its cosine and sine (so a bad
+    yaw aborts at its own sample), the input map ``to_physical``, ``accel``
+    and the exact hold update. ``ctrl_time`` times the error, the raw law,
+    the feedforward and the saturation of each sample. Everything that only
+    observes the run (the Lyapunov value, the ``in_Vc``/``in_U`` and
+    ellipsoid monitors, their violation messages and ``in_u``) is computed
+    afterwards, as array code over the completed rows, with the same
+    operations as the scalar definitions.
     """
     p = scenario.params
     cert = scenario.cert
@@ -348,21 +374,25 @@ def run(scenario: Scenario) -> Trace:
     dt = scenario.dt
     half_dt2 = 0.5 * dt * dt
     n = int(round(scenario.duration / dt))
-    reference = scenario.reference
-    feedforward = scenario.feedforward
     invariance = scenario.invariance_mode
-    psi_at = scenario.psi_at
     clock = time.perf_counter
     pack = _ROW.pack
 
     tgrid = np.arange(n + 1) * dt
     times = tgrid.tolist()
+    refs = _on_grid(scenario.reference.state, tgrid, 6, "state")
+    if scenario.feedforward:
+        ffs = _on_grid(scenario.reference.accel, tgrid, 3, "accel").tolist()
+    else:
+        ffs = [None] * (n + 1)
+    psis = [scenario.psi_at(t) for t in times]
     rows = bytearray()
     acts: list[ActiveConstraint] = []
 
     def partial(k: int) -> Trace:
         buf = np.frombuffer(rows, dtype=float).reshape(k, _ROW.size // 8)
-        xi, xi_ref, v, u = buf[:, 0:6], buf[:, 6:12], buf[:, 15:18], buf[:, 18:21]
+        xi, v, u = buf[:, 0:6], buf[:, 9:12], buf[:, 12:15]
+        xi_ref = refs[:k]
         lyapunov = _lyapunov((xi - xi_ref).T, p1, p2, p3)
         in_u = _u_clauses(u[:, 0], u[:, 1], u[:, 2], p, U_MONITOR_TOL)
         bad_v = ~_vc_clauses(v[:, 0], v[:, 1], v[:, 2], p, V_MONITOR_TOL)
@@ -385,48 +415,47 @@ def run(scenario: Scenario) -> Trace:
             t=tgrid[:k],
             xi=xi,
             xi_ref=xi_ref,
-            v_raw=buf[:, 12:15],
+            v_raw=buf[:, 6:9],
             v=v,
             u=u,
             lyapunov=lyapunov,
-            lam=buf[:, 21],
-            saturated=buf[:, 22] != 0.0,
+            lam=buf[:, 15],
+            saturated=buf[:, 16] != 0.0,
             # _value_ is where an enum member keeps its value; reading it
             # skips the per-member property lookup of .value
             active=[a._value_ for a in acts],
             in_u=in_u,
-            ctrl_time=buf[:, 23],
+            ctrl_time=buf[:, 17],
             violations=violations,
         )
 
-    v0 = _lyapunov((scenario.initial_state - reference.state(0.0)).tolist(), p1, p2, p3)
+    v0 = _lyapunov((scenario.initial_state - refs[0]).tolist(), p1, p2, p3)
     if invariance and v0 > eps * (1.0 + 1e-9):
         raise ValueError(
             f"initial error level {v0} outside certified ellipsoid {eps}"
         )
 
     x, y, z, xd, yd, zd = scenario.initial_state.tolist()
-    for k, t in enumerate(times):
-        ref = reference.state(t)
-        ff = reference.accel(t) if feedforward else None
+    for k, (t, (q1, q2, q3, q4, q5, q6), ff, psi) in enumerate(
+        zip(times, refs.tolist(), ffs, psis)
+    ):
         tic = clock()
         try:
-            q1, q2, q3, q4, q5, q6 = np.asarray(ref, dtype=float).tolist()
             r1, r2, r3, w1, w2, w3, lam, saturated, act = _control_floats(
                 (x - q1, y - q2, z - q3, xd - q4, yd - q5, zd - q6), ff, gamma, p2, p3, p
             )
             ctrl = clock() - tic
-            cpsi, spsi = _yaw_trig(psi_at(t), g)
+            cpsi, spsi = _yaw_trig(psi, g)
             thrust, roll, pitch = _to_physical_floats(w1, w2, w3, cpsi, spsi, g)
         except DomainError as exc:
             xi = np.array([x, y, z, xd, yd, zd])
             raise SimulationAborted(
-                f"sample at t={t} rejected, state {xi}, reference {ref}: {exc}",
+                f"sample at t={t} rejected, state {xi}, reference {refs[k]}: {exc}",
                 partial(k),
             ) from exc
 
-        rows += pack(x, y, z, xd, yd, zd, q1, q2, q3, q4, q5, q6, r1, r2, r3,
-                     w1, w2, w3, thrust, roll, pitch, lam, saturated, ctrl)
+        rows += pack(x, y, z, xd, yd, zd, r1, r2, r3, w1, w2, w3, thrust, roll, pitch,
+                     lam, saturated, ctrl)
         acts.append(act)
 
         if k < n:

@@ -368,6 +368,40 @@ class TestSweep:
         assert "gamma must be >= 1 and finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("trace_gamma_*.csv"))
 
+    def test_gammas_equal_to_six_digits_get_their_own_traces(self, tmp_path):
+        cfg = write_config(tmp_path / "c.txt", duration="1.0")
+        rc = main(["sweep", "--config", cfg, "--gammas", "5,5.000001", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert sorted(p.name for p in tmp_path.glob("trace*.csv")) == [
+            "trace_gamma_5.csv", "trace_gamma_5p000001.csv"
+        ]
+        assert (tmp_path / "trace_gamma_5.csv").read_bytes() != (
+            tmp_path / "trace_gamma_5p000001.csv"
+        ).read_bytes()
+
+    def test_gamma_tags(self):
+        from flatsat.cli import _gamma_tag
+
+        # short where it reads back, the shortest exact repr otherwise
+        assert [_gamma_tag(g) for g in (1.0, 5.0, 15.0, 2.5, 1e20)] == [
+            "1", "5", "15", "2p5", "1e+20"
+        ]
+        assert _gamma_tag(5.000001) == "5p000001"
+        assert _gamma_tag(1.0 + 2.0**-52) == "1p0000000000000002"
+        assert _gamma_tag(4.0 / 3.0) == "1p3333333333333333"
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_repeated_gamma_rejected_before_any_trace(self, tmp_path, capsys, where):
+        cfg = write_config(tmp_path / "c.txt", duration="1.0", gammas="1, 5, 5.0")
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path)]
+        if where == "flag":
+            argv += ["--gammas", "5,1,5"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--gammas (or the gammas config key) lists gamma 5.0 twice" in err
+        assert not list(tmp_path.glob("trace_gamma_*.csv"))
+        assert not (tmp_path / "sweep_summary.txt").exists()
+
     def test_aborted_run_writes_partial_trace(self, tmp_path, capsys):
         # a NaN yaw aborts each run at its first sample, as in simulate
         cfg = write_config(tmp_path / "c.txt", duration="1.0", psi="nan", gammas="1, 5")

@@ -354,7 +354,7 @@ class TestRun:
     def test_non_finite_reference_aborts_with_partial_trace(self, params, cert075):
         class NanAfterHalfSecond(OriginReference):
             def state(self, t):
-                return np.full(6, math.nan) if t >= 0.5 else super().state(t)
+                return np.where(np.asarray(t)[..., None] >= 0.5, math.nan, super().state(t))
 
         sc = Scenario(
             reference=NanAfterHalfSecond(),
@@ -526,7 +526,7 @@ class TestFloatLoopOracle:
     def test_abort_keeps_completed_rows(self, params, cert075):
         class NanFromOneSecond(OriginReference):
             def state(self, t):
-                return np.full(6, math.nan) if t >= 1.0 else super().state(t)
+                return np.where(np.asarray(t)[..., None] >= 1.0, math.nan, super().state(t))
 
         sc = origin_scenario(replace(cert075, gamma=15.0), params, CANONICAL_X0)
         full = run(origin_scenario(sc.cert, params, CANONICAL_X0, duration=0.98))
@@ -556,7 +556,7 @@ class TestTraceExport:
     def test_csv_bytes_match_per_cell_writer(self, tmp_path, params, cert075):
         class NanFromHalfSecond(OriginReference):
             def state(self, t):
-                return np.full(6, math.nan) if t >= 0.5 else super().state(t)
+                return np.where(np.asarray(t)[..., None] >= 0.5, math.nan, super().state(t))
 
         saturated = run(origin_scenario(replace(cert075, gamma=15.0), params, CANONICAL_X0))
         unsaturated = run(origin_scenario(cert075, params, CANONICAL_X0))
@@ -707,3 +707,129 @@ class TestMetrics:
         assert np.all(ref0.state(0.7)[3:] == 0.0)
         acc = ref.accel(0.7)
         assert acc[0] == pytest.approx(-0.5 * w * w * math.cos(w * 0.7))
+
+
+def per_sample_state(ref, t):
+    """Reference state at one float time, per sample on plain floats with
+    ``math.cos``/``math.sin``: the oracle for the elementwise definitions."""
+    if isinstance(ref, OriginReference):
+        return [0.0] * 6
+    if isinstance(ref, SetpointReference):
+        return [*ref.position, 0.0, 0.0, 0.0]
+    wt = ref.omega * t
+    c, s = math.cos(wt), math.sin(wt)
+    if ref.velocity_mode == "analytic":
+        vx = -ref.radius * ref.omega * s
+        vy = ref.radius * ref.omega * c
+    else:
+        vx = vy = 0.0
+    return [ref.center[0] + ref.radius * c, ref.center[1] + ref.radius * s, ref.altitude,
+            vx, vy, 0.0]
+
+
+def per_sample_accel(ref, t):
+    """Reference acceleration at one float time, the oracle beside
+    :func:`per_sample_state`."""
+    if not isinstance(ref, CircularReference):
+        return [0.0] * 3
+    wt = ref.omega * t
+    w2r = ref.radius * ref.omega * ref.omega
+    return [-w2r * math.cos(wt), -w2r * math.sin(wt), 0.0]
+
+
+class CountingReference:
+    """Forwards to ``inner`` and records each call's method and time shape."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def state(self, t):
+        self.calls.append(("state", np.shape(t)))
+        return self.inner.state(t)
+
+    def accel(self, t):
+        self.calls.append(("accel", np.shape(t)))
+        return self.inner.accel(t)
+
+
+class TestReferenceGrid:
+    REFERENCES = [
+        OriginReference(),
+        SetpointReference(position=(0.3, -0.0, 0.8)),
+        CircularReference(),
+        CircularReference(velocity_mode="zero"),
+        CircularReference(radius=0.37, center=(-1.0, 2.5), altitude=-0.0, omega=1.1),
+        CircularReference(radius=2.0, omega=-0.45, velocity_mode="zero"),
+    ]
+    IDS = ["origin", "setpoint", "circle", "circle_zero_velocity", "circle_moved",
+           "circle_reversed_zero_velocity"]
+
+    @staticmethod
+    def grids():
+        rng = np.random.default_rng(12)
+        return [np.arange(3001) * 0.02, np.arange(34) * 0.1,
+                np.sort(rng.uniform(-50.0, 500.0, 400))]
+
+    @pytest.mark.parametrize("ref", REFERENCES, ids=IDS)
+    def test_grid_rows_equal_scalar_calls_and_per_sample_formula(self, ref):
+        bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+        for tgrid in self.grids():
+            states, accels = ref.state(tgrid), ref.accel(tgrid)
+            assert states.shape == (len(tgrid), 6) and accels.shape == (len(tgrid), 3)
+            for k, t in enumerate(tgrid.tolist()):
+                want_s, want_a = bits(per_sample_state(ref, t)), bits(per_sample_accel(ref, t))
+                np.testing.assert_array_equal(bits(states[k]), want_s, err_msg=str(t))
+                np.testing.assert_array_equal(bits(ref.state(t)), want_s, err_msg=str(t))
+                np.testing.assert_array_equal(bits(accels[k]), want_a, err_msg=str(t))
+                np.testing.assert_array_equal(bits(ref.accel(t)), want_a, err_msg=str(t))
+
+    @pytest.mark.parametrize("ref", REFERENCES, ids=IDS)
+    def test_any_shape_of_times(self, ref):
+        t = np.arange(12.0).reshape(3, 4) * 0.3
+        assert ref.state(t).shape == (3, 4, 6) and ref.accel(t).shape == (3, 4, 3)
+        assert np.array_equal(ref.state(t)[1, 2], ref.state(t[1, 2]))
+        assert np.array_equal(ref.accel(t)[2, 1], ref.accel(t[2, 1]))
+
+    @pytest.mark.parametrize("feedforward", [False, True])
+    def test_run_samples_each_signal_once(self, params, cert125, feedforward):
+        counting = CountingReference(CircularReference())
+        sc = Scenario(
+            reference=counting,
+            initial_state=[0.1, -0.1, 0.0, 0.0, 0.0, 0.0],
+            duration=5.0,
+            dt=0.02,
+            cert=replace(cert125, gamma=4.5),
+            params=params,
+            psi=0.3,
+            feedforward=feedforward,
+        )
+        got = run(sc)
+        want = [("state", (251,))] + [("accel", (251,))] * feedforward
+        assert counting.calls == want
+        assert_same_trace(got, numpy_run(replace(sc, reference=counting.inner)), "numpy")
+
+    def test_scalar_only_reference_rejected(self, params, cert075):
+        class FixedVector(OriginReference):
+            def state(self, t):
+                return np.zeros(6)
+
+        class FixedAccel(OriginReference):
+            def accel(self, t):
+                return np.zeros(3)
+
+        class MathCos(OriginReference):
+            def state(self, t):
+                return np.array([math.cos(t), 0.0, 0.0, 0.0, 0.0, 0.0])
+
+        sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0)
+        with pytest.raises(ValueError, match=r"^reference\.state must map an array of 51 "
+                           r"times to shape \(51, 6\), got \(6,\)$"):
+            run(replace(sc, reference=FixedVector()))
+        with pytest.raises(ValueError, match=r"^reference\.state must accept an array of times"):
+            run(replace(sc, reference=MathCos()))
+        # accel is read only with feedforward
+        assert len(run(replace(sc, reference=FixedAccel()))) == 51
+        with pytest.raises(ValueError, match=r"^reference\.accel must map an array of 51 "
+                           r"times to shape \(51, 3\), got \(3,\)$"):
+            run(replace(sc, reference=FixedAccel(), feedforward=True))
