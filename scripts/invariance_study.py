@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Regulation from boundary starts of the certified ellipsoid.
 
-Runs the origin scenario from deterministic well-spread boundary points for
-several feedback scales, confirms no trajectory leaves the set and no
-command or physical input leaves its constraint set, and writes one trace
-CSV per (gamma, start) pair.
+Runs the origin scenario from boundary points of the verifier's sampler
+(``boundary_states``, seed 0) for several feedback scales, confirms no
+trajectory leaves the set and no command or physical input leaves its
+constraint set, and writes one trace CSV per (gamma, start) pair, named by
+the gamma tags of ``flatsat sweep``.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from flatsat import (
     run,
     synthesize_certificate,
 )
+from flatsat.cli import _gamma_tag
 
 
 def main() -> None:
@@ -57,7 +59,7 @@ def main() -> None:
                 invariance_mode=True,
             )
             trace = run(sc)
-            trace.to_csv(out / f"trace_g{gamma:g}_s{i:02d}.csv")
+            trace.to_csv(out / f"trace_g{_gamma_tag(gamma)}_s{i:02d}.csv")
             m = metrics(trace, sc)
             worst = max(worst, m.max_lyapunov / cert.eps)
             n_violations += m.n_violations

@@ -235,18 +235,26 @@ def cmd_saturate(args) -> int:
 
 
 def _load_or_synthesize(args, cfg: RunConfig):
-    if getattr(args, "certificate", None):
-        params, cert, _meta = load_certificate(args.certificate)
-        return params, cert
-    params = cfg.params()
-    cert = synthesize_certificate(params, cfg.alpha, cfg.gamma, margin=cfg.margin)
+    """A loaded certificate takes the ``--gamma`` flag (gamma does not enter
+    synthesis) and refuses ``--alpha`` and ``--margin``; config keys leave
+    it alone."""
+    if not args.certificate:
+        params = cfg.params()
+        return params, synthesize_certificate(params, cfg.alpha, cfg.gamma, margin=cfg.margin)
+    for flag in ("alpha", "margin"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} cannot be combined with --certificate, which fixes it")
+    params, cert, _meta = load_certificate(args.certificate)
+    if args.gamma is not None:
+        _check_gamma(args.gamma)
+        cert = replace(cert, gamma=args.gamma)
     return params, cert
 
 
 def _run_to_csv(scenario: Scenario, path: Path):
-    """Run ``scenario`` and write its trace to ``path``. On an abort, write
-    the completed rows to ``<stem>_partial.csv`` beside it, print the reason
-    and return None."""
+    """Run ``scenario`` and write its trace to ``path``; print the first 20
+    monitor violations, if any. On an abort, write the completed rows to
+    ``<stem>_partial.csv`` beside it, print the reason and return None."""
     try:
         trace = run(scenario)
     except SimulationAborted as exc:
@@ -254,6 +262,8 @@ def _run_to_csv(scenario: Scenario, path: Path):
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return None
     trace.to_csv(path)
+    for msg in trace.violations[:20]:
+        print(f"violation: {msg}", file=sys.stderr)
     return trace
 
 
@@ -270,11 +280,7 @@ def cmd_simulate(args) -> int:
     text = dump_kv(summary, header="simulation summary")
     (out / "summary.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-    if trace.violations:
-        for msg in trace.violations[:20]:
-            print(f"violation: {msg}", file=sys.stderr)
-        return EXIT_VIOLATIONS
-    return EXIT_OK
+    return EXIT_VIOLATIONS if trace.violations else EXIT_OK
 
 
 def cmd_verify(args) -> int:

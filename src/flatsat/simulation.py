@@ -27,7 +27,6 @@ import math
 import struct
 import time
 from dataclasses import asdict, dataclass, field
-from statistics import NormalDist
 from typing import Callable, Union
 
 import numpy as np
@@ -41,7 +40,7 @@ from .flat_model import (
     _yaw_trig,
 )
 from .saturation import ActiveConstraint, SaturationResult, _saturate_floats
-from .synthesis import EllipsoidCert, GainMatrix, _raw_feedback
+from .synthesis import EllipsoidCert, _raw_feedback
 
 __all__ = [
     "OriginReference",
@@ -54,7 +53,6 @@ __all__ = [
     "control_law",
     "run",
     "metrics",
-    "boundary_states",
     "CSV_COLUMNS",
 ]
 
@@ -537,31 +535,3 @@ def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:
         min_pitch_margin=float(np.min(p.theta_max - np.abs(pitch))),
         n_violations=len(trace.violations),
     )
-
-
-def _kronecker_alphas(dim: int) -> np.ndarray:
-    # unique positive root of x**(dim+1) = x + 1 drives the additive
-    # low-discrepancy recurrence
-    x = 1.5
-    for _ in range(100):
-        x = (x + 1.0) ** (1.0 / (dim + 1))
-    return np.array([1.0 / x ** (i + 1) for i in range(dim)])
-
-
-def boundary_states(gain: GainMatrix, eps: float, n: int, seed: int = 0) -> np.ndarray:
-    """Deterministic well-spread points on the ellipsoid boundary.
-
-    Directions come from a Kronecker low-discrepancy sequence in the unit
-    cube pushed through the inverse Gaussian CDF and normalized (``seed``
-    shifts the sequence start), then mapped onto { ||xi||_P^2 = eps }.
-    """
-    alphas = _kronecker_alphas(6)
-    nd = NormalDist()
-    pis = gain.P_inv_sqrt()
-    out = np.empty((n, 6))
-    for k in range(n):
-        u = (0.5 + seed + (k + 1) * alphas) % 1.0
-        z = np.array([nd.inv_cdf(min(max(ui, 1e-12), 1.0 - 1e-12)) for ui in u])
-        s = z / np.linalg.norm(z)
-        out[k] = math.sqrt(eps) * (pis @ s)
-    return out

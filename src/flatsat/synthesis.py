@@ -35,6 +35,7 @@ __all__ = [
     "eps_max",
     "synthesize_certificate",
     "verify_cert",
+    "boundary_states",
     "save_certificate",
     "load_certificate",
     "CERT_FORMAT",
@@ -262,7 +263,8 @@ def verify_cert(
     n_samples: int,
     seed: int = 0,
 ) -> VerificationReport:
-    """Check the certificate on sampled boundary points of the ellipsoid.
+    """Check the certificate on ``n_samples`` boundary points of the
+    ellipsoid, the :func:`boundary_states` of ``seed``.
 
     The saturated feedback command is computed for all points at once, and
     three conditions are evaluated per point: the vector field points inward
@@ -276,10 +278,7 @@ def verify_cert(
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     gain, gamma = cert.gain, cert.gamma
     p1, p2, p3 = gain.p1, gain.p2, gain.p3
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_samples, 6))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    points = math.sqrt(cert.eps) * dirs @ gain.P_inv_sqrt().T
+    points = boundary_states(gain, cert.eps, n_samples, seed)
     e, d = points[:, :3], points[:, 3:]
     w, lam, saturated = saturate_batch(_raw_feedback(e, d, gamma, p2, p3), p)
 
@@ -311,6 +310,20 @@ def verify_cert(
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
+
+
+def boundary_states(gain: GainMatrix, eps: float, n: int, seed: int = 0) -> np.ndarray:
+    """``n`` rows on the ellipsoid boundary { xi' P xi = eps }: the one
+    sampler of the ellipsoid, whose points :func:`verify_cert` checks for
+    the same seed. Normal directions of ``default_rng(seed)``, normalized,
+    scaled by sqrt(eps) and mapped by P^(-1/2); the first k of n rows are
+    the rows for n = k."""
+    dirs = np.random.default_rng(seed).standard_normal((n, 6))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # one row alone would take BLAS's matrix-vector kernel, which rounds
+    # differently from the matrix-matrix kernel of any larger n
+    rows = np.repeat(dirs, 2, axis=0) if n == 1 else dirs
+    return (math.sqrt(eps) * rows @ gain.P_inv_sqrt().T)[:n]
 
 
 CERT_FORMAT = "flatsat-certificate-1"

@@ -1,6 +1,9 @@
 
 import inspect
+import runpy
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +278,54 @@ class TestSimulate:
         assert "gamma" in capsys.readouterr().err
         assert not list(tmp_path.glob("trace*.csv"))
 
+    def test_certificate_takes_the_gamma_flag(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
+        cfg = write_config(tmp_path / "c.txt", duration="2.0")
+        loaded, synthesized = tmp_path / "loaded", tmp_path / "synthesized"
+        cert = str(tmp_path / "certificate.txt")
+        rc = main(["simulate", "--config", cfg, "--certificate", cert,
+                   "--gamma", "5", "--out", str(loaded)])
+        assert rc == EXIT_OK
+        assert float(parse_kv((loaded / "summary.txt").read_text())["gamma"]) == 5.0
+        # gamma does not enter synthesis: the rescaled certificate runs as a
+        # certificate synthesized at gamma 5
+        rc = main(["simulate", "--config", cfg, "--gamma", "5", "--out", str(synthesized)])
+        assert rc == EXIT_OK
+        assert (loaded / "trace.csv").read_bytes() == (synthesized / "trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("gamma", ["0.5", "nan"])
+    def test_certificate_with_bad_gamma_flag_infeasible(self, tmp_path, capsys, gamma):
+        assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
+        cfg = write_config(tmp_path / "c.txt", duration="1.0")
+        cert = str(tmp_path / "certificate.txt")
+        rc = main(["simulate", "--config", cfg, "--certificate", cert,
+                   "--gamma", gamma, "--out", str(tmp_path)])
+        assert rc == EXIT_INFEASIBLE
+        assert "gamma must be >= 1 and finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trace*.csv"))
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--margin"])
+    def test_synthesis_flag_beside_certificate_rejected(self, tmp_path, capsys, flag):
+        assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        cfg = write_config(tmp_path / "c.txt", duration="1.0")
+        cert = str(tmp_path / "certificate.txt")
+        rc = main(["simulate", "--config", cfg, "--certificate", cert,
+                   flag, "0.5", "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert f"{flag} cannot be combined with --certificate" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trace*.csv"))
+
+    def test_config_synthesis_keys_leave_a_loaded_certificate_alone(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
+        cfg = write_config(tmp_path / "c.txt", duration="1.0", alpha="1.25", gamma="5",
+                           margin="0.001")
+        cert = str(tmp_path / "certificate.txt")
+        rc = main(["simulate", "--config", cfg, "--certificate", cert,
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert float(parse_kv((tmp_path / "summary.txt").read_text())["gamma"]) == 1.0
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.txt", duration="1.0")
         env_dir = tmp_path / "from_env"
@@ -390,6 +441,18 @@ class TestSweep:
         assert _gamma_tag(1.0 + 2.0**-52) == "1p0000000000000002"
         assert _gamma_tag(4.0 / 3.0) == "1p3333333333333333"
 
+    def test_invariance_study_names_traces_by_gamma_tag(self, tmp_path, monkeypatch, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "invariance_study.py"
+        monkeypatch.setattr(sys, "argv", [
+            str(script), "--gammas", "5,5.000001", "--starts", "2", "--duration", "0.2",
+            "--out", str(tmp_path),
+        ])
+        runpy.run_path(str(script), run_name="__main__")
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+            "trace_g5_s00.csv", "trace_g5_s01.csv",
+            "trace_g5p000001_s00.csv", "trace_g5p000001_s01.csv",
+        ]
+
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_repeated_gamma_rejected_before_any_trace(self, tmp_path, capsys, where):
         cfg = write_config(tmp_path / "c.txt", duration="1.0", gammas="1, 5, 5.0")
@@ -401,6 +464,22 @@ class TestSweep:
         assert "--gammas (or the gammas config key) lists gamma 5.0 twice" in err
         assert not list(tmp_path.glob("trace_gamma_*.csv"))
         assert not (tmp_path / "sweep_summary.txt").exists()
+
+    def test_monitor_violations_printed_as_in_simulate(self, tmp_path, capsys, monkeypatch):
+        from flatsat import simulation
+
+        # a negative slack puts every sample outside the input box
+        monkeypatch.setattr(simulation, "U_MONITOR_TOL", -1.0)
+        cfg = write_config(tmp_path / "c.txt", duration="1.0", gammas="1, 5")
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_VIOLATIONS
+        swept = capsys.readouterr().err.splitlines()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_VIOLATIONS
+        simulated = capsys.readouterr().err.splitlines()
+        # the first 20 violations of each run, gamma 1 first
+        assert len(swept) == 40 and len(simulated) == 20
+        assert swept[:20] == simulated
+        assert simulated[0].startswith("violation: t=0: physical input left the box")
 
     def test_aborted_run_writes_partial_trace(self, tmp_path, capsys):
         # a NaN yaw aborts each run at its first sample, as in simulate

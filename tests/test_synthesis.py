@@ -13,6 +13,7 @@ from flatsat import (
     EllipsoidCert,
     GainMatrix,
     SynthesisError,
+    boundary_states,
     eps_max,
     load_certificate,
     lyapunov_residual,
@@ -23,6 +24,7 @@ from flatsat import (
     saturate,
     verify_cert,
 )
+from flatsat import synthesis
 from flatsat.kvformat import parse_kv
 from flatsat.synthesis import CERT_KEYS, DELTA_CERT
 
@@ -491,6 +493,61 @@ class TestVerifyCert:
     def test_rejects_bad_sample_count(self, params, cert075):
         with pytest.raises(ValueError):
             verify_cert(cert075, params, n_samples=0)
+
+    @pytest.mark.parametrize("gamma", [1.0, 15.0])
+    def test_checks_the_boundary_states(self, params, cert075, monkeypatch, gamma):
+        cert = replace(cert075, gamma=gamma)
+        seen = []
+        original = synthesis.saturate_batch
+
+        def recording(v, p):
+            seen.append(v.copy())
+            return original(v, p)
+
+        monkeypatch.setattr(synthesis, "saturate_batch", recording)
+        verify_cert(cert, params, n_samples=300, seed=7)
+        points = boundary_states(cert.gain, cert.eps, 300, 7)
+        g = cert.gain
+        raw = -gamma * (g.p2 * points[:, :3] + g.p3 * points[:, 3:])
+        assert len(seen) == 1 and np.array_equal(seen[0], raw)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_worst_sample_is_the_largest_recomputed_violation(self, params, cert075, seed):
+        bad = replace(cert075, eps=cert075.eps * 1.5)
+        report = verify_cert(bad, params, n_samples=2000, seed=seed)
+        g, P, gamma = bad.gain, bad.gain.P(), bad.gamma
+        violations = []
+        for xi in boundary_states(g, bad.eps, 2000, seed):
+            res = saturate(-gamma * (g.p2 * xi[:3] + g.p3 * xi[3:]), params)
+            flow = float(xi @ (P @ np.concatenate([xi[3:], res.v_out])))
+            vdot_margin = 2.0 * flow + g.alpha * float(xi @ P @ xi)
+            violation = max(flow - 1e-9, vdot_margin - 1e-6)
+            if res.saturated:
+                violation = max(violation, -(gamma * res.lam - 1.0) - 1e-9)
+            violations.append(violation)
+        assert max(violations) > 0.0
+        assert report.worst_sample == int(np.argmax(violations))
+
+
+class TestBoundaryStates:
+    def test_first_k_of_n_points_are_the_points_for_k(self, cert075):
+        gain, eps = cert075.gain, cert075.eps
+        for seed in (0, 5):
+            many = boundary_states(gain, eps, 1000, seed)
+            for k in (1, 2, 3, 7, 20, 33, 128, 999):
+                assert np.array_equal(boundary_states(gain, eps, k, seed), many[:k]), (seed, k)
+
+    def test_seeds_give_different_points(self, cert075):
+        draws = [boundary_states(cert075.gain, cert075.eps, 50, seed) for seed in (0, 1, 2)]
+        for i in range(3):
+            for j in range(i):
+                d = np.linalg.norm(draws[i][:, None, :] - draws[j][None, :, :], axis=2)
+                assert d.min() > 1e-6, (i, j)
+
+    def test_empty_and_negative_counts(self, cert075):
+        assert boundary_states(cert075.gain, cert075.eps, 0).shape == (0, 6)
+        with pytest.raises(ValueError):
+            boundary_states(cert075.gain, cert075.eps, -1)
 
 
 class TestCertificateFile:
