@@ -8,23 +8,34 @@ shrink it.
 
 import argparse
 import math
+import sys
 
-from flatsat import ConstraintParams, synthesize_certificate
+from flatsat import (
+    ConstraintParams,
+    SynthesisError,
+    max_inscribed_ball,
+    synthesize_certificate,
+)
+from flatsat.cli import float_list
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
         "--alphas",
+        type=float_list,
         default="0.25,0.5,0.75,1.0,1.25",
         help="comma-separated decay rates",
     )
     args = ap.parse_args()
     params = ConstraintParams()
-    print(f"rho = {synthesize_certificate(params, 0.75, 1.0).rho:.4f} (alpha-independent)")
+    print(f"rho = {max_inscribed_ball(params):.4f} (alpha-independent)")
     print(f"{'alpha':>6} {'p1':>9} {'p2':>9} {'p3':>9} {'eps':>9} {'xy-area':>9}")
-    for alpha in (float(a) for a in args.alphas.split(",")):
-        cert = synthesize_certificate(params, alpha, 1.0)
+    for alpha in args.alphas:
+        try:
+            cert = synthesize_certificate(params, alpha, 1.0)
+        except SynthesisError as exc:
+            sys.exit(f"--alphas: alpha {alpha} is infeasible: {exc}")
         g = cert.gain
         area = math.pi * cert.eps / math.sqrt(g.p1 * g.p3 - g.p2 * g.p2)
         print(

@@ -5,7 +5,8 @@ Runs the origin scenario from boundary points of the verifier's sampler
 (``boundary_states``, seed 0) for several feedback scales, confirms no
 trajectory leaves the set and no command or physical input leaves its
 constraint set, and writes one trace CSV per (gamma, start) pair, named by
-the gamma tags of ``flatsat sweep``.
+the gamma tags of ``flatsat sweep``. The gamma list is read and checked as
+``flatsat sweep`` reads and checks it, before synthesis.
 """
 
 import argparse
@@ -18,23 +19,32 @@ from flatsat import (
     ConstraintParams,
     OriginReference,
     Scenario,
+    SynthesisError,
     boundary_states,
     metrics,
     run,
     synthesize_certificate,
 )
-from flatsat.cli import _gamma_tag
+from flatsat.cli import _check_gammas, _gamma_tag, float_list
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out_invariance", help="output directory")
     ap.add_argument("--alpha", type=float, default=0.75)
-    ap.add_argument("--gammas", default="1,5,15")
+    ap.add_argument("--gammas", type=float_list, default="1,5,15")
     ap.add_argument("--starts", type=int, default=20)
     ap.add_argument("--duration", type=float, default=20.0)
     ap.add_argument("--dt", type=float, default=0.02)
     args = ap.parse_args()
+    if args.starts < 1:
+        ap.error(f"--starts must be at least 1, got {args.starts}")
+    try:
+        _check_gammas(args.gammas, source="--gammas")
+    except SynthesisError as exc:
+        ap.error(f"--gammas: {exc}")
+    except ValueError as exc:  # a repeated gamma, named by its flag
+        ap.error(str(exc))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -43,7 +53,7 @@ def main() -> None:
     starts = boundary_states(base.gain, base.eps, args.starts)
 
     print(f"certificate: rho={base.rho:.4f} eps={base.eps:.4f} alpha={args.alpha}")
-    for gamma in (float(g) for g in args.gammas.split(",")):
+    for gamma in args.gammas:
         cert = replace(base, gamma=gamma)
         worst = 0.0
         n_violations = 0

@@ -73,6 +73,15 @@ def float_list(s: str) -> tuple[float, ...]:
     return tuple(float(x) for x in s.split(","))
 
 
+def non_negative_int(s: str) -> int:
+    """A sampler seed: numpy's ``default_rng`` rejects a negative one.
+    argparse names it in its error message."""
+    value = int(s)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated configuration; defaults reproduce the canonical setting."""
@@ -111,8 +120,6 @@ class RunConfig:
         if self.scenario == "origin":
             return OriginReference()
         if self.scenario == "setpoint":
-            if len(self.setpoint) != 3:
-                raise ValueError("setpoint needs exactly three values")
             return SetpointReference(position=tuple(self.setpoint))
         if self.scenario == "circular":
             return CircularReference(
@@ -127,8 +134,6 @@ class RunConfig:
         )
 
     def build_scenario(self, cert: EllipsoidCert, params: ConstraintParams) -> Scenario:
-        if len(self.initial_state) != 6:
-            raise ValueError("initial_state needs exactly six values")
         return Scenario(
             reference=self.reference(),
             initial_state=self.initial_state,
@@ -142,8 +147,9 @@ class RunConfig:
         )
 
 
-# each config key is parsed by the type of its default
-_PARSER_OF_TYPE = {float: float, int: int, str: str, bool: _parse_bool, tuple: float_list}
+# each config key is parsed by the type of its default (the one int is the seed)
+_PARSER_OF_TYPE = {float: float, int: non_negative_int, str: str, bool: _parse_bool,
+                   tuple: float_list}
 _CONFIG_PARSERS = {f.name: _PARSER_OF_TYPE[type(f.default)] for f in fields(RunConfig)}
 
 
@@ -191,6 +197,19 @@ def _gamma_tag(g: float) -> str:
     if float(text) != g:
         text = repr(g)
     return text.replace(".", "p").replace("-", "m")
+
+
+def _check_gammas(gammas, source="--gammas (or the gammas config key)") -> None:
+    """Raise :class:`SynthesisError` unless every gamma passes
+    :func:`_check_gamma`, and ValueError naming ``source`` if one repeats:
+    each gamma writes its own trace file."""
+    for gamma in gammas:
+        _check_gamma(gamma)
+    for i, gamma in enumerate(gammas):
+        if gamma in gammas[:i]:
+            raise ValueError(
+                f"{source} lists gamma {gamma!r} twice; each gamma writes its own trace file"
+            )
 
 
 def cmd_synth(args) -> int:
@@ -299,14 +318,7 @@ def cmd_sweep(args) -> int:
     params = cfg.params()
     # gamma does not enter synthesis: check every gamma before any run,
     # synthesize once and vary only the feedback scale
-    for gamma in cfg.gammas:
-        _check_gamma(gamma)
-    for i, gamma in enumerate(cfg.gammas):
-        if gamma in cfg.gammas[:i]:
-            raise ValueError(
-                f"--gammas (or the gammas config key) lists gamma {gamma!r} twice; "
-                "each gamma writes its own trace file"
-            )
+    _check_gammas(cfg.gammas)
     base = synthesize_certificate(params, cfg.alpha, cfg.gammas[0], margin=cfg.margin)
     out = _resolve_outdir(args, cfg)
     combined: dict = {}
@@ -381,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="re-check a certificate by sampling")
     sp.add_argument("certificate", help="certificate file")
     sp.add_argument("--samples", type=int, default=10000)
-    sp.add_argument("--seed", type=int, default=None, help="override the stored seed")
+    sp.add_argument("--seed", type=non_negative_int, help="override the stored seed")
     sp.set_defaults(func=cmd_verify)
 
     # no abbreviations here, so that "--gamma" is not read as "--gammas"

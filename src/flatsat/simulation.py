@@ -95,6 +95,10 @@ class SetpointReference:
 
     position: tuple[float, float, float]
 
+    def __post_init__(self) -> None:
+        if len(self.position) != 3:
+            raise ValueError(f"setpoint needs exactly three values, got {len(self.position)}")
+
     def state(self, t) -> np.ndarray:
         return np.full(np.shape(t) + (6,), [*self.position, 0.0, 0.0, 0.0], dtype=float)
 
@@ -172,7 +176,9 @@ class Scenario:
     invariance_mode: bool = False
 
     def __post_init__(self) -> None:
-        xi0 = np.array(self.initial_state, dtype=float).reshape(6)
+        xi0 = np.array(self.initial_state, dtype=float).ravel()
+        if xi0.size != 6:
+            raise ValueError(f"initial_state needs exactly six values, got {xi0.size}")
         if not np.all(np.isfinite(xi0)):
             raise ValueError("initial state must be finite")
         xi0.setflags(write=False)

@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from flatsat import CircularReference, ConstraintParams, Scenario
+from flatsat import (
+    CircularReference,
+    ConstraintParams,
+    Scenario,
+    SetpointReference,
+    max_inscribed_ball,
+    run,
+)
 from flatsat.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -25,6 +32,16 @@ from flatsat.synthesis import (
     solve_stabilizing_P,
     synthesize_certificate,
 )
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, monkeypatch, *args):
+    """Run ``scripts/<name>`` as ``__main__`` with ``args`` as its argv."""
+    script = SCRIPTS / name
+    monkeypatch.setattr(sys, "argv", [str(script), *args])
+    runpy.run_path(str(script), run_name="__main__")
 
 
 def write_config(path, **pairs):
@@ -65,6 +82,13 @@ class TestConfig:
     def test_bad_value_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.txt", alpha="fast")
         with pytest.raises(ValueError, match="alpha"):
+            load_config(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        path = write_config(tmp_path / "c.txt", seed="-1")
+        with pytest.raises(
+            ValueError, match="config key 'seed': expected a non-negative integer, got -1"
+        ):
             load_config(path)
 
     def test_library_defaults(self, params, cert075):
@@ -127,6 +151,12 @@ class TestSynth:
             rc = main(["synth", "--out", str(tmp_path), *args])
             assert rc == EXIT_INFEASIBLE
             assert why in capsys.readouterr().err
+
+    def test_negative_seed_writes_no_certificate(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.txt", seed="-1")
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert "config key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSaturate:
@@ -326,6 +356,21 @@ class TestSimulate:
         assert rc == EXIT_OK
         assert float(parse_kv((tmp_path / "summary.txt").read_text())["gamma"]) == 1.0
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("setpoint", "0.3, 0.3", "setpoint needs exactly three values, got 2"),
+            ("initial_state", "0, 0, 0, 0, 0", "initial_state needs exactly six values, got 5"),
+        ],
+        ids=["setpoint", "initial_state"],
+    )
+    def test_vector_of_wrong_length_rejected(self, tmp_path, capsys, key, value, message):
+        cfg = write_config(tmp_path / "c.txt", scenario="setpoint", duration="1.0", **{key: value})
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("trace*.csv"))
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.txt", duration="1.0")
         env_dir = tmp_path / "from_env"
@@ -497,6 +542,100 @@ class TestSweep:
         ).read_bytes()
 
 
+class TestStudyConfigs:
+    """The committed tracking-study configs run the setpoint and circle
+    studies: alpha 1.25, from rest at the origin."""
+
+    def test_traces_equal_library_runs(self, tmp_path, params, cert125):
+        def library_csv(reference, duration, gamma, feedforward=False):
+            scenario = Scenario(
+                reference=reference,
+                initial_state=(0.0,) * 6,
+                duration=duration,
+                dt=0.02,
+                cert=replace(cert125, gamma=gamma),
+                params=params,
+                feedforward=feedforward,
+            )
+            path = tmp_path / "library.csv"
+            run(scenario).to_csv(path)
+            return path.read_bytes()
+
+        out = tmp_path / "setpoint"
+        cfg = str(SCRIPTS / "setpoint_study.txt")
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        setpoint = SetpointReference(position=(0.3, 0.3, 0.8))
+        for gamma in (1.0, 5.0, 15.0):
+            assert (out / f"trace_gamma_{gamma:g}.csv").read_bytes() == library_csv(
+                setpoint, 20.0, gamma
+            ), gamma
+        for name, feedforward in [
+            ("circle_study.txt", False), ("circle_feedforward_study.txt", True)
+        ]:
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(SCRIPTS / name), "--out", str(out)]) == EXIT_OK
+            assert (out / "trace.csv").read_bytes() == library_csv(
+                CircularReference(), 60.0, 4.5, feedforward
+            ), name
+
+
+class TestStudyScripts:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--gammas", "5,5"], "--gammas lists gamma 5.0 twice"),
+            (["--gammas", "0.5"], "--gammas: gamma must be >= 1 and finite, got 0.5"),
+            (["--gammas", "5,0.5"], "--gammas: gamma must be >= 1 and finite, got 0.5"),
+            (["--gammas", "x"], "argument --gammas: invalid float_list value: 'x'"),
+            (["--starts", "0"], "--starts must be at least 1, got 0"),
+        ],
+        ids=["repeated", "below_one", "below_one_second", "unparsable", "no_starts"],
+    )
+    def test_invariance_study_rejects_bad_arguments_before_any_run(
+        self, tmp_path, monkeypatch, capsys, args, message
+    ):
+        out = tmp_path / "out"
+        # any exception but SystemExit would end the script in a traceback
+        with pytest.raises(SystemExit) as exc:
+            run_script("invariance_study.py", monkeypatch, *args, "--duration", "0.2",
+                       "--out", str(out))
+        assert exc.value.code != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(f"invariance_study.py: error: {message}")
+        assert not out.exists()
+
+    def test_alpha_sweep_rejects_unparsable_alphas(self, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_script("alpha_sweep.py", monkeypatch, "--alphas", "x")
+        assert exc.value.code != 0
+        assert "argument --alphas: invalid float_list value: 'x'" in capsys.readouterr().err
+
+    def test_alpha_sweep_names_an_infeasible_alpha(self, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_script("alpha_sweep.py", monkeypatch, "--alphas", "0.5,0")
+        # sys.exit with a message prints it as one line and exits 1
+        assert exc.value.code == (
+            "--alphas: alpha 0.0 is infeasible: alpha must be positive and finite, got 0.0"
+        )
+        assert capsys.readouterr().out.splitlines()[-1].startswith("  0.50 ")
+
+    def test_alpha_sweep_reads_rho_without_a_synthesis(self, monkeypatch, capsys, params):
+        import flatsat
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return synthesize_certificate(*args, **kwargs)
+
+        monkeypatch.setattr(flatsat, "synthesize_certificate", counting)
+        run_script("alpha_sweep.py", monkeypatch, "--alphas", "0.75")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"rho = {max_inscribed_ball(params):.4f} (alpha-independent)"
+        assert len(lines) == 3 and len(calls) == 1
+
+
 class TestUsageErrors:
     """argparse's own errors exit 1 like every other usage error; 2 means
     synthesis infeasible."""
@@ -509,6 +648,8 @@ class TestUsageErrors:
             (["verify", "c.txt", "--samples", "x"], "invalid int value: 'x'"),
             (["sweep", "--gamma", "3", "--gammas", "1"], "unrecognized arguments: --gamma 3"),
             (["sweep", "--gammas", "1,x"], "argument --gammas: invalid float_list value: '1,x'"),
+            (["verify", "c.txt", "--seed", "-3"],
+             "argument --seed: invalid non_negative_int value: '-3'"),
         ],
     )
     def test_parse_error_returns_usage_code(self, argv, message, capsys):

@@ -309,8 +309,12 @@ class TestRun:
                                 invariance_mode=True))
 
     def test_scenario_validation(self, params, cert075):
-        with pytest.raises(ValueError):
-            origin_scenario(cert075, params, np.zeros(3))
+        for n in (3, 7):
+            with pytest.raises(ValueError, match=f"initial_state needs exactly six values, got {n}"):
+                origin_scenario(cert075, params, np.zeros(n))
+        for position in ((0.3, 0.3), (0.3, 0.3, 0.8, 0.0)):
+            with pytest.raises(ValueError, match="setpoint needs exactly three values"):
+                SetpointReference(position=position)
         with pytest.raises(ValueError):
             Scenario(
                 reference=OriginReference(),
