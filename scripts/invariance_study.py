@@ -6,7 +6,10 @@ Runs the origin scenario from boundary points of the verifier's sampler
 trajectory leaves the set and no command or physical input leaves its
 constraint set, and writes one trace CSV per (gamma, start) pair, named by
 the gamma tags of ``flatsat sweep``. The gamma list is read and checked as
-``flatsat sweep`` reads and checks it, before synthesis.
+``flatsat sweep`` reads and checks it, before synthesis. Any bad argument,
+an infeasible ``--alpha`` or a ``--duration`` that is not a whole number of
+``--dt`` steps included, stops the script with one usage line before it
+writes anything.
 """
 
 import argparse
@@ -46,12 +49,32 @@ def main() -> None:
     except ValueError as exc:  # a repeated gamma, named by its flag
         ap.error(str(exc))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     params = ConstraintParams()
-    base = synthesize_certificate(params, args.alpha, 1.0)
+    try:
+        base = synthesize_certificate(params, args.alpha, 1.0)
+    except SynthesisError as exc:
+        ap.error(f"--alpha: {exc}")
     starts = boundary_states(base.gain, base.eps, args.starts)
 
+    def scenario(cert, xi0):
+        return Scenario(
+            reference=OriginReference(),
+            initial_state=xi0,
+            duration=args.duration,
+            dt=args.dt,
+            cert=cert,
+            params=params,
+            invariance_mode=True,
+        )
+
+    # the horizon checks are the same for every start and gamma
+    try:
+        scenario(base, starts[0])
+    except ValueError as exc:
+        ap.error(f"--duration/--dt: {exc}")
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     print(f"certificate: rho={base.rho:.4f} eps={base.eps:.4f} alpha={args.alpha}")
     for gamma in args.gammas:
         cert = replace(base, gamma=gamma)
@@ -59,15 +82,7 @@ def main() -> None:
         n_violations = 0
         duty = []
         for i, xi0 in enumerate(starts):
-            sc = Scenario(
-                reference=OriginReference(),
-                initial_state=xi0,
-                duration=args.duration,
-                dt=args.dt,
-                cert=cert,
-                params=params,
-                invariance_mode=True,
-            )
+            sc = scenario(cert, xi0)
             trace = run(sc)
             trace.to_csv(out / f"trace_g{_gamma_tag(gamma)}_s{i:02d}.csv")
             m = metrics(trace, sc)

@@ -13,7 +13,9 @@ nano-drone setting, so a bare run needs no file at all. A key that sets a
 library parameter reads its default from the class or constant that defines
 it, and each key is parsed by the type of its default. The output directory
 resolves as: ``--out`` flag, else ``FLATSAT_OUTDIR`` environment variable,
-else the config value.
+else the config value. Every file written there depends only on the inputs,
+so reruns are byte-identical; ``simulate`` and ``sweep`` print the
+controller's wall-clock times on stdout only, after the summary.
 
 Exit codes: 0 clean, 1 usage or config error (argparse's own errors
 included), 2 synthesis infeasible, 3 monitor or verification failures.
@@ -28,7 +30,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .constraint_sets import ConstraintParams
-from .kvformat import dump_kv, parse_kv
+from .kvformat import dump_kv, non_negative_int, parse_kv
 from .saturation import saturate, saturate_oracle
 from .simulation import (
     CircularReference,
@@ -71,15 +73,6 @@ def _parse_bool(s: str) -> bool:
 def float_list(s: str) -> tuple[float, ...]:
     """Comma-separated floats; argparse names it in its error message."""
     return tuple(float(x) for x in s.split(","))
-
-
-def non_negative_int(s: str) -> int:
-    """A sampler seed: numpy's ``default_rng`` rejects a negative one.
-    argparse names it in its error message."""
-    value = int(s)
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -217,8 +210,7 @@ def cmd_synth(args) -> int:
     params = cfg.params()
     cert = synthesize_certificate(params, cfg.alpha, cfg.gamma, margin=cfg.margin)
     out = _resolve_outdir(args, cfg)
-    cert_path = out / "certificate.txt"
-    save_certificate(cert_path, params, cert, seed=cfg.seed, margin=cfg.margin)
+    save_certificate(out / "certificate.txt", params, cert, seed=cfg.seed, margin=cfg.margin)
     report = {
         "rho": cert.rho,
         "eps": cert.eps,
@@ -229,7 +221,6 @@ def cmd_synth(args) -> int:
         "gamma": cert.gamma,
         "margin": cfg.margin,
         "closed_loop_residual": lyapunov_residual(cert.gain),
-        "certificate": str(cert_path),
     }
     text = dump_kv(report, header="synthesis report")
     (out / "synth_report.txt").write_text(text, encoding="utf-8")
@@ -286,6 +277,9 @@ def _run_to_csv(scenario: Scenario, path: Path):
     return trace
 
 
+_CLOCK_HEADER = "controller wall-clock time per call (s), on stdout only: it varies between runs"
+
+
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     params, cert = _load_or_synthesize(args, cfg)
@@ -294,11 +288,11 @@ def cmd_simulate(args) -> int:
     trace = _run_to_csv(scenario, out / "trace.csv")
     if trace is None:
         return EXIT_VIOLATIONS
-    summary = metrics(trace, scenario).to_kv()
+    summary, clock = metrics(trace, scenario).split_kv()
     summary["gamma"] = cert.gamma
     text = dump_kv(summary, header="simulation summary")
     (out / "summary.txt").write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    sys.stdout.write(text + dump_kv(clock, header=_CLOCK_HEADER))
     return EXIT_VIOLATIONS if trace.violations else EXIT_OK
 
 
@@ -322,20 +316,21 @@ def cmd_sweep(args) -> int:
     base = synthesize_certificate(params, cfg.alpha, cfg.gammas[0], margin=cfg.margin)
     out = _resolve_outdir(args, cfg)
     combined: dict = {}
+    clocks: dict = {}
     any_violations = False
     for i, gamma in enumerate(cfg.gammas):
         scenario = cfg.build_scenario(replace(base, gamma=gamma), params)
         trace = _run_to_csv(scenario, out / f"trace_gamma_{_gamma_tag(gamma)}.csv")
         if trace is None:
             return EXIT_VIOLATIONS
-        summary = metrics(trace, scenario)
+        summary, clock = metrics(trace, scenario).split_kv()
         combined[f"run{i}_gamma"] = gamma
-        for key, value in summary.to_kv().items():
-            combined[f"run{i}_{key}"] = value
+        combined.update((f"run{i}_{key}", value) for key, value in summary.items())
+        clocks.update((f"run{i}_{key}", value) for key, value in clock.items())
         any_violations = any_violations or bool(trace.violations)
     text = dump_kv(combined, header="gamma sweep summary")
     (out / "sweep_summary.txt").write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+    sys.stdout.write(text + dump_kv(clocks, header=_CLOCK_HEADER))
     return EXIT_VIOLATIONS if any_violations else EXIT_OK
 
 

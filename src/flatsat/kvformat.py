@@ -9,7 +9,17 @@ Floats are written with 17 significant digits so files round-trip exactly.
 
 from __future__ import annotations
 
-__all__ = ["dump_kv", "parse_kv", "format_value"]
+__all__ = ["dump_kv", "parse_kv", "format_value", "non_negative_int"]
+
+
+def non_negative_int(s: str) -> int:
+    """A sampler seed, read from a config file, a certificate file or a flag:
+    numpy's ``default_rng`` rejects a negative one. argparse names it in its
+    error message."""
+    value = int(s)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return value
 
 
 def format_value(value) -> str:

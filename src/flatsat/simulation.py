@@ -480,8 +480,11 @@ class RunMetrics:
 
     The steady window is the last quarter of the horizon. Margins are the
     smallest observed distances to each constraint boundary (negative means
-    a violation); controller times are wall-clock seconds per call.
+    a violation); controller times are wall-clock seconds per call. Every
+    field but the :attr:`WALL_CLOCK` ones depends only on the run's inputs.
     """
+
+    WALL_CLOCK = ("ctrl_time_mean", "ctrl_time_p99")
 
     rms_pos_error_steady: float
     max_decay_residual: float
@@ -497,8 +500,12 @@ class RunMetrics:
     min_pitch_margin: float
     n_violations: int
 
-    def to_kv(self) -> dict:
-        return asdict(self)
+    def split_kv(self) -> tuple[dict, dict]:
+        """The report as (input-determined pairs, wall-clock pairs), each in
+        field order."""
+        kv = asdict(self)
+        clock = {key: kv.pop(key) for key in self.WALL_CLOCK}
+        return kv, clock
 
 
 def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:

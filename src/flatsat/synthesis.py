@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .constraint_sets import ConstraintParams, max_inscribed_ball
-from .kvformat import dump_kv, parse_kv
+from .kvformat import dump_kv, non_negative_int, parse_kv
 from .saturation import saturate_batch
 
 __all__ = [
@@ -331,7 +331,7 @@ CERT_FORMAT = "flatsat-certificate-1"
 # The certificate file's keys in file order, each with the holder whose
 # attribute of that name is the value (the ConstraintParams "limits", the
 # GainMatrix "gain", the EllipsoidCert "cert", the format tag's "file", the
-# seed and margin "meta") and the type the value is read back as.
+# seed and margin "meta") and the reader of its value.
 CERT_KEYS = {
     "format": ("file", str),
     "g": ("limits", float),
@@ -346,7 +346,7 @@ CERT_KEYS = {
     "p1": ("gain", float),
     "p2": ("gain", float),
     "p3": ("gain", float),
-    "seed": ("meta", int),
+    "seed": ("meta", non_negative_int),
     "margin": ("meta", float),
 }
 
@@ -378,8 +378,9 @@ def save_certificate(
 def load_certificate(path):
     """Read a certificate file back to (ConstraintParams, EllipsoidCert, meta).
 
-    ``meta`` is a dict with the seed and margin. Unknown or missing keys, an
-    unsupported format and an inconsistent stored eps_max are rejected.
+    ``meta`` is a dict with the seed and margin. Unknown or missing keys, a
+    value its reader rejects (named by its key), an unsupported format and an
+    inconsistent stored eps_max are rejected.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = parse_kv(fh.read())
@@ -389,10 +390,12 @@ def load_certificate(path):
         raise ValueError(
             f"bad certificate schema: missing keys {missing}, unknown keys {unknown}"
         )
-    try:
-        v = SimpleNamespace(**{key: read(raw[key]) for key, (_, read) in CERT_KEYS.items()})
-    except ValueError as exc:
-        raise ValueError(f"bad certificate value: {exc}") from exc
+    v = SimpleNamespace()
+    for key, (_, read) in CERT_KEYS.items():
+        try:
+            setattr(v, key, read(raw[key]))
+        except ValueError as exc:
+            raise ValueError(f"certificate key {key!r}: {exc}") from exc
     if v.format != CERT_FORMAT:
         raise ValueError(f"unsupported certificate format {v.format!r}")
     p = ConstraintParams(g=v.g, t_max=v.t_max, phi_max=v.phi_max, theta_max=v.theta_max)

@@ -220,30 +220,42 @@ class TestSimulate:
         assert rc == EXIT_OK
         assert (tmp_path / "trace.csv").exists()
         assert (tmp_path / "summary.txt").exists()
-        summary = parse_kv((tmp_path / "summary.txt").read_text())
+        text = (tmp_path / "summary.txt").read_text()
+        summary = parse_kv(text)
         assert int(summary["n_violations"]) == 0
         assert list(summary) == [
             "rms_pos_error_steady", "max_decay_residual", "saturation_duty",
-            "ctrl_time_mean", "ctrl_time_p99", "max_lyapunov", "min_ball_margin",
-            "min_cone_margin", "min_half_margin", "min_thrust_margin",
-            "min_roll_margin", "min_pitch_margin", "n_violations", "gamma",
+            "max_lyapunov", "min_ball_margin", "min_cone_margin", "min_half_margin",
+            "min_thrust_margin", "min_roll_margin", "min_pitch_margin",
+            "n_violations", "gamma",
         ]
+        # stdout is the summary, then the controller's wall-clock times
+        out = capsys.readouterr().out
+        assert out.startswith(text)
+        clock = parse_kv(out[len(text):])
+        assert list(clock) == ["ctrl_time_mean", "ctrl_time_p99"]
+        assert 0.0 < float(clock["ctrl_time_mean"]) <= float(clock["ctrl_time_p99"])
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path, capsys):
+        """synth, verify (stdout saved beside the certificate), simulate and
+        sweep write the same bytes into two directories, every file."""
         cfg = write_config(tmp_path / "c.txt", duration="2.0")
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", "--config", cfg, "--out", str(out_a)]) == EXIT_OK
-        assert main(["simulate", "--config", cfg, "--out", str(out_b)]) == EXIT_OK
-        assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
-        # summaries agree except for the wall-clock timing statistics
-        strip = lambda text: {
-            k: v
-            for k, v in parse_kv(text).items()
-            if not k.startswith("ctrl_time")
-        }
-        assert strip((out_a / "summary.txt").read_text()) == strip(
-            (out_b / "summary.txt").read_text()
-        )
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["synth", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            capsys.readouterr()
+            rc = main(["verify", str(out / "certificate.txt"), "--samples", "2000"])
+            assert rc == EXIT_OK
+            (out / "verify.txt").write_text(capsys.readouterr().out)
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        files = [{p.name: p.read_bytes() for p in out.iterdir()} for out in outs]
+        assert sorted(files[0]) == [
+            "certificate.txt", "summary.txt", "sweep_summary.txt", "synth_report.txt",
+            "trace.csv", "trace_gamma_1.csv", "trace_gamma_15.csv", "trace_gamma_5.csv",
+            "verify.txt",
+        ]
+        assert files[0] == files[1]
 
     def test_accepts_synthesized_certificate(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
@@ -403,6 +415,16 @@ class TestVerify:
         assert out["passed"] == "false"
         assert int(out["worst_sample"]) >= 0
 
+    def test_negative_stored_seed_usage_error(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
+        cert_path = tmp_path / "certificate.txt"
+        cert_path.write_text(cert_path.read_text().replace("seed = 0\n", "seed = -2\n"))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path), "--samples", "200"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: certificate key 'seed': expected a non-negative integer, got -2\n"
+        )
+
     def test_zero_samples_usage_error(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
         rc = main(["verify", str(tmp_path / "certificate.txt"), "--samples", "0"])
@@ -434,6 +456,10 @@ class TestSweep:
         # unit gamma never saturates in the regulation study
         assert float(combined["run0_saturation_duty"]) == 0.0
         assert float(combined["run2_saturation_duty"]) > 0.0
+        # the wall-clock times are printed after the summary, never written
+        clock = [f"run{i}_ctrl_time_{stat}" for i in range(3) for stat in ("mean", "p99")]
+        assert list(parse_kv(capsys.readouterr().out))[-6:] == clock
+        assert not set(clock) & set(combined)
 
     def test_synthesizes_once(self, tmp_path, monkeypatch):
         import flatsat.cli as cli
@@ -588,8 +614,13 @@ class TestStudyScripts:
             (["--gammas", "5,0.5"], "--gammas: gamma must be >= 1 and finite, got 0.5"),
             (["--gammas", "x"], "argument --gammas: invalid float_list value: 'x'"),
             (["--starts", "0"], "--starts must be at least 1, got 0"),
+            (["--alpha", "0"], "--alpha: alpha must be positive and finite, got 0.0"),
+            (["--dt", "0"], "--duration/--dt: dt must be positive, got 0.0"),
+            (["--duration", "1.01"],
+             "--duration/--dt: duration 1.01 is not a whole number of steps"),
         ],
-        ids=["repeated", "below_one", "below_one_second", "unparsable", "no_starts"],
+        ids=["repeated", "below_one", "below_one_second", "unparsable", "no_starts",
+             "infeasible_alpha", "zero_dt", "horizon_not_whole_steps"],
     )
     def test_invariance_study_rejects_bad_arguments_before_any_run(
         self, tmp_path, monkeypatch, capsys, args, message
@@ -597,9 +628,10 @@ class TestStudyScripts:
         out = tmp_path / "out"
         # any exception but SystemExit would end the script in a traceback
         with pytest.raises(SystemExit) as exc:
-            run_script("invariance_study.py", monkeypatch, *args, "--duration", "0.2",
-                       "--out", str(out))
-        assert exc.value.code != 0
+            # the case's own arguments last: argparse keeps a flag's last value
+            run_script("invariance_study.py", monkeypatch, "--duration", "0.2",
+                       "--out", str(out), *args)
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith(f"invariance_study.py: error: {message}")

@@ -591,6 +591,25 @@ class TestCertificateFile:
         with pytest.raises(ValueError, match="gamma"):
             load_certificate(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("seed", "-2", "expected a non-negative integer, got -2"),
+            ("p1", "abc", "could not convert string to float: 'abc'"),
+        ],
+        ids=["negative_seed", "bad_float"],
+    )
+    def test_rejects_bad_value_naming_its_key(self, tmp_path, params, cert075, key, value,
+                                              message):
+        path = tmp_path / "cert.txt"
+        save_certificate(path, params, cert075)
+        lines = [f"{key} = {value}" if l.startswith(f"{key} = ") else l
+                 for l in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_certificate(path)
+        assert str(exc.value) == f"certificate key {key!r}: {message}"
+
     def test_keys_in_table_order_and_as_documented(self, tmp_path, params, cert075):
         path = tmp_path / "cert.txt"
         save_certificate(path, params, cert075)
