@@ -39,6 +39,7 @@ from .flat_model import (
     _to_physical_floats,
     _yaw_trig,
 )
+from .kvformat import format_rows
 from .saturation import ActiveConstraint, SaturationResult, _saturate_floats
 from .synthesis import EllipsoidCert, _raw_feedback
 
@@ -197,6 +198,10 @@ class Scenario:
         return self.psi(t) if callable(self.psi) else float(self.psi)
 
 
+# the trace CSV header: 18 float columns, written as '%.17g' by the array
+# kernel kvformat.format_rows (Python's own '%.17g' takes zero, inf, nan,
+# three-digit exponents and near-ties; a per-cell writer over format_value
+# in the tests is its oracle), then saturated, active and in_u
 CSV_COLUMNS = (
     "t",
     "x",
@@ -253,18 +258,26 @@ class Trace:
 
     def to_csv(self, path) -> None:
         """Write the trace; floats carry 17 significant digits so output is
-        byte-stable for a fixed scenario."""
-        numeric = np.column_stack(
-            [self.t, self.xi, self.v_raw, self.v, self.u, self.lyapunov, self.lam,
-             self.saturated, self.in_u]
-        ).tolist()
-        # 18 float columns, then saturated, active and in_u
-        row = ",".join(["%.17g"] * 18 + ["%d", "%s", "%d"]) + "\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            fh.writelines(
-                row % (*vals[:19], act, vals[19]) for vals, act in zip(numeric, self.active)
-            )
+        byte-stable for a fixed scenario.
+
+        The 18 float columns are formatted by one array kernel,
+        :func:`flatsat.kvformat.format_rows`, ``BLOCK_ROWS`` rows at a time,
+        byte-identical to ``'%.17g'``: it finds each cell's 17 digits and
+        exponent with a double-double product and keeps the bytes of
+        ``'%.17g'`` from a fixed template. Python's own ``'%.17g'`` formats
+        the cells it leaves: zero, inf, nan, exponents of three digits and
+        near-ties such as ``2**-25``. The oracle is the per-cell writer over
+        ``format_value`` in the tests."""
+        floats = np.column_stack(
+            [self.t, self.xi, self.v_raw, self.v, self.u, self.lyapunov, self.lam]
+        )
+        tails = [
+            ",%d,%s,%d\n" % row
+            for row in zip(self.saturated.tolist(), self.active, self.in_u.tolist())
+        ]
+        with open(path, "wb") as fh:
+            fh.write((",".join(CSV_COLUMNS) + "\n").encode())
+            fh.writelines(format_rows(floats, tails))
 
 
 def _control_floats(e, ff, gamma: float, p2: float, p3: float, p: ConstraintParams):
@@ -513,10 +526,13 @@ def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:
     saturation duty cycle, controller timing, constraint margins).
 
     The tracking error is read against the trace's own ``xi_ref``, so the
-    reference is not evaluated again."""
+    reference is not evaluated again. Raises ValueError on a trace with no
+    rows, such as the partial trace of a run aborted at its first sample."""
     p = scenario.params
     tgrid = trace.t
     n = len(tgrid)
+    if n == 0:
+        raise ValueError("the trace has no rows to summarize")
     steady = tgrid >= 0.75 * tgrid[-1]
     pos_err = np.linalg.norm(trace.xi[steady, :3] - trace.xi_ref[steady, :3], axis=1)
     rms = float(np.sqrt(np.mean(pos_err ** 2)))

@@ -27,7 +27,7 @@ from flatsat import (
     saturate,
     to_physical,
 )
-from flatsat.kvformat import format_value
+from flatsat.kvformat import BLOCK_ROWS, format_value
 from flatsat.simulation import CSV_COLUMNS, RunMetrics
 
 from conftest import CANONICAL_X0, residual_active
@@ -558,28 +558,46 @@ class TestTraceExport:
         assert all(len(l.split(",")) == len(CSV_COLUMNS) for l in lines[1:])
 
     def test_csv_bytes_match_per_cell_writer(self, tmp_path, params, cert075):
-        class NanFromHalfSecond(OriginReference):
-            def state(self, t):
-                return np.where(np.asarray(t)[..., None] >= 0.5, math.nan, super().state(t))
+        def nan_from(t0):
+            class NanFrom(OriginReference):
+                def state(self, t):
+                    return np.where(np.asarray(t)[..., None] >= t0, math.nan, super().state(t))
+
+            return NanFrom()
+
+        def aborted(t0):
+            sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0)
+            with pytest.raises(SimulationAborted) as excinfo:
+                run(replace(sc, reference=nan_from(t0)))
+            return excinfo.value.trace
 
         saturated = run(origin_scenario(replace(cert075, gamma=15.0), params, CANONICAL_X0))
         unsaturated = run(origin_scenario(cert075, params, CANONICAL_X0))
-        sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0)
-        with pytest.raises(SimulationAborted) as excinfo:
-            run(replace(sc, reference=NanFromHalfSecond()))
-        aborted = excinfo.value.trace
-        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0 / 3.0, -5e-324]
+        # the writer formats BLOCK_ROWS rows at a time: row counts on either
+        # side of one block
+        blocks = [
+            run(origin_scenario(cert075, params, CANONICAL_X0, duration=(rows - 1) * 0.02))
+            for rows in (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1)
+        ]
+        special = [
+            0.0, -0.0, math.inf, -math.inf, math.nan, 1.0 / 3.0, -5e-324, 5e-324,
+            2.0**-25, 1e16, 1e17, math.nextafter(1e-5, 0.0), 1e-100, -1e250,
+        ]
         m = len(special)
         col = np.array(special)
         block = np.tile(col[:, None], (1, 6))
         hand = Trace(
             t=col, xi=block, xi_ref=-block, v_raw=block[:, :3], v=-block[:, 3:], u=block[:, ::2],
             lyapunov=-col, lam=col, saturated=np.arange(m) % 2 == 0,
-            active=["none", "ball", "cone", "halfspace", "none", "ball", "cone"],
+            active=[("none", "ball", "cone", "halfspace")[k % 4] for k in range(m)],
             in_u=np.arange(m) % 3 == 0, ctrl_time=col,
         )
+        traces = [saturated, unsaturated, aborted(0.5), aborted(0.0), aborted(0.02), *blocks, hand]
         assert saturated.saturated.any() and not unsaturated.saturated.any()
-        for i, trace in enumerate((saturated, unsaturated, aborted, hand)):
+        assert [len(trace) for trace in traces[2:-1]] == [
+            25, 0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1
+        ]
+        for i, trace in enumerate(traces):
             got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
             trace.to_csv(got)
             format_value_csv(trace, want)
@@ -700,6 +718,18 @@ class TestMetrics:
             trace = run(sc)
             got, want = metrics(trace, sc), metrics_full_reference(trace, sc)
             np.testing.assert_array_equal(bits(got), bits(want), err_msg=str(i))
+
+    def test_trace_without_rows_rejected(self, params, cert075):
+        class NanReference(OriginReference):
+            def state(self, t):
+                return np.full(np.shape(t) + (6,), math.nan)
+
+        sc = replace(origin_scenario(cert075, params, CANONICAL_X0), reference=NanReference())
+        with pytest.raises(SimulationAborted) as excinfo:
+            run(sc)
+        assert len(excinfo.value.trace) == 0
+        with pytest.raises(ValueError, match="no rows to summarize"):
+            metrics(excinfo.value.trace, sc)
 
     def test_circular_reference_modes(self):
         ref = CircularReference()
