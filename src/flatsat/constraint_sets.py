@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .flat_model import PhysicalInput
+from .flat_model import PhysicalInput, _three_floats
 
 __all__ = [
     "DEFAULT_TOL",
@@ -102,9 +102,10 @@ def in_Vc(v, p: ConstraintParams, tol: float = DEFAULT_TOL) -> bool:
     v1^2 + v2^2 <= (v3+g)^2 tan^2(eps_max), half-space v3 >= -g.
     The clauses are positive comparisons, so a NaN component fails them,
     and an infinite one fails the ball clause: non-finite commands are
-    never members.
+    never members. A ``v`` that is not exactly three values raises
+    ValueError.
     """
-    return bool(_vc_clauses(float(v[0]), float(v[1]), float(v[2]), p, tol))
+    return bool(_vc_clauses(*_three_floats(v), p, tol))
 
 
 def _vc_clauses(v1, v2, v3, p: ConstraintParams, tol: float):

@@ -56,6 +56,16 @@ def _check_physical(thrust: float, roll: float, pitch: float) -> None:
         raise DomainError("roll/pitch must lie in [-pi/2, pi/2]")
 
 
+def _three_floats(v):
+    """The components of the 3-vector ``v`` as floats; a ValueError names
+    the shape of any other input, so no component is dropped silently."""
+    shape = np.shape(v)
+    if shape != (3,):
+        raise ValueError(f"v needs exactly three values, got shape {shape}")
+    v1, v2, v3 = v
+    return float(v1), float(v2), float(v3)
+
+
 def accel(u: PhysicalInput, psi: float, g: float) -> np.ndarray:
     """Translational acceleration produced by input ``u`` at yaw ``psi``.
 
@@ -98,13 +108,13 @@ def to_physical(v, psi: float, g: float) -> PhysicalInput:
     thrust direction degenerates and the pitch angle is undefined.
 
     Raises:
+        ValueError: if ``v`` is not exactly three values.
         DomainError: if ``psi`` or ``g`` is not finite, ``v`` is not
             finite, or ``v[2] <= -g``.
     """
+    v1, v2, v3 = _three_floats(v)
     cpsi, spsi = _yaw_trig(psi, g)
-    thrust, roll, pitch = _to_physical_floats(
-        float(v[0]), float(v[1]), float(v[2]), cpsi, spsi, g
-    )
+    thrust, roll, pitch = _to_physical_floats(v1, v2, v3, cpsi, spsi, g)
     return PhysicalInput(thrust, roll, pitch)
 
 

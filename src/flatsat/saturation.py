@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .constraint_sets import DEFAULT_TOL, ConstraintParams, _vc_clauses, in_Vc
-from .flat_model import DomainError
+from .constraint_sets import DEFAULT_TOL, ConstraintParams, _vc_clauses
+from .flat_model import DomainError, _three_floats
 
 __all__ = [
     "ActiveConstraint",
@@ -53,8 +53,11 @@ class ActiveConstraint(enum.Enum):
     HALFSPACE = "halfspace"
 
 
-@dataclass(frozen=True)
-class SaturationResult:
+class SaturationResult(NamedTuple):
+    """The saturated command ``v_out``, its pullback factor ``lam``,
+    whether the input was pulled back, and the piece it landed on; an
+    immutable named tuple, built positionally on the real-time path."""
+
     v_out: np.ndarray
     lam: float
     saturated: bool
@@ -71,16 +74,13 @@ def saturate(v, p: ConstraintParams) -> SaturationResult:
     when the output is the cone apex.
 
     Raises:
+        ValueError: if ``v`` is not exactly three values.
         DomainError: if the factor is not in (0, 1], which happens exactly
             when a component is NaN or infinite or the squared norm of
             ``v`` overflows.
     """
-    w1, w2, w3, lam, saturated, active = _saturate_floats(
-        float(v[0]), float(v[1]), float(v[2]), p
-    )
-    return SaturationResult(
-        v_out=np.array([w1, w2, w3]), lam=lam, saturated=saturated, active=active
-    )
+    w1, w2, w3, lam, saturated, active = _saturate_floats(*_three_floats(v), p)
+    return SaturationResult(np.array([w1, w2, w3]), lam, saturated, active)
 
 
 def _saturate_floats(v1: float, v2: float, v3: float, p: ConstraintParams):
@@ -159,14 +159,15 @@ def saturate_oracle(v, p: ConstraintParams) -> float:
     monotone in the factor, and 60 bisection steps come within 2^-60 of
     lam*. Bisects the exact membership predicate (zero slack) so it stays
     an independent reference for the closed-form factor of :func:`saturate`.
+    A ``v`` that is not exactly three values raises ValueError.
     """
-    v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
-    if in_Vc((v1, v2, v3), p, 0.0):
+    v1, v2, v3 = _three_floats(v)
+    if _vc_clauses(v1, v2, v3, p, 0.0):
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if in_Vc((mid * v1, mid * v2, mid * v3), p, 0.0):
+        if _vc_clauses(mid * v1, mid * v2, mid * v3, p, 0.0):
             lo = mid
         else:
             hi = mid

@@ -280,13 +280,14 @@ class Trace:
             fh.writelines(format_rows(floats, tails))
 
 
-def _control_floats(e, ff, gamma: float, p2: float, p3: float, p: ConstraintParams):
+def _control_floats(e1: float, e2: float, e3: float, d1: float, d2: float, d3: float,
+                    ff, gamma: float, p2: float, p3: float, p: ConstraintParams):
     """The controller on plain floats: the raw law on the tracking error
-    ``e = (e1, e2, e3, d1, d2, d3)`` plus the feedforward acceleration
-    ``ff`` (three floats, or None), then ray saturation. Returns
-    ``(r1, r2, r3, w1, w2, w3, lam, saturated, active)``; the one
-    definition that :func:`run` and :func:`control_law` share."""
-    e1, e2, e3, d1, d2, d3 = e
+    ``(e1, e2, e3, d1, d2, d3)`` plus the feedforward acceleration ``ff``
+    (three floats, or None), then ray saturation. Returns
+    ``(r1, r2, r3, (w1, w2, w3, lam, saturated, active))``, the raw command
+    and the saturation kernel's tuple as it came; the one definition that
+    :func:`run` and :func:`control_law` share."""
     r1 = _raw_feedback(e1, d1, gamma, p2, p3)
     r2 = _raw_feedback(e2, d2, gamma, p2, p3)
     r3 = _raw_feedback(e3, d3, gamma, p2, p3)
@@ -295,7 +296,7 @@ def _control_floats(e, ff, gamma: float, p2: float, p3: float, p: ConstraintPara
         r1 += f1
         r2 += f2
         r3 += f3
-    return (r1, r2, r3, *_saturate_floats(r1, r2, r3, p))
+    return r1, r2, r3, _saturate_floats(r1, r2, r3, p)
 
 
 def _lyapunov(e, p1: float, p2: float, p3: float):
@@ -321,15 +322,17 @@ def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
     Returns ``(command, result)``: the saturated command and the
     :class:`SaturationResult` of the raw one, whose ``v_out`` is that same
     command. A thin wrapper over the float kernel that :func:`run` calls on
-    every sample; a run keeps the raw command as ``Trace.v_raw``.
+    every sample; a run keeps the raw command as ``Trace.v_raw``. Both
+    states are cast to float64 before the subtraction; a ValueError rejects
+    a state of other than six values or a feedforward of other than three.
     """
-    e = (np.asarray(xi, dtype=float) - xi_ref).tolist()
+    e1, e2, e3, d1, d2, d3 = np.subtract(xi, xi_ref, dtype=float).tolist()
     ff = None if feedforward_accel is None else np.asarray(feedforward_accel, dtype=float).tolist()
-    _, _, _, w1, w2, w3, lam, saturated, active = _control_floats(
-        e, ff, cert.gamma, cert.gain.p2, cert.gain.p3, p
+    _, _, _, (w1, w2, w3, lam, saturated, active) = _control_floats(
+        e1, e2, e3, d1, d2, d3, ff, cert.gamma, cert.gain.p2, cert.gain.p3, p
     )
     v = np.array([w1, w2, w3])
-    return v, SaturationResult(v_out=v, lam=lam, saturated=saturated, active=active)
+    return v, SaturationResult(v, lam, saturated, active)
 
 
 # one row of the run buffer: xi (0:6), v_raw (6:9), v (9:12), u (12:15), lam,
@@ -458,8 +461,8 @@ def run(scenario: Scenario) -> Trace:
     ):
         tic = clock()
         try:
-            r1, r2, r3, w1, w2, w3, lam, saturated, act = _control_floats(
-                (x - q1, y - q2, z - q3, xd - q4, yd - q5, zd - q6), ff, gamma, p2, p3, p
+            r1, r2, r3, (w1, w2, w3, lam, saturated, act) = _control_floats(
+                x - q1, y - q2, z - q3, xd - q4, yd - q5, zd - q6, ff, gamma, p2, p3, p
             )
             ctrl = clock() - tic
             cpsi, spsi = _yaw_trig(psi, g)

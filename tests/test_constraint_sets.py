@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,14 @@ class TestMembership:
         v = [0.0, 0.0, 0.0]
         v[axis] = math.nan
         assert not in_Vc(v, params)
+
+    @pytest.mark.parametrize(
+        "v", [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0], np.zeros((3, 1)), 0.0],
+        ids=lambda v: str(np.shape(v)),
+    )
+    def test_in_Vc_rejects_other_than_three_values(self, params, v):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(v)}")):
+            in_Vc(v, params)
 
     def test_epsilon_angle_values(self):
         assert epsilon_angle((0.0, 0.0, 3.0), G) == 0.0

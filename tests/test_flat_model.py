@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,15 @@ def test_to_physical_rejects_apex_and_below():
         to_physical((0.0, 0.0, -G), psi=0.0, g=G)
     with pytest.raises(DomainError):
         to_physical((1.0, 1.0, -2 * G), psi=0.0, g=G)
+
+
+@pytest.mark.parametrize(
+    "v", [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0], np.zeros((3, 1)), 0.0],
+    ids=lambda v: str(np.shape(v)),
+)
+def test_to_physical_rejects_other_than_three_values(v):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(v)}")):
+        to_physical(v, psi=0.0, g=G)
 
 
 def test_non_finite_inputs_rejected():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -11,6 +12,7 @@ from flatsat import (
     ActiveConstraint,
     ConstraintParams,
     DomainError,
+    SaturationResult,
     in_Vc,
     saturate,
     saturate_batch,
@@ -155,6 +157,31 @@ class TestSaturate:
             }
             assert min(rel.values()) <= 1e-6
             assert rel[res.active] <= 1e-6
+
+
+class TestResultContract:
+    def test_fields_in_order(self):
+        assert SaturationResult._fields == ("v_out", "lam", "saturated", "active")
+
+    @pytest.mark.parametrize("v", [(0.1, -0.2, 0.5), (30.0, 0.0, 0.0)])
+    def test_immutable_with_an_array_command(self, v):
+        res = saturate(v, PARAMS)
+        assert type(res.v_out) is np.ndarray and res.v_out.shape == (3,)
+        for name in ("v_out", "lam", "saturated", "active"):
+            with pytest.raises(AttributeError):
+                setattr(res, name, getattr(res, name))
+
+
+WRONG_LENGTHS = [
+    [1.0, 2.0, 3.0, 4.0], [1.0, 2.0], np.zeros((1, 3)), np.zeros((3, 1)), 0.0,
+]
+
+
+@pytest.mark.parametrize("v", WRONG_LENGTHS, ids=lambda v: str(np.shape(v)))
+@pytest.mark.parametrize("f", [saturate, saturate_oracle])
+def test_rejects_other_than_three_values(f, v):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(v)}")):
+        f(v, PARAMS)
 
 
 class TestNonFinite:

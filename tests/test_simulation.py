@@ -198,6 +198,76 @@ class TestControlLaw:
         assert np.allclose(v, ff)
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def input_forms(xi, xi_ref, ff):
+    """The same control-law inputs as float64 arrays, lists, tuples and
+    float32 arrays, and against a scalar zero reference."""
+    cast = lambda f, x: None if x is None else f(x)
+    yield "float64", xi, xi_ref, ff
+    yield "list", xi.tolist(), xi_ref.tolist(), cast(np.ndarray.tolist, ff)
+    yield "tuple", tuple(xi.tolist()), tuple(xi_ref.tolist()), cast(tuple, ff)
+    f32 = lambda x: x.astype(np.float32)
+    yield "float32", f32(xi), f32(xi_ref), cast(f32, ff)
+    yield "scalar reference", xi, 0.0, ff
+
+
+class TestControlLawInputs:
+    """``control_law`` casts its inputs to float64 before the subtraction:
+    every input form gives the bits of :func:`numpy_control_law`."""
+
+    @pytest.mark.parametrize("feedforward", [False, True])
+    @pytest.mark.parametrize("gamma", [1.0, 5.0, 15.0])
+    def test_every_input_form_matches_reference_bits(self, params, cert075, gamma,
+                                                     feedforward):
+        cert = replace(cert075, gamma=gamma)
+        rng = np.random.default_rng(17)
+        n_saturated = 0
+        for scale in (0.05, 0.5, 3.0):
+            for _ in range(8):
+                xi = rng.normal(0.0, scale, 6)
+                xi_ref = rng.normal(0.0, 0.3, 6)
+                ff = rng.normal(0.0, 2.0, 3) if feedforward else None
+                forms = list(input_forms(xi, xi_ref, ff))
+                ints = rng.integers(-4, 5, (2, 6))
+                forms.append(("int", ints[0], ints[1], None if ff is None else ints[0, :3]))
+                for tag, a, b, f in forms:
+                    v, res = control_law(a, b, cert, params, feedforward_accel=f)
+                    want, _, want_res = numpy_control_law(a, b, cert, params,
+                                                          feedforward_accel=f)
+                    np.testing.assert_array_equal(bits(v), bits(want), err_msg=tag)
+                    assert bits(res.lam) == bits(want_res.lam), tag
+                    assert res.saturated == want_res.saturated, tag
+                    assert res.active is want_res.active, tag
+                    n_saturated += res.saturated
+        assert n_saturated > 0 or gamma == 1.0
+
+    @pytest.mark.parametrize(
+        "xi, xi_ref",
+        [(np.zeros(5), np.zeros(6)), (np.zeros(7), np.zeros(6)),
+         (np.zeros(6), np.zeros(5)), (np.zeros(6), np.zeros(7)),
+         ([0.0] * 5, 0.0), ([0.0] * 7, 0.0)],
+        ids=["xi5", "xi7", "ref5", "ref7", "xi5-scalar-ref", "xi7-scalar-ref"],
+    )
+    def test_state_of_other_than_six_values_rejected(self, params, cert075, xi, xi_ref):
+        with pytest.raises(ValueError):
+            control_law(xi, xi_ref, cert075, params)
+
+    @pytest.mark.parametrize("ff", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)])
+    def test_feedforward_of_other_than_three_values_rejected(self, params, cert075, ff):
+        with pytest.raises(ValueError):
+            control_law(np.zeros(6), np.zeros(6), cert075, params, feedforward_accel=ff)
+
+    @pytest.mark.parametrize("scale", [0.1, 4.0])
+    def test_result_holds_the_returned_command(self, params, cert075, scale):
+        cert = replace(cert075, gamma=15.0)
+        v, res = control_law(scale * CANONICAL_X0, np.zeros(6), cert, params)
+        assert isinstance(res, SaturationResult) and res.v_out is v
+        assert res.saturated == (scale > 1.0)
+
+
 class TestExactHoldStep:
     def test_trace_rows_satisfy_hold_update(self, params, cert075):
         # the command is held over each step, so consecutive rows obey the
