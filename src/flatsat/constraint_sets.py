@@ -4,8 +4,9 @@ The physical limits form a box on (thrust, roll, pitch). Pulled back to
 acceleration coordinates that box becomes yaw-dependent and non-convex, so
 the controller works with a yaw-free convex inner approximation instead: the
 intersection of a gravity-shifted ball (thrust bound), a vertical cone (tilt
-bound) and the half-space above the cone apex. The largest origin-centered
-ball inside that set has a closed-form radius used by the certificate
+bound) and the open half-space above the cone apex; its membership test has
+no slack and accepts only exact members. The largest origin-centered ball
+inside that set has a closed-form radius used by the certificate
 synthesis.
 """
 
@@ -17,17 +18,27 @@ from dataclasses import dataclass, field
 from .flat_model import PhysicalInput, _three_floats
 
 __all__ = [
-    "DEFAULT_TOL",
     "ConstraintParams",
     "in_U",
     "in_Vc",
     "max_inscribed_ball",
 ]
 
-# absolute slack on the squared-quantity membership inequalities: the
-# default of in_Vc, the feasibility slack of the saturation and the command
-# slack of the run monitors
-DEFAULT_TOL = 1e-9
+# The membership margin. Each float operation returns its exact result
+# times 1 + d with |d| <= u = 2^-53 (Higham, *Accuracy and Stability of
+# Numerical Algorithms*, 2002, section 2.2); bounds are first order in u.
+# c = fl(v3 + g) has the sign of v3 + g, so the clause c > 0 is exact. The
+# computed ball sum h2 + c^2 is within (1 -+ u)^4 of the exact one, and
+# the computed cone sides h2 and c^2 (tan2_eps m) within (1 -+ u)^2 and
+# (1 -+ u)^5, counting the rounding of t2_max m and tan2_eps m. So with
+# m = 1 - 8u a computed clause that holds also holds exactly (8 > 4 + 1
+# and 8 > 2 + 5): the test is sound. Conversely the computed clauses hold
+# for every exact member with 13u t2_max of ball slack and 15u c^2
+# tan2_eps of cone slack (8 + 4 + 1 and 8 + 2 + 5), which is what the
+# saturation's backoff provides. Underflow is left out: a float c > 0 is
+# at least about g u, so for limits of order one every term that decides
+# a clause is a normal number.
+_INSIDE = 1.0 - 8 * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -77,47 +88,49 @@ class ConstraintParams:
         object.__setattr__(self, "t2_max", self.t_max * self.t_max)
 
 
-def in_U(u: PhysicalInput, p: ConstraintParams, tol: float = 0.0) -> bool:
-    """Membership in the physical input box, inclusive within ``tol``."""
-    return bool(_u_clauses(u.thrust, u.roll, u.pitch, p, tol))
+def in_U(u: PhysicalInput, p: ConstraintParams) -> bool:
+    """Membership in the physical input box, boundary included."""
+    return bool(_u_clauses(u.thrust, u.roll, u.pitch, p))
 
 
-def _u_clauses(thrust, roll, pitch, p: ConstraintParams, tol: float):
+def _u_clauses(thrust, roll, pitch, p: ConstraintParams):
     """The :func:`in_U` clauses joined with ``&``, on floats or row-wise on
     1-D arrays: the one definition that the public test and the
     simulation monitors share."""
     return (
-        (thrust >= -tol)
-        & (thrust <= p.t_max + tol)
-        & (abs(roll) <= p.phi_max + tol)
-        & (abs(pitch) <= p.theta_max + tol)
+        (thrust >= 0.0)
+        & (thrust <= p.t_max)
+        & (abs(roll) <= p.phi_max)
+        & (abs(pitch) <= p.theta_max)
     )
 
 
-def in_Vc(v, p: ConstraintParams, tol: float = DEFAULT_TOL) -> bool:
+def in_Vc(v, p: ConstraintParams) -> bool:
     """Membership in the convex acceleration command set.
 
-    Three clauses, with ``tol`` as absolute slack on the squared quantities:
-    shifted ball  v1^2 + v2^2 + (v3+g)^2 <= t_max^2, cone
-    v1^2 + v2^2 <= (v3+g)^2 tan^2(eps_max), half-space v3 >= -g.
-    The clauses are positive comparisons, so a NaN component fails them,
-    and an infinite one fails the ball clause: non-finite commands are
-    never members. A ``v`` that is not exactly three values raises
-    ValueError.
+    Three clauses: shifted ball v1^2 + v2^2 + (v3+g)^2 <= t_max^2, cone
+    v1^2 + v2^2 <= (v3+g)^2 tan^2(eps_max) and open half-space v3 > -g,
+    so the apex is not a member. The test is sound: it accepts only exact
+    members of the set with the stored ``t2_max`` and ``tan2_eps``, and
+    rejects some within rounding of the boundary. The clauses are positive
+    comparisons, so a NaN component fails them, and an infinite one fails
+    the ball clause: non-finite commands are never members. A ``v`` that is
+    not exactly three values raises ValueError.
     """
-    return bool(_vc_clauses(*_three_floats(v), p, tol))
+    return bool(_vc_clauses(*_three_floats(v), p))
 
 
-def _vc_clauses(v1, v2, v3, p: ConstraintParams, tol: float):
+def _vc_clauses(v1, v2, v3, p: ConstraintParams):
     """The three :func:`in_Vc` clauses joined with ``&``, on floats or
-    row-wise on 1-D coordinate arrays: the one definition that the scalar
-    and the batch saturation kernels share."""
+    row-wise on 1-D coordinate arrays: the one membership test, which the
+    saturation kernels, their oracle and the run monitors share."""
     c = v3 + p.g
     h2 = v1 * v1 + v2 * v2
+    cc = c * c
     return (
-        (h2 + c * c <= p.t2_max + tol)
-        & (h2 <= c * c * p.tan2_eps + tol)
-        & (v3 >= -p.g - tol)
+        (h2 + cc <= p.t2_max * _INSIDE)
+        & (h2 <= cc * (p.tan2_eps * _INSIDE))
+        & (c > 0.0)
     )
 
 

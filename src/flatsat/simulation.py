@@ -31,7 +31,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .constraint_sets import DEFAULT_TOL, ConstraintParams, _u_clauses, _vc_clauses
+from .constraint_sets import ConstraintParams, _u_clauses, _vc_clauses
 from .flat_model import (
     DomainError,
     PhysicalInput,
@@ -57,16 +57,9 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-# membership slack used by the run monitors; commands are checked on the
-# squared quantities (the saturation feasibility slack), physical inputs on
-# plain units where boundary outputs can pick up slightly amplified rounding
-# near the cone apex
-V_MONITOR_TOL = DEFAULT_TOL
-U_MONITOR_TOL = 1e-6
-
 class SimulationAborted(RuntimeError):
-    """The controller, the yaw check or the input map rejected a sample
-    mid-run; carries the partial trace."""
+    """The controller or the yaw check rejected a sample mid-run; carries
+    the partial trace."""
 
     def __init__(self, message: str, trace: "Trace"):
         super().__init__(message)
@@ -323,13 +316,21 @@ def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
     :class:`SaturationResult` of the raw one, whose ``v_out`` is that same
     command. A thin wrapper over the float kernel that :func:`run` calls on
     every sample; a run keeps the raw command as ``Trace.v_raw``. Both
-    states are cast to float64 before the subtraction; a ValueError rejects
-    a state of other than six values or a feedforward of other than three.
+    states are cast to float64 and subtracted as Python floats, so a
+    non-finite error raises DomainError in the saturation, never a numpy
+    warning; a ValueError rejects a state of other than six values
+    (``xi_ref`` may be one scalar) or a feedforward of other than three.
     """
-    e1, e2, e3, d1, d2, d3 = np.subtract(xi, xi_ref, dtype=float).tolist()
+    x = np.asarray(xi, dtype=float)
+    r = np.asarray(xi_ref, dtype=float)
+    if x.shape != (6,) or r.shape not in ((6,), ()):
+        raise ValueError(f"states need exactly six values, got shapes {x.shape} and {r.shape}")
+    x1, x2, x3, x4, x5, x6 = x.tolist()
+    q1, q2, q3, q4, q5, q6 = r.tolist() if r.ndim else [r.item()] * 6
     ff = None if feedforward_accel is None else np.asarray(feedforward_accel, dtype=float).tolist()
     _, _, _, (w1, w2, w3, lam, saturated, active) = _control_floats(
-        e1, e2, e3, d1, d2, d3, ff, cert.gamma, cert.gain.p2, cert.gain.p3, p
+        x1 - q1, x2 - q2, x3 - q3, x4 - q4, x5 - q5, x6 - q6, ff, cert.gamma,
+        cert.gain.p2, cert.gain.p3, p
     )
     v = np.array([w1, w2, w3])
     return v, SaturationResult(v, lam, saturated, active)
@@ -361,14 +362,13 @@ def run(scenario: Scenario) -> Trace:
     """Execute a scenario on the fixed grid t_k = k dt, k = 0..n.
 
     Controls are evaluated at every grid point including the final one (the
-    last command is recorded but not applied). A command rejected by the
-    input map raises SimulationAborted with the completed rows attached; the
-    saturation guarantees make that unreachable except exactly at the cone
-    apex or under a non-finite yaw. A non-finite command, from a NaN or
-    infinite state, reference or feedforward, is rejected by the saturation
-    and aborts the same way. The abort message names the time, the state
-    and the reference of the sample, then the rejecting kernel's reason,
-    which names the command when the command is at fault.
+    last command is recorded but not applied). Every command is a member of
+    the command set, strictly above the cone apex, so the input map accepts
+    it: a run raises SimulationAborted, with the completed rows attached,
+    only for a non-finite yaw or a NaN or infinite state, reference or
+    feedforward, which the saturation rejects. The abort message names the
+    time, the state and the reference of the sample, then the rejecting
+    kernel's reason, which names the command when the command is at fault.
 
     Nothing that the state does not affect is evaluated per sample: the
     reference state, the feedforward acceleration (only when
@@ -414,8 +414,8 @@ def run(scenario: Scenario) -> Trace:
         xi, v, u = buf[:, 0:6], buf[:, 9:12], buf[:, 12:15]
         xi_ref = refs[:k]
         lyapunov = _lyapunov((xi - xi_ref).T, p1, p2, p3)
-        in_u = _u_clauses(u[:, 0], u[:, 1], u[:, 2], p, U_MONITOR_TOL)
-        bad_v = ~_vc_clauses(v[:, 0], v[:, 1], v[:, 2], p, V_MONITOR_TOL)
+        in_u = _u_clauses(u[:, 0], u[:, 1], u[:, 2], p)
+        bad_v = ~_vc_clauses(v[:, 0], v[:, 1], v[:, 2], p)
         bad_e = invariance & (lyapunov > eps * (1.0 + 1e-6))
         violations = []
         # the messages of a sample in the order command set, input box,

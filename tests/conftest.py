@@ -38,17 +38,37 @@ def epsilon_angle(v, g):
 
 def residual_active(w, p):
     """The boundary piece a saturated output ``w`` lies on, classified by
-    its smallest relative residual (ball and cone normalized by t_max^2,
-    half-space by g): an oracle for ``saturate``'s ``active`` that does not
-    use the exit factors."""
+    its smaller relative residual (ball and cone normalized by t_max^2): an
+    oracle for ``saturate``'s ``active`` that does not use the exit
+    factors."""
     c = w[2] + p.g
     h2 = w[0] * w[0] + w[1] * w[1]
     residuals = {
         ActiveConstraint.BALL: abs(h2 + c * c - p.t2_max) / p.t2_max,
         ActiveConstraint.CONE: abs(h2 - c * c * p.tan2_eps) / p.t2_max,
-        ActiveConstraint.HALFSPACE: abs(c) / p.g,
     }
     return min(residuals, key=residuals.__getitem__)
+
+
+def in_Vc_within(v, p, tol):
+    """Membership in the command set with absolute slack ``tol`` on the
+    squared ball and cone clauses and on the half-space, for hand-built
+    boundary points that their own rounding puts on either side of the
+    boundary. The library's ``in_Vc`` has no slack."""
+    v1, v2, v3 = (float(x) for x in v)
+    c = v3 + p.g
+    h2 = v1 * v1 + v2 * v2
+    return h2 + c * c <= p.t2_max + tol and h2 <= c * c * p.tan2_eps + tol and c >= -tol
+
+
+def in_U_within(u, p, tol):
+    """Membership in the physical input box with absolute slack ``tol`` on
+    each limit, for the same use as :func:`in_Vc_within`."""
+    return (
+        -tol <= u.thrust <= p.t_max + tol
+        and abs(u.roll) <= p.phi_max + tol
+        and abs(u.pitch) <= p.theta_max + tol
+    )
 
 
 @pytest.fixture(scope="session")

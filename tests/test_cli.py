@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flatsat import (
@@ -25,6 +26,7 @@ from flatsat.cli import (
     main,
 )
 from flatsat.kvformat import parse_kv
+from flatsat.saturation import _backoff
 from flatsat.synthesis import (
     DEFAULT_MARGIN,
     load_certificate,
@@ -161,11 +163,14 @@ class TestSynth:
 
 class TestSaturate:
     def test_halfspace_example(self, capsys):
+        # the ray through the apex leaves the cone there, at factor 1/2,
+        # and the backoff puts the output just above it
         rc = main(["saturate", "0", "0", "-19.62"])
         assert rc == EXIT_OK
         out = parse_kv(capsys.readouterr().out)
-        assert float(out["lambda"]) == pytest.approx(0.5, abs=1e-15)
-        assert out["active"] == "halfspace"
+        params = ConstraintParams()
+        assert float(out["lambda"]) == 0.5 * _backoff(params, params.t2_max - 9.81 * 9.81)
+        assert out["active"] == "cone"
 
     def test_unsaturated(self, capsys):
         rc = main(["saturate", "0", "0", "0"])
@@ -191,7 +196,7 @@ class TestSaturate:
         out = capsys.readouterr().out
         assert main(["saturate", "--", "0", "0", "-2e1"]) == EXIT_OK
         assert out == capsys.readouterr().out
-        assert parse_kv(out)["active"] == "halfspace"
+        assert parse_kv(out)["active"] == "cone"
 
     @pytest.mark.parametrize("v3", ["-1e200", "-inf"])
     def test_negative_non_finite_or_overflowing_component_rejected(self, capsys, v3):
@@ -539,8 +544,9 @@ class TestSweep:
     def test_monitor_violations_printed_as_in_simulate(self, tmp_path, capsys, monkeypatch):
         from flatsat import simulation
 
-        # a negative slack puts every sample outside the input box
-        monkeypatch.setattr(simulation, "U_MONITOR_TOL", -1.0)
+        # a box monitor that rejects every sample
+        monkeypatch.setattr(simulation, "_u_clauses",
+                            lambda thrust, roll, pitch, p: np.zeros(len(thrust), dtype=bool))
         cfg = write_config(tmp_path / "c.txt", duration="1.0", gammas="1, 5")
         capsys.readouterr()
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_VIOLATIONS

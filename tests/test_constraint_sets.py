@@ -15,7 +15,7 @@ from flatsat import (
 )
 from flatsat.flat_model import DomainError
 
-from conftest import epsilon_angle
+from conftest import epsilon_angle, in_U_within, in_Vc_within
 
 G = 9.81
 
@@ -62,8 +62,14 @@ class TestMembership:
 
     def test_in_Vc_examples(self, params):
         assert in_Vc((0.0, 0.0, 0.0), params)
-        assert in_Vc((0.0, 0.0, params.t_max - G), params)  # ball boundary
+        assert in_Vc_within((0.0, 0.0, params.t_max - G), params, 1e-9)  # ball boundary
         assert not in_Vc((G * params.tan_eps + 1e-3, 0.0, 0.0), params)
+        # the half-space is open, so the apex is not a member; (0, 0, -2g)
+        # meets the ball clause and the squared cone clause (h2 = 0), so
+        # only the half-space clause rejects it
+        assert not in_Vc((0.0, 0.0, -G), params)
+        assert not in_Vc((0.0, 0.0, -2 * G), params)
+        assert in_Vc_within((0.0, 0.0, -2 * G), params, G)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_in_Vc_rejects_nan(self, params, axis):
@@ -154,7 +160,7 @@ class TestSubsetOfPullbackSet:
         psis = rng.uniform(-math.pi, math.pi, size=10)
         for psi in psis:
             for v in vs:
-                assert in_U(to_physical(v, psi, params.g), params, tol=1e-9)
+                assert in_U_within(to_physical(v, psi, params.g), params, 1e-9)
 
     def test_convexity_witness(self, params):
         rng = np.random.default_rng(29)
@@ -162,7 +168,7 @@ class TestSubsetOfPullbackSet:
         vb = sample_in_cone(rng, params, 10_000)
         lam = rng.uniform(size=10_000)
         mix = lam[:, None] * va + (1.0 - lam)[:, None] * vb
-        assert all(in_Vc(v, params, tol=1e-9) for v in mix)
+        assert all(in_Vc_within(v, params, 1e-9) for v in mix)
 
     def test_pullback_set_is_not_convex(self, params):
         # two full-thrust inputs with the same roll sign both pull back into
@@ -173,7 +179,7 @@ class TestSubsetOfPullbackSet:
             ub = PhysicalInput(params.t_max, params.phi_max, -params.theta_max)
             va = accel(ua, psi, params.g)
             vb = accel(ub, psi, params.g)
-            assert in_U(to_physical(va, psi, params.g), params, tol=1e-9)
-            assert in_U(to_physical(vb, psi, params.g), params, tol=1e-9)
+            assert in_U_within(to_physical(va, psi, params.g), params, 1e-9)
+            assert in_U_within(to_physical(vb, psi, params.g), params, 1e-9)
             mid = 0.5 * (va + vb)
-            assert not in_U(to_physical(mid, psi, params.g), params, tol=1e-9)
+            assert not in_U_within(to_physical(mid, psi, params.g), params, 1e-9)

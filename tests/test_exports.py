@@ -36,6 +36,6 @@ def test_no_name_lost():
     assert len(EXPORTED_BEFORE) == 34
     assert EXPORTED_BEFORE <= set(flatsat.__all__)
     assert set(flatsat.__all__) - EXPORTED_BEFORE == {
-        "DEFAULT_TOL", "CSV_COLUMNS", "RunMetrics", "CERT_FORMAT",
+        "CSV_COLUMNS", "RunMetrics", "CERT_FORMAT",
     }
     assert "kvformat" not in flatsat.__all__

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,24 +14,29 @@ from flatsat import (
     ConstraintParams,
     DomainError,
     SaturationResult,
+    in_U,
     in_Vc,
     saturate,
     saturate_batch,
     saturate_oracle,
     to_physical,
 )
+from flatsat.saturation import _backoff
 
 from conftest import residual_active
 
 G = 9.81
 PARAMS = ConstraintParams()
+# the factor that both kernels apply to the smaller exit
+BACKOFF = _backoff(PARAMS, PARAMS.t2_max - G * G)
 
 
 def fuzz_commands(rng, n):
     """Random commands spread over all three saturation regimes.
 
-    Exactly vertical rays are included deliberately: the half-space facet of
-    the command set is the single apex point, so only those rays activate it.
+    Exactly vertical rays are included deliberately: a downward one leaves
+    the cone exactly at the apex, so its output sits on the axis just above
+    it.
     """
     out = []
     while len(out) < n:
@@ -93,10 +99,13 @@ class TestSaturate:
         assert not res.saturated and res.lam == 1.0
 
     def test_halfspace_exit(self):
+        # the downward vertical ray leaves the cone at the apex, exit factor
+        # exactly 1/2; the backoff puts the output just above the apex
         res = saturate((0.0, 0.0, -2 * G), PARAMS)
-        assert res.lam == pytest.approx(0.5, abs=1e-15)
+        assert res.lam == 0.5 * BACKOFF
         assert np.allclose(res.v_out, [0.0, 0.0, -G])
-        assert res.active is ActiveConstraint.HALFSPACE
+        assert 0.0 < res.v_out[2] + G < 1e-13
+        assert res.active is ActiveConstraint.CONE
         assert in_Vc(res.v_out, PARAMS)
 
     def test_ball_exit(self):
@@ -130,13 +139,12 @@ class TestSaturate:
         assert res.active is ActiveConstraint.CONE
 
     def test_active_matches_residual_oracle(self):
-        # away from the apex, whose neighbourhood (|w3 + g| up to about
-        # 3e-5) is classified as the half-space by the apex test
+        # near-apex outputs included: they are on the cone
         v = fuzz_batch(np.random.default_rng(31), 70_000)
         n = 0
         for row in v:
             res = saturate(row, PARAMS)
-            if res.saturated and res.v_out[2] + G > 1e-4:
+            if res.saturated:
                 assert res.active is residual_active(res.v_out, PARAMS), row
                 n += 1
         assert n > 40_000
@@ -153,7 +161,6 @@ class TestSaturate:
             rel = {
                 ActiveConstraint.BALL: abs(h2 + c * c - PARAMS.t2_max) / PARAMS.t2_max,
                 ActiveConstraint.CONE: abs(h2 - c * c * PARAMS.tan2_eps) / PARAMS.t2_max,
-                ActiveConstraint.HALFSPACE: abs(c) / G,
             }
             assert min(rel.values()) <= 1e-6
             assert rel[res.active] <= 1e-6
@@ -229,19 +236,18 @@ class TestSaturateBatch:
         np.testing.assert_array_equal(bits(v_out), bits([r.v_out for r in ref]))
         np.testing.assert_array_equal(saturated, [r.saturated for r in ref])
         # every regime is present: saturated and feasible rows, zero rows,
-        # and the cone apex, reached by vertical and apex-grazing rays
+        # and outputs just above the cone apex, from vertical and
+        # apex-grazing rays
         assert 0.5 < saturated.mean() < 0.95
         assert np.count_nonzero(~v.any(axis=1)) > 1000
-        assert any(r.active is ActiveConstraint.HALFSPACE for r in ref)
+        assert np.count_nonzero(v_out[:, 2] + G < 1e-12) > 1000
 
     def test_matches_oracle(self):
-        # every row, those whose output is the cone apex included
+        # every row, those whose output is just above the cone apex included
         v = fuzz_batch(np.random.default_rng(9), 10_000)
-        _, lam, _ = saturate_batch(v, PARAMS)
+        w, lam, _ = saturate_batch(v, PARAMS)
         oracle = np.array([saturate_oracle(row, PARAMS) for row in v])
-        at_apex = np.array(
-            [saturate(row, PARAMS).active is ActiveConstraint.HALFSPACE for row in v]
-        )
+        at_apex = w[:, 2] + G < 1e-12
         assert 0 < np.count_nonzero(at_apex) < len(v)
         assert np.max(np.abs(lam - oracle)) <= 1e-8
 
@@ -288,22 +294,106 @@ def exact_factor(row, p):
 
 class TestExactness:
     def test_batch_factor_matches_exact_factor(self):
+        # the exact factor times the backoff, to 1e-15 relative either side
         rng = np.random.default_rng(41)
         v = np.vstack([fuzz_batch(rng, 7000), grazing_rays(rng, 2000, 1e-18, 1e-4)])
         _, lam, saturated = saturate_batch(v, PARAMS)
         assert np.count_nonzero(saturated) > 6000
+        backoff = mpmath.mpf(BACKOFF)
         for row, got in zip(v[saturated], lam[saturated]):
-            want = exact_factor(row, PARAMS)
+            want = exact_factor(row, PARAMS) * backoff
             assert abs(mpmath.mpf(float(got)) - want) <= 1e-15 * want, row
 
     def test_grazing_rays_land_above_the_apex(self):
-        # only rays vertical to within rounding may land on or below it
-        v = grazing_rays(np.random.default_rng(43), 5000, 1e-15, 1e-4)
+        # every downward ray, exactly vertical ones included
+        rng = np.random.default_rng(43)
+        v = grazing_rays(rng, 5000, 1e-18, 1e-4)
+        v[:1000, :2] = 0.0
+        v[1000:1100, 0] = 7.5e-17 * -v[1000:1100, 2]
+        v[1000:1100, 1] = 0.0
         w, _, saturated = saturate_batch(v, PARAMS)
         assert saturated.all()
         assert np.all(w[:, 2] + G > 0.0)
         for row in w:
-            to_physical(row, 0.0, G)
+            assert in_U(to_physical(row, 0.0, G), PARAMS)
+
+
+def step_ulps(x, k):
+    """``x`` moved ``k`` floats up (``k > 0``) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def hard_commands(draw):
+    """One command from the rows where rounding decides membership: within
+    6 floats of the ball, the cone or the half-space boundary, two
+    near-apex commands with a tilt of about 90 degrees that a slack of 1e-9
+    in the cone clause lets through, the apex and the vertical ray through
+    it, downward rays grazing the apex (horizontal part 0 to 1e-4 of the
+    vertical one), and rays of any norm up to the overflow limit of the
+    squared norm (about 1.3e154)."""
+    kind = draw(st.sampled_from(["ball", "cone", "halfspace", "fixed", "grazing", "far"]))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    if kind == "fixed":
+        return draw(st.sampled_from(
+            [(3e-5, 0.0, -G + 1e-8), (2e-5, 2e-5, -G + 1e-7), (0.0, 0.0, -G),
+             (0.0, 0.0, -2 * G)]
+        ))
+    if kind == "grazing":
+        v3 = -(10.0 ** draw(st.floats(math.log10(1.01 * G), 154.1)))
+        ratio = draw(st.one_of(
+            st.sampled_from([0.0, 7.5e-17]), st.floats(-18.0, -4.0).map(lambda e: 10.0**e)
+        ))
+        h = -v3 * ratio
+        return (h * math.cos(phi), h * math.sin(phi), v3)
+    if kind == "far":
+        d = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        norm = float(np.linalg.norm(d))
+        if norm == 0.0:
+            return (0.0, 0.0, 0.0)
+        d *= 10.0 ** draw(st.floats(-3.0, 154.1)) / norm
+        return tuple(d.tolist())
+    p = PARAMS
+    if kind == "ball":
+        theta = draw(st.floats(0.0, p.eps_max))
+        t = p.t_max * math.sin(theta)
+        point = (t * math.cos(phi), t * math.sin(phi), p.t_max * math.cos(theta) - G)
+    elif kind == "cone":
+        c = draw(st.floats(1e-12, p.t_max * math.cos(p.eps_max)))
+        point = (c * p.tan_eps * math.cos(phi), c * p.tan_eps * math.sin(phi), c - G)
+    else:
+        h = draw(st.floats(0.0, 1e-6))
+        point = (h * math.cos(phi), h * math.sin(phi), -G)
+    steps = draw(st.tuples(*[st.integers(-6, 6)] * 3))
+    return tuple(step_ulps(x, k) for x, k in zip(point, steps))
+
+
+def exact_member(w, p):
+    """Membership of the float command ``w`` in the command set of the
+    stored parameters ``g``, ``t2_max`` and ``tan2_eps``, in exact rational
+    arithmetic."""
+    g, t2_max, tan2_eps = Fraction(p.g), Fraction(p.t2_max), Fraction(p.tan2_eps)
+    w1, w2, w3 = (Fraction(float(x)) for x in w)
+    c = w3 + g
+    h2 = w1 * w1 + w2 * w2
+    return c > 0 and h2 + c * c <= t2_max and h2 <= c * c * tan2_eps
+
+
+class TestExactMembership:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(hard_commands(), min_size=1, max_size=30))
+    def test_every_output_is_an_exact_member(self, rows):
+        v = np.array(rows)
+        w, lam, saturated = saturate_batch(v, PARAMS)
+        for row, wb, lb, sb in zip(v, w, lam, saturated):
+            res = saturate(row, PARAMS)
+            np.testing.assert_array_equal(bits(res.v_out), bits(wb))
+            assert bits(res.lam) == bits(lb) and res.saturated == sb
+            assert exact_member(res.v_out, PARAMS), (row, res)
+            for psi in (0.0, 0.7, -2.3):
+                assert in_U(to_physical(res.v_out, psi, G), PARAMS), (row, res, psi)
 
 
 class TestOracle:
