@@ -40,6 +40,34 @@ __all__ = [
 # a clause is a normal number.
 _INSIDE = 1.0 - 8 * 2.0**-53
 
+# The saturation's backoff 1 - kappa u, bounds first order in u as above,
+# in the notation of the exit formulas in the saturation module docstring
+# (k = t2_max - g^2, the ball exit lam_b and the cone exit lam_c). Let lam
+# be the backed-off factor, q = lam v exactly, w the rounded output,
+# tau = sqrt(tan2_eps) (the kernels' tan_eps is within u of it),
+# R = t2_max/k and Q = t_max/g. Rounding q to w moves the ball
+# sum by at most 4u t2_max and the cone slack c tau - |w_h| by at most
+# u (8.5c + |q3|) tau, so w passes the membership test when q has
+# 17u t2_max of ball slack and 9.5u t_max tau of cone slack.
+# - Ball. The ball slack k - a l^2 - 2 beta l of l v is concave in l, k at
+#   0 and 0 at the exact exit lam_b, so it is at least k (1 - l/lam_b).
+#   The computed lam_b is within (15 + 1.5R)u of lam_b: h2, a, beta, k, r,
+#   q^2 and s carry 2, 3, 1, R, 2.5, 10 and 10 + R/2 units of u, either
+#   branch adds at most 5 + R more, and the backoff's product and its own
+#   rounding add 1.5. So kappa >= 16.5 + 18.5R gives the ball slack.
+# - Cone. The cone slack g tau - l den of l v is linear in l, g tau at 0
+#   and 0 at the exact exit lam_c. The computed den is within
+#   u (2|v_h| + 2|v3| tau + den) of the exact one; times lam, at an output
+#   inside both sets (c <= t_max, |q3| < t_max), that is at most
+#   u (4 t_max - g) tau, and the products, the division and the backoff
+#   add 4.5u of g tau. So kappa >= 3.5 + 13.5Q gives the cone slack. The
+#   output is inside the cone: where the cone exit binds, the same terms
+#   put the computed lam_c within (2 + 4Q)u of lam_c.
+# kappa = 20 (R + Q) covers both, as R > 1 and Q > 1, with room left for
+# the O(u^2) terms; it is 67 for the default limits. A command that fails
+# the membership test has less slack than an output needs, so its
+# backed-off factor is below 1. ConstraintParams.backoff holds it.
+
 
 @dataclass(frozen=True)
 class ConstraintParams:
@@ -55,6 +83,12 @@ class ConstraintParams:
     The tilt bound ``eps_max`` is the smaller of the two angle limits.
     Defaults are the desk-scale nano-drone values used throughout the test
     suite: g = 9.81, t_max = 1.45 g, both angles 10 degrees.
+
+    The remaining fields are derived once, here, for the per-sample
+    kernels: ``t2_max_inside`` and ``tan2_eps_inside``, the ball and cone
+    bounds of the membership test times its margin; ``k = t2_max - g^2``;
+    ``backoff``, the saturation's factor ``1 - kappa 2^-53`` (derivation
+    above); and ``g_tan_eps``, the numerator of the cone exit.
     """
 
     g: float = 9.81
@@ -65,6 +99,11 @@ class ConstraintParams:
     tan_eps: float = field(init=False)
     tan2_eps: float = field(init=False)
     t2_max: float = field(init=False)
+    t2_max_inside: float = field(init=False, repr=False)
+    tan2_eps_inside: float = field(init=False, repr=False)
+    k: float = field(init=False, repr=False)
+    backoff: float = field(init=False, repr=False)
+    g_tan_eps: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not all(
@@ -82,10 +121,21 @@ class ConstraintParams:
             if not 0.0 < a < math.pi / 2:
                 raise ValueError(f"{name} must lie in (0, pi/2), got {a}")
         eps = min(self.theta_max, self.phi_max)
-        object.__setattr__(self, "eps_max", eps)
-        object.__setattr__(self, "tan_eps", math.tan(eps))
-        object.__setattr__(self, "tan2_eps", math.tan(eps) ** 2)
-        object.__setattr__(self, "t2_max", self.t_max * self.t_max)
+        tan_eps = math.tan(eps)
+        tan2_eps = tan_eps**2
+        t2_max = self.t_max * self.t_max
+        k = t2_max - self.g * self.g
+        derived = dict(
+            eps_max=eps, tan_eps=tan_eps, tan2_eps=tan2_eps, t2_max=t2_max,
+            t2_max_inside=t2_max * _INSIDE, tan2_eps_inside=tan2_eps * _INSIDE, k=k,
+            backoff=1.0 - 20 * 2.0**-53 * (t2_max / k + self.t_max / self.g),
+            g_tan_eps=self.g * tan_eps,
+        )
+        # object.__setattr__, not self.__dict__.update: touching __dict__
+        # makes every later attribute read slower, and the kernels read
+        # these fields on every sample
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def in_U(u: PhysicalInput, p: ConstraintParams) -> bool:
@@ -128,8 +178,8 @@ def _vc_clauses(v1, v2, v3, p: ConstraintParams):
     h2 = v1 * v1 + v2 * v2
     cc = c * c
     return (
-        (h2 + cc <= p.t2_max * _INSIDE)
-        & (h2 <= cc * (p.tan2_eps * _INSIDE))
+        (h2 + cc <= p.t2_max_inside)
+        & (h2 <= cc * p.tan2_eps_inside)
         & (c > 0.0)
     )
 

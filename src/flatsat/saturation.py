@@ -19,10 +19,12 @@ binds. With ``h2 = v1^2 + v2^2``, ``a = h2 + v3^2``, ``beta = g v3``,
 
 The smaller exit times one backoff, derived from the rounding errors of
 these formulas, passes the membership test, so every output is an exact
-member, strictly above the apex. The control loop runs no solver and no
-search. :func:`saturate` is the
-per-sample real-time path, a thin wrapper over the float kernel that the
-closed loop calls directly; :func:`saturate_batch` applies the same
+member, strictly above the apex. The backoff is ``ConstraintParams.backoff``,
+derived once per set of limits; its derivation sits beside the membership
+margin in ``constraint_sets``, the other half of the same rounding
+analysis. The control loop runs no solver and no search. :func:`saturate`
+is the per-sample real-time path, a thin wrapper over the float kernel that
+the closed loop calls directly; :func:`saturate_batch` applies the same
 arithmetic to many commands at once for offline checks. A bisection oracle
 is provided purely for cross-checking.
 """
@@ -53,6 +55,10 @@ class ActiveConstraint(enum.Enum):
     NONE = "none"
     BALL = "ball"
     CONE = "cone"
+
+
+# bound once: reading an enum member through its class is slow per sample
+_NONE, _BALL, _CONE = ActiveConstraint.NONE, ActiveConstraint.BALL, ActiveConstraint.CONE
 
 
 class SaturationResult(NamedTuple):
@@ -88,11 +94,11 @@ def _saturate_floats(v1: float, v2: float, v3: float, p: ConstraintParams):
     """:func:`saturate` on plain floats, the per-sample kernel of the
     closed loop; returns ``(w1, w2, w3, lam, saturated, active)``."""
     if _vc_clauses(v1, v2, v3, p):
-        return v1, v2, v3, 1.0, False, ActiveConstraint.NONE
+        return v1, v2, v3, 1.0, False, _NONE
     h2 = v1 * v1 + v2 * v2
     a = h2 + v3 * v3
     beta = p.g * v3
-    k = p.t2_max - p.g * p.g
+    k = p.k
     # s = sqrt(beta^2 + a k), scaled by |v| so that it overflows only when
     # the squared norm a does
     r = math.sqrt(a)
@@ -100,43 +106,13 @@ def _saturate_floats(v1: float, v2: float, v3: float, p: ConstraintParams):
     s = r * math.sqrt(q * q + k)
     lam_b = k / (beta + s) if beta >= 0.0 else (s - beta) / a
     den = math.sqrt(h2) - v3 * p.tan_eps
-    lam_c = p.g * p.tan_eps / den if den > 0.0 else math.inf
+    lam_c = p.g_tan_eps / den if den > 0.0 else math.inf
     # written so that a NaN ball exit survives: min(lam_c, nan) drops it
-    lam = (lam_c if lam_c < lam_b else lam_b) * _backoff(p, k)
+    lam = (lam_c if lam_c < lam_b else lam_b) * p.backoff
     if not 0.0 < lam <= 1.0:
         raise DomainError(f"no feasible pullback factor for {(v1, v2, v3)!r}")
-    active = ActiveConstraint.BALL if lam_b <= lam_c else ActiveConstraint.CONE
+    active = _BALL if lam_b <= lam_c else _CONE
     return lam * v1, lam * v2, lam * v3, lam, True, active
-
-
-# The backoff 1 - kappa u, u = 2^-53, bounds first order in u as in
-# constraint_sets. Let lam be the backed-off factor, q = lam v exactly, w
-# the rounded output, tau = sqrt(tan2_eps) (the kernels' tan_eps is within
-# u of it), R = t2_max/k and Q = t_max/g. Rounding q to w moves the ball
-# sum by at most 4u t2_max and the cone slack c tau - |w_h| by at most
-# u (8.5c + |q3|) tau, so w passes the membership test when q has
-# 17u t2_max of ball slack and 9.5u t_max tau of cone slack.
-# - Ball. The ball slack k - a l^2 - 2 beta l of l v is concave in l, k at
-#   0 and 0 at the exact exit lam_b, so it is at least k (1 - l/lam_b).
-#   The computed lam_b is within (15 + 1.5R)u of lam_b: h2, a, beta, k, r,
-#   q^2 and s carry 2, 3, 1, R, 2.5, 10 and 10 + R/2 units of u, either
-#   branch adds at most 5 + R more, and the backoff's product and its own
-#   rounding add 1.5. So kappa >= 16.5 + 18.5R gives the ball slack.
-# - Cone. The cone slack g tau - l den of l v is linear in l, g tau at 0
-#   and 0 at the exact exit lam_c. The computed den is within
-#   u (2|v_h| + 2|v3| tau + den) of the exact one; times lam, at an output
-#   inside both sets (c <= t_max, |q3| < t_max), that is at most
-#   u (4 t_max - g) tau, and the products, the division and the backoff
-#   add 4.5u of g tau. So kappa >= 3.5 + 13.5Q gives the cone slack. The
-#   output is inside the cone: where the cone exit binds, the same terms
-#   put the computed lam_c within (2 + 4Q)u of lam_c.
-# kappa = 20 (R + Q) covers both, as R > 1 and Q > 1, with room left for
-# the O(u^2) terms; it is 67 for the default limits. A command that fails
-# the membership test has less slack than an output needs, so its
-# backed-off factor is below 1.
-def _backoff(p: ConstraintParams, k: float) -> float:
-    """1 - kappa u for the limits ``p``, with ``k = t2_max - g^2``."""
-    return 1.0 - 20 * 2.0**-53 * (p.t2_max / k + p.t_max / p.g)
 
 
 def saturate_batch(v, p: ConstraintParams):
@@ -158,14 +134,14 @@ def saturate_batch(v, p: ConstraintParams):
         h2 = v1 * v1 + v2 * v2
         a = h2 + v3 * v3
         beta = p.g * v3
-        k = p.t2_max - p.g * p.g
+        k = p.k
         r = np.sqrt(a)
         q = beta / r
         s = r * np.sqrt(q * q + k)
         lam_b = np.where(beta >= 0.0, k / (beta + s), (s - beta) / a)
         den = np.sqrt(h2) - v3 * p.tan_eps
-        lam_c = np.where(den > 0.0, p.g * p.tan_eps / den, np.inf)
-        lam = np.where(feasible, 1.0, np.minimum(lam_b, lam_c) * _backoff(p, k))
+        lam_c = np.where(den > 0.0, p.g_tan_eps / den, np.inf)
+        lam = np.where(feasible, 1.0, np.minimum(lam_b, lam_c) * p.backoff)
     stuck = np.flatnonzero(~((0.0 < lam) & (lam <= 1.0)))
     if stuck.size:
         i = stuck[0]

@@ -9,8 +9,10 @@ step is the closed-form double-integrator update; tests assert the loop
 equals the linear system.
 
 :func:`run` first samples every signal that the state does not affect over
-the whole time grid: the reference state, the feedforward acceleration and
-the yaw (each reference takes a float or an array of times). Its per-sample
+the whole time grid: the reference state, the feedforward acceleration (each
+reference takes a float or an array of times) and the yaw's cosine and sine,
+taken once for a constant yaw. A yaw that fails its check still aborts the
+run at its own sample, after that sample's control law. The per-sample
 loop then keeps only the feedback path, on plain Python floats: it calls the
 float kernels behind the public functions (the raw law and saturation of
 :func:`control_law`, the input map and acceleration of
@@ -358,6 +360,34 @@ def _on_grid(signal: Callable, tgrid: np.ndarray, width: int, name: str) -> np.n
     return values
 
 
+class _RejectedYaw:
+    """Stands in for the cosine and sine of a yaw that failed its check:
+    unpacking it raises the check's DomainError, so the run aborts at the
+    yaw's own sample, after that sample's control law."""
+
+    def __init__(self, error: DomainError):
+        self.error = error
+
+    def __iter__(self):
+        raise self.error
+
+
+def _yaw_on_grid(scenario: Scenario, times: list, g: float) -> list:
+    """The yaw's ``(cos, sin)`` at each grid time, for the loop to zip with
+    the other signals. A constant yaw is checked once; a callable one is
+    called once per grid time and no further than the first value that
+    fails the check, which becomes a :class:`_RejectedYaw`."""
+    varying = callable(scenario.psi)
+    yaws = []
+    for t in times if varying else times[:1]:
+        try:
+            yaws.append(_yaw_trig(scenario.psi_at(t), g))
+        except DomainError as exc:
+            yaws.append(_RejectedYaw(exc))
+            break
+    return yaws if varying else yaws * len(times)
+
+
 def run(scenario: Scenario) -> Trace:
     """Execute a scenario on the fixed grid t_k = k dt, k = 0..n.
 
@@ -372,15 +402,18 @@ def run(scenario: Scenario) -> Trace:
 
     Nothing that the state does not affect is evaluated per sample: the
     reference state, the feedforward acceleration (only when
-    ``feedforward`` is on) and the yaw are sampled once over the whole
-    grid before the loop. ``reference.state`` and ``reference.accel`` are
-    each called once, on the array of grid times, and must return shape
-    ``(n+1, 6)`` and ``(n+1, 3)``; another shape (as from a reference that
-    takes only scalar times) raises ValueError. The per-sample loop then
-    holds only the feedback path, on plain floats: the control law of
-    :func:`control_law`, the yaw check with its cosine and sine (so a bad
-    yaw aborts at its own sample), the input map ``to_physical``, ``accel``
-    and the exact hold update. ``ctrl_time`` times the error, the raw law,
+    ``feedforward`` is on) and the yaw's cosine and sine are sampled once
+    over the whole grid before the loop. ``reference.state`` and
+    ``reference.accel`` are each called once, on the array of grid times,
+    and must return shape ``(n+1, 6)`` and ``(n+1, 3)``; another shape (as
+    from a reference that takes only scalar times) raises ValueError. A
+    constant yaw is checked once; a callable one is called once per grid
+    time and no further than its first non-finite value, whose sample
+    still aborts after its own control law, so a NaN reference there wins
+    the message. The per-sample loop then holds only the feedback path, on
+    plain floats: the control law of :func:`control_law`, the input map
+    ``to_physical`` at the sample's yaw, ``accel`` and the exact hold
+    update. ``ctrl_time`` times the error, the raw law,
     the feedforward and the saturation of each sample. Everything that only
     observes the run (the Lyapunov value, the ``in_Vc``/``in_U`` and
     ellipsoid monitors, their violation messages and ``in_u``) is computed
@@ -405,7 +438,7 @@ def run(scenario: Scenario) -> Trace:
         ffs = _on_grid(scenario.reference.accel, tgrid, 3, "accel").tolist()
     else:
         ffs = [None] * (n + 1)
-    psis = [scenario.psi_at(t) for t in times]
+    yaws = _yaw_on_grid(scenario, times, g)
     rows = bytearray()
     acts: list[ActiveConstraint] = []
 
@@ -456,21 +489,19 @@ def run(scenario: Scenario) -> Trace:
         )
 
     x, y, z, xd, yd, zd = scenario.initial_state.tolist()
-    for k, (t, (q1, q2, q3, q4, q5, q6), ff, psi) in enumerate(
-        zip(times, refs.tolist(), ffs, psis)
-    ):
+    for k, ((q1, q2, q3, q4, q5, q6), ff, yaw) in enumerate(zip(refs.tolist(), ffs, yaws)):
         tic = clock()
         try:
             r1, r2, r3, (w1, w2, w3, lam, saturated, act) = _control_floats(
                 x - q1, y - q2, z - q3, xd - q4, yd - q5, zd - q6, ff, gamma, p2, p3, p
             )
             ctrl = clock() - tic
-            cpsi, spsi = _yaw_trig(psi, g)
+            cpsi, spsi = yaw
             thrust, roll, pitch = _to_physical_floats(w1, w2, w3, cpsi, spsi, g)
         except DomainError as exc:
             xi = np.array([x, y, z, xd, yd, zd])
             raise SimulationAborted(
-                f"sample at t={t} rejected, state {xi}, reference {refs[k]}: {exc}",
+                f"sample at t={times[k]} rejected, state {xi}, reference {refs[k]}: {exc}",
                 partial(k),
             ) from exc
 

@@ -26,7 +26,6 @@ from flatsat.cli import (
     main,
 )
 from flatsat.kvformat import parse_kv
-from flatsat.saturation import _backoff
 from flatsat.synthesis import (
     DEFAULT_MARGIN,
     load_certificate,
@@ -168,8 +167,7 @@ class TestSaturate:
         rc = main(["saturate", "0", "0", "-19.62"])
         assert rc == EXIT_OK
         out = parse_kv(capsys.readouterr().out)
-        params = ConstraintParams()
-        assert float(out["lambda"]) == 0.5 * _backoff(params, params.t2_max - 9.81 * 9.81)
+        assert float(out["lambda"]) == 0.5 * ConstraintParams().backoff
         assert out["active"] == "cone"
 
     def test_unsaturated(self, capsys):

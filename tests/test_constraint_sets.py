@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,59 @@ class TestConstraintParams:
     def test_eps_max_is_smaller_angle(self):
         p = ConstraintParams(phi_max=0.3, theta_max=0.2)
         assert p.eps_max == 0.2
+
+    # the default limits and the stress sets of the backoff derivation
+    STRESS_SETS = [
+        {},
+        {"t_max": 1.0001 * G},
+        {"t_max": 1.01 * G},
+        {"t_max": 5 * G},
+        {"t_max": 50 * G},
+        {"phi_max": math.radians(1), "theta_max": math.radians(1)},
+        {"phi_max": math.radians(45), "theta_max": math.radians(45)},
+        {"phi_max": math.radians(85), "theta_max": math.radians(85)},
+        {"g": 1e-3, "t_max": 1.45e-3},
+    ]
+
+    @staticmethod
+    def assert_derived_fields(p):
+        # each derived field bitwise equal to its formula, evaluated in the
+        # order that the kernels used before the fields existed
+        inside = 1.0 - 8 * 2.0**-53
+        k = p.t2_max - p.g * p.g
+        want = {
+            "eps_max": min(p.theta_max, p.phi_max),
+            "tan_eps": math.tan(min(p.theta_max, p.phi_max)),
+            "tan2_eps": math.tan(min(p.theta_max, p.phi_max)) ** 2,
+            "t2_max": p.t_max * p.t_max,
+            "t2_max_inside": p.t2_max * inside,
+            "tan2_eps_inside": p.tan2_eps * inside,
+            "k": k,
+            "backoff": 1.0 - 20 * 2.0**-53 * (p.t2_max / k + p.t_max / p.g),
+            "g_tan_eps": p.g * p.tan_eps,
+        }
+        got = {name: getattr(p, name) for name in want}
+        assert {n: v.hex() for n, v in got.items()} == {n: v.hex() for n, v in want.items()}
+
+    @pytest.mark.parametrize("limits", STRESS_SETS, ids=[
+        "defaults", "t_max_1.0001g", "t_max_1.01g", "t_max_5g", "t_max_50g",
+        "eps_1deg", "eps_45deg", "eps_85deg", "g_1e-3",
+    ])
+    def test_derived_fields_match_their_formulas(self, limits):
+        self.assert_derived_fields(ConstraintParams(**limits))
+
+    def test_replace_recomputes_derived_fields(self):
+        p = ConstraintParams()
+        for t_max in (1.01 * G, 5 * G):
+            q = replace(p, t_max=t_max)
+            self.assert_derived_fields(q)
+            assert q.k != p.k and q.backoff != p.backoff and q.t2_max_inside != p.t2_max_inside
+            assert q == ConstraintParams(t_max=t_max)
+
+    def test_derived_fields_left_out_of_init_and_repr(self):
+        with pytest.raises(TypeError):
+            ConstraintParams(backoff=1.0)
+        assert "backoff" not in repr(ConstraintParams())
 
 
 class TestMembership:

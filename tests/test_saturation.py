@@ -21,14 +21,12 @@ from flatsat import (
     saturate_oracle,
     to_physical,
 )
-from flatsat.saturation import _backoff
-
 from conftest import residual_active
 
 G = 9.81
 PARAMS = ConstraintParams()
 # the factor that both kernels apply to the smaller exit
-BACKOFF = _backoff(PARAMS, PARAMS.t2_max - G * G)
+BACKOFF = PARAMS.backoff
 
 
 def fuzz_commands(rng, n):

@@ -322,6 +322,46 @@ class TestExactHoldStep:
         assert calls["_to_physical_floats"] == n + 1
         assert calls["_accel_floats"] == n
 
+    def test_constant_yaw_checked_once_per_run(self, params, cert075, monkeypatch):
+        # a constant yaw has one cosine and sine, taken before the loop
+        import flatsat.simulation as simulation
+
+        calls = []
+        kernel = simulation._yaw_trig
+
+        def counting(psi, g):
+            calls.append(psi)
+            return kernel(psi, g)
+
+        monkeypatch.setattr(simulation, "_yaw_trig", counting)
+        for psi in (0.0, 0.3):
+            calls.clear()
+            sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0, psi=psi)
+            assert len(run(sc)) == 51
+            assert calls == [psi]
+
+    @pytest.mark.parametrize("bad_from", [None, 0.0, 0.5, 1.0])
+    def test_callable_yaw_called_up_to_its_first_bad_value(self, params, cert075, bad_from):
+        # once per grid time on a clean run; up to and including the first
+        # non-finite value otherwise, which aborts the run at that sample
+        times = []
+
+        def psi(t):
+            times.append(t)
+            return math.inf if bad_from is not None and t >= bad_from else 0.3
+
+        sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0, psi=psi)
+        n = 50
+        if bad_from is None:
+            assert len(run(sc)) == n + 1
+            assert len(times) == n + 1
+            return
+        k = round(bad_from / sc.dt)
+        with pytest.raises(SimulationAborted, match="yaw and gravity must be finite") as excinfo:
+            run(sc)
+        assert len(excinfo.value.trace) == k
+        assert len(times) == k + 1 and times[-1] == pytest.approx(bad_from)
+
 
 class TestRun:
     def test_invariance_and_monitors_small(self, params, cert075):
@@ -487,6 +527,30 @@ class TestRun:
         assert str(excinfo.value) == (
             f"sample at t=0.5 rejected, state {clean.xi[25]}, "
             f"reference {np.zeros(6)}: yaw and gravity must be finite"
+        )
+
+    @pytest.mark.parametrize("yaw", ["constant", "callable"])
+    def test_saturation_message_wins_over_a_bad_yaw(self, params, cert075, yaw):
+        # a sample with a NaN reference and an infinite yaw aborts on the
+        # control law, which comes first, so the message is the saturation's
+        start = 0.0 if yaw == "constant" else 0.5
+
+        class NanFrom(OriginReference):
+            def state(self, t):
+                return np.where(np.asarray(t)[..., None] >= start, math.nan, super().state(t))
+
+        psi = math.inf if yaw == "constant" else (lambda t: math.inf if t >= start else 0.3)
+        sc = replace(
+            origin_scenario(cert075, params, CANONICAL_X0, duration=1.0, psi=psi),
+            reference=NanFrom(),
+        )
+        with pytest.raises(SimulationAborted) as excinfo:
+            run(sc)
+        trace = excinfo.value.trace
+        assert len(trace) == round(start / sc.dt) and not trace.violations
+        assert str(excinfo.value).startswith(f"sample at t={start} rejected, state ")
+        assert str(excinfo.value).endswith(
+            f"reference {np.full(6, math.nan)}: no feasible pullback factor for (nan, nan, nan)"
         )
 
 
