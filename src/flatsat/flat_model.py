@@ -43,17 +43,13 @@ class PhysicalInput:
     pitch: float
 
     def __post_init__(self) -> None:
-        _check_physical(self.thrust, self.roll, self.pitch)
-
-
-def _check_physical(thrust: float, roll: float, pitch: float) -> None:
-    """The :class:`PhysicalInput` domain checks on plain floats."""
-    if not (math.isfinite(thrust) and math.isfinite(roll) and math.isfinite(pitch)):
-        raise DomainError("physical input must be finite")
-    if thrust < 0.0:
-        raise DomainError(f"thrust must be nonnegative, got {thrust}")
-    if abs(roll) > math.pi / 2 or abs(pitch) > math.pi / 2:
-        raise DomainError("roll/pitch must lie in [-pi/2, pi/2]")
+        thrust, roll, pitch = self.thrust, self.roll, self.pitch
+        if not (math.isfinite(thrust) and math.isfinite(roll) and math.isfinite(pitch)):
+            raise DomainError("physical input must be finite")
+        if thrust < 0.0:
+            raise DomainError(f"thrust must be nonnegative, got {thrust}")
+        if abs(roll) > math.pi / 2 or abs(pitch) > math.pi / 2:
+            raise DomainError("roll/pitch must lie in [-pi/2, pi/2]")
 
 
 def _three_floats(v):
@@ -114,20 +110,20 @@ def to_physical(v, psi: float, g: float) -> PhysicalInput:
     """
     v1, v2, v3 = _three_floats(v)
     cpsi, spsi = _yaw_trig(psi, g)
-    thrust, roll, pitch = _to_physical_floats(v1, v2, v3, cpsi, spsi, g)
-    return PhysicalInput(thrust, roll, pitch)
+    if not (math.isfinite(v1) and math.isfinite(v2) and math.isfinite(v3)):
+        raise DomainError("acceleration command must be finite")
+    if v3 + g <= 0.0:
+        raise DomainError(f"v3 must exceed -g, got v3={v3} with g={g}")
+    # PhysicalInput rejects the one failure left, a thrust that overflows
+    return PhysicalInput(*_to_physical_floats(v1, v2, v3, cpsi, spsi, g))
 
 
 def _to_physical_floats(v1: float, v2: float, v3: float, cpsi: float, spsi: float,
                         g: float):
     """:func:`to_physical` on plain floats at a yaw given by its cosine and
-    sine (``g`` finite), returning the tuple (thrust, roll, pitch) with
-    every :class:`PhysicalInput` check passed."""
-    if not (math.isfinite(v1) and math.isfinite(v2) and math.isfinite(v3)):
-        raise DomainError("acceleration command must be finite")
+    sine, returning (thrust, roll, pitch) unchecked: the caller passes a
+    finite ``v`` strictly above the apex, as every command set member is."""
     c = v3 + g
-    if c <= 0.0:
-        raise DomainError(f"v3 must exceed -g, got v3={v3} with g={g}")
     t = math.sqrt(v1 * v1 + v2 * v2 + c * c)
     a = v1 * cpsi + v2 * spsi
     b = v1 * spsi - v2 * cpsi
@@ -137,11 +133,8 @@ def _to_physical_floats(v1: float, v2: float, v3: float, cpsi: float, spsi: floa
     roll = math.atan2(b, math.hypot(a, c))
     # c > 0, so atan2 lands in (-pi/2, pi/2) and equals atan of the ratio
     pitch = math.atan2(a, c)
-    # of the PhysicalInput checks only thrust overflow can fail here: v is
-    # finite and |cpsi|, |spsi| <= 1, so a and b are finite or +-inf, never
-    # NaN; atan2 with a second argument >= c > 0 is then finite and within
-    # [-pi/2, pi/2], and t >= c > 0 is never NaN or negative
-    if t == math.inf:
-        raise DomainError("physical input must be finite")
+    # for finite v with c > 0 only the thrust can overflow: |cpsi|, |spsi| <= 1,
+    # so a and b are finite or +-inf, never NaN; atan2 with a second argument
+    # >= c > 0 is then finite and within [-pi/2, pi/2], and t >= c > 0
     return t, roll, pitch
 

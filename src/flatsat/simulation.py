@@ -43,7 +43,7 @@ from .flat_model import (
 )
 from .kvformat import format_rows
 from .saturation import ActiveConstraint, SaturationResult, _saturate_floats
-from .synthesis import EllipsoidCert, _raw_feedback
+from .synthesis import EllipsoidCert, _half_rate, _lyapunov, _raw_feedback
 
 __all__ = [
     "OriginReference",
@@ -294,20 +294,6 @@ def _control_floats(e1: float, e2: float, e3: float, d1: float, d2: float, d3: f
     return r1, r2, r3, _saturate_floats(r1, r2, r3, p)
 
 
-def _lyapunov(e, p1: float, p2: float, p3: float):
-    """Lyapunov value e' P e of the error ``e = (e1, e2, e3, d1, d2, d3)``
-    from the block scalars of P, on floats or row-wise on 1-D columns,
-    summed axis by axis: that order rounds less than grouping the terms by
-    block scalar."""
-    e1, e2, e3, d1, d2, d3 = e
-    q2 = 2.0 * p2
-    return (
-        (e1 * (p1 * e1 + q2 * d1) + p3 * d1 * d1)
-        + (e2 * (p1 * e2 + q2 * d2) + p3 * d2 * d2)
-        + (e3 * (p1 * e3 + q2 * d3) + p3 * d3 * d3)
-    )
-
-
 def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
                 feedforward_accel=None):
     """Saturated scaled gradient feedback on the tracking error
@@ -497,7 +483,6 @@ def run(scenario: Scenario) -> Trace:
             )
             ctrl = clock() - tic
             cpsi, spsi = yaw
-            thrust, roll, pitch = _to_physical_floats(w1, w2, w3, cpsi, spsi, g)
         except DomainError as exc:
             xi = np.array([x, y, z, xd, yd, zd])
             raise SimulationAborted(
@@ -505,6 +490,8 @@ def run(scenario: Scenario) -> Trace:
                 partial(k),
             ) from exc
 
+        # a command set member is finite and above the apex: no check needed
+        thrust, roll, pitch = _to_physical_floats(w1, w2, w3, cpsi, spsi, g)
         rows += pack(x, y, z, xd, yd, zd, r1, r2, r3, w1, w2, w3, thrust, roll, pitch,
                      lam, saturated, ctrl)
         acts.append(act)
@@ -529,6 +516,9 @@ class RunMetrics:
     smallest observed distances to each constraint boundary (negative means
     a violation); controller times are wall-clock seconds per call. Every
     field but the :attr:`WALL_CLOCK` ones depends only on the run's inputs.
+    ``max_decay_residual`` is the largest V' + alpha V over the samples, with
+    V' = 2 xi' P (d, v - reference.accel(t)) the exact rate of the error
+    xi = (e, d) under the held command v: <= 0 when every sample decays.
     """
 
     WALL_CLOCK = ("ctrl_time_mean", "ctrl_time_p99")
@@ -559,24 +549,22 @@ def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:
     """Summarize a completed trace (tracking error, decay residual,
     saturation duty cycle, controller timing, constraint margins).
 
-    The tracking error is read against the trace's own ``xi_ref``, so the
-    reference is not evaluated again. Raises ValueError on a trace with no
-    rows, such as the partial trace of a run aborted at its first sample."""
+    Reads the trace's own ``xi_ref``, and ``reference.accel`` once, on the
+    trace's times. Raises ValueError on a trace with no rows, such as the
+    partial trace of a run aborted at its first sample."""
     p = scenario.params
     tgrid = trace.t
-    n = len(tgrid)
-    if n == 0:
+    if len(tgrid) == 0:
         raise ValueError("the trace has no rows to summarize")
+    err = trace.xi - trace.xi_ref
     steady = tgrid >= 0.75 * tgrid[-1]
-    pos_err = np.linalg.norm(trace.xi[steady, :3] - trace.xi_ref[steady, :3], axis=1)
+    pos_err = np.linalg.norm(err[steady, :3], axis=1)
     rms = float(np.sqrt(np.mean(pos_err ** 2)))
 
-    alpha = scenario.cert.gain.alpha
-    if n >= 3:
-        vdot = (trace.lyapunov[2:] - trace.lyapunov[:-2]) / (2.0 * scenario.dt)
-        decay = float(np.max(vdot + alpha * trace.lyapunov[1:-1]))
-    else:
-        decay = -math.inf
+    gain = scenario.cert.gain
+    accel_err = trace.v - _on_grid(scenario.reference.accel, tgrid, 3, "accel")
+    rate = _half_rate(err[:, :3], err[:, 3:], accel_err, gain.p1, gain.p2, gain.p3)
+    decay = float(np.max(2.0 * rate + gain.alpha * trace.lyapunov))
 
     v1, v2, v3 = trace.v[:, 0], trace.v[:, 1], trace.v[:, 2]
     c = v3 + p.g

@@ -117,6 +117,31 @@ def _raw_feedback(e, d, gamma: float, p2: float, p3: float):
     return -gamma * (p2 * e + p3 * d)
 
 
+def _lyapunov(e, p1: float, p2: float, p3: float):
+    """Lyapunov value e' P e of the error ``e = (e1, e2, e3, d1, d2, d3)``
+    from the block scalars of P, on floats or row-wise on 1-D columns,
+    summed axis by axis: that order rounds less than grouping the terms by
+    block scalar."""
+    e1, e2, e3, d1, d2, d3 = e
+    q2 = 2.0 * p2
+    return (
+        (e1 * (p1 * e1 + q2 * d1) + p3 * d1 * d1)
+        + (e2 * (p1 * e2 + q2 * d2) + p3 * d2 * d2)
+        + (e3 * (p1 * e3 + q2 * d3) + p3 * d3 * d3)
+    )
+
+
+def _half_rate(e, d, a, p1: float, p2: float, p3: float) -> np.ndarray:
+    """Half the rate of V, xi' P (d, a), of each row of errors xi = (e, d)
+    moving along (d, a), from ``(N, 3)`` blocks ``e``, ``d`` and ``a``: the
+    one definition, shared by the verifier and the run metrics."""
+    return p1 * _row_dot(e, d) + p2 * (_row_dot(e, a) + _row_dot(d, d)) + p3 * _row_dot(d, a)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
 def _lambda_max_2x2(m11: Fraction, m12: Fraction, m22: Fraction) -> float:
     """Largest eigenvalue of the symmetric block [[m11, m12], [m12, m22]] of
     exact rationals, rounded to float (+-inf beyond its range). The root
@@ -282,11 +307,9 @@ def verify_cert(
     e, d = points[:, :3], points[:, 3:]
     w, lam, saturated = saturate_batch(_raw_feedback(e, d, gamma, p2, p3), p)
 
-    # the closed loop moves xi = (e, d) along (d, w); the block structure
-    # of P reduces xi' P (d, w) and xi' P xi to row dot products
-    ed, dd = _row_dot(e, d), _row_dot(d, d)
-    flow = p1 * ed + p2 * (_row_dot(e, w) + dd) + p3 * _row_dot(d, w)
-    vval = p1 * _row_dot(e, e) + 2.0 * p2 * ed + p3 * dd
+    # the closed loop moves xi = (e, d) along (d, w)
+    flow = _half_rate(e, d, w, p1, p2, p3)
+    vval = p1 * _row_dot(e, e) + 2.0 * p2 * _row_dot(e, d) + p3 * _row_dot(d, d)
     vdot_margin = 2.0 * flow + gain.alpha * vval
     gmargin = gamma * lam - 1.0
     violation = np.maximum(flow - INWARD_TOL, vdot_margin - DECAY_TOL)
@@ -306,10 +329,6 @@ def verify_cert(
         worst_gain_margin=float(gmargin[saturated].min(initial=math.inf)),
         worst_sample=worst if violation[worst] > 0.0 else -1,
     )
-
-
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
 
 
 def boundary_states(gain: GainMatrix, eps: float, n: int, seed: int = 0) -> np.ndarray:

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatsat import DomainError, PhysicalInput, accel, to_physical
-from flatsat.flat_model import _check_physical, _to_physical_floats
 
 from conftest import A_MATRIX, B_MATRIX, epsilon_angle, flat_dynamics
 
@@ -163,17 +162,19 @@ def test_flat_dynamics_matches_matrix_product():
         assert np.allclose(flat_dynamics(xi, v), want, atol=0.0)
 
 
-def checked_physical(v1, v2, v3, cpsi, spsi, g):
+def checked_physical(v, psi, g):
     """The input map's formulas followed by every :class:`PhysicalInput`
-    check: the oracle for the one overflow check the float kernel keeps."""
+    check: the oracle for the one overflow check that ``to_physical``
+    leaves to :class:`PhysicalInput`."""
+    v1, v2, v3 = v
+    cpsi, spsi = math.cos(psi), math.sin(psi)
     c = v3 + g
     t = math.sqrt(v1 * v1 + v2 * v2 + c * c)
     a = v1 * cpsi + v2 * spsi
     b = v1 * spsi - v2 * cpsi
     roll = math.atan2(b, math.hypot(a, c))
     pitch = math.atan2(a, c)
-    _check_physical(t, roll, pitch)
-    return t, roll, pitch
+    return PhysicalInput(t, roll, pitch)
 
 
 def outcome(f, *args):
@@ -195,6 +196,5 @@ def outcome(f, *args):
 @example(v1=-1e308, v2=1e308, v3=-G + 1e-15, psi=-3 * math.pi / 4)
 @example(v1=1e-300, v2=-1e308, v3=5e-324, psi=1e300)
 def test_float_input_map_raises_exactly_when_physical_check_does(v1, v2, v3, psi):
-    cpsi, spsi = math.cos(psi), math.sin(psi)
-    args = (v1, v2, v3, cpsi, spsi, G)
-    assert outcome(_to_physical_floats, *args) == outcome(checked_physical, *args)
+    args = ((v1, v2, v3), psi, G)
+    assert outcome(to_physical, *args) == outcome(checked_physical, *args)
