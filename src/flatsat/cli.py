@@ -93,7 +93,6 @@ class RunConfig:
     circle_center_y: float = CircularReference.center[1]
     circle_altitude: float = CircularReference.altitude
     circle_omega: float = CircularReference.omega
-    circle_velocity_mode: str = CircularReference.velocity_mode
     initial_state: tuple = (-3.77, -0.46, -3.60, 0.94, -0.24, 2.31)
     duration: float = 20.0
     dt: float = 0.02
@@ -120,7 +119,6 @@ class RunConfig:
                 center=(self.circle_center_x, self.circle_center_y),
                 altitude=self.circle_altitude,
                 omega=self.circle_omega,
-                velocity_mode=self.circle_velocity_mode,
             )
         raise ValueError(
             f"scenario must be origin|setpoint|circular, got {self.scenario!r}"

@@ -105,39 +105,25 @@ class SetpointReference:
 @dataclass(frozen=True)
 class CircularReference:
     """Horizontal circle at fixed altitude; ``t`` is a float or an array of
-    times.
-
-    ``velocity_mode`` selects how the reference velocity is formed: the
-    analytic derivative of the circle ("analytic", default) or zero
-    ("zero"), which reduces the tracking law to pure position feedback.
-    """
+    times. The velocity is the time derivative of the position and
+    :meth:`accel` that of the velocity."""
 
     radius: float = 0.5
     center: tuple[float, float] = (0.2, 0.0)
     altitude: float = 0.3
     omega: float = 0.3 * math.pi
-    velocity_mode: str = "analytic"
-
-    def __post_init__(self) -> None:
-        if self.velocity_mode not in ("analytic", "zero"):
-            raise ValueError(f"velocity_mode must be analytic|zero, got {self.velocity_mode!r}")
 
     def state(self, t) -> np.ndarray:
         wt = self.omega * np.asarray(t, dtype=float)
         c, s = np.cos(wt), np.sin(wt)
         zero = np.zeros_like(wt)
-        if self.velocity_mode == "analytic":
-            vx = -self.radius * self.omega * s
-            vy = self.radius * self.omega * c
-        else:
-            vx = vy = zero
         return np.stack(
             [
                 self.center[0] + self.radius * c,
                 self.center[1] + self.radius * s,
                 np.full_like(wt, self.altitude),
-                vx,
-                vy,
+                -self.radius * self.omega * s,
+                self.radius * self.omega * c,
                 zero,
             ],
             axis=-1,
@@ -550,8 +536,11 @@ def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:
     saturation duty cycle, controller timing, constraint margins).
 
     Reads the trace's own ``xi_ref``, and ``reference.accel`` once, on the
-    trace's times. Raises ValueError on a trace with no rows, such as the
-    partial trace of a run aborted at its first sample."""
+    trace's times. The decay residual takes the error's rate as
+    (d, v - accel): exact for a reference whose velocity is the derivative
+    of its position, as every built-in one's is. Raises ValueError on a
+    trace with no rows, such as the partial trace of a run aborted at its
+    first sample."""
     p = scenario.params
     tgrid = trace.t
     if len(tgrid) == 0:

@@ -121,7 +121,8 @@ def _lyapunov(e, p1: float, p2: float, p3: float):
     """Lyapunov value e' P e of the error ``e = (e1, e2, e3, d1, d2, d3)``
     from the block scalars of P, on floats or row-wise on 1-D columns,
     summed axis by axis: that order rounds less than grouping the terms by
-    block scalar."""
+    block scalar. The one formula for V, shared by the closed loop and the
+    verifier."""
     e1, e2, e3, d1, d2, d3 = e
     q2 = 2.0 * p2
     return (
@@ -295,6 +296,8 @@ def verify_cert(
     three conditions are evaluated per point: the vector field points inward
     (boundary invariance), the Lyapunov derivative respects the decay rate,
     and, when the command saturates, the scaled pullback factor stays >= 1.
+    V and its rate are :func:`_lyapunov` and :func:`_half_rate`, the
+    formulas of the closed loop's trace and run metrics.
     Failures are counted and the worst margins reported; ``worst_sample`` is
     the first point of largest positive violation, or -1 if none violates.
     Nothing is raised, so negative controls can inspect the report.
@@ -309,8 +312,7 @@ def verify_cert(
 
     # the closed loop moves xi = (e, d) along (d, w)
     flow = _half_rate(e, d, w, p1, p2, p3)
-    vval = p1 * _row_dot(e, e) + 2.0 * p2 * _row_dot(e, d) + p3 * _row_dot(d, d)
-    vdot_margin = 2.0 * flow + gain.alpha * vval
+    vdot_margin = 2.0 * flow + gain.alpha * _lyapunov(points.T, p1, p2, p3)
     gmargin = gamma * lam - 1.0
     violation = np.maximum(flow - INWARD_TOL, vdot_margin - DECAY_TOL)
     violation = np.where(
@@ -418,7 +420,7 @@ def load_certificate(path):
     if v.format != CERT_FORMAT:
         raise ValueError(f"unsupported certificate format {v.format!r}")
     p = ConstraintParams(g=v.g, t_max=v.t_max, phi_max=v.phi_max, theta_max=v.theta_max)
-    if abs(p.eps_max - v.eps_max) > 1e-12:
+    if not abs(p.eps_max - v.eps_max) <= 1e-12:
         raise ValueError(f"stored eps_max {v.eps_max} inconsistent with angle limits")
     gain = GainMatrix(p1=v.p1, p2=v.p2, p3=v.p3, alpha=v.alpha)
     cert = EllipsoidCert(gain=gain, rho=v.rho, eps=v.eps, gamma=v.gamma)

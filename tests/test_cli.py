@@ -80,6 +80,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="tmax"):
             load_config(path)
 
+    def test_circle_velocity_mode_is_not_a_key(self, tmp_path, capsys):
+        # the circle's velocity is always the derivative of its position
+        path = write_config(tmp_path / "c.txt", scenario="circular", circle_velocity_mode="zero")
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: unknown config keys: circle_velocity_mode\n"
+
     def test_bad_value_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.txt", alpha="fast")
         with pytest.raises(ValueError, match="alpha"):
@@ -426,6 +432,26 @@ class TestVerify:
         assert main(["verify", str(cert_path), "--samples", "200"]) == EXIT_USAGE
         assert capsys.readouterr().err == (
             "error: certificate key 'seed': expected a non-negative integer, got -2\n"
+        )
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_nan_eps_max_usage_error(self, tmp_path, capsys, command):
+        # NaN fails every comparison, so the consistency check must not pass
+        # it by testing for a difference above the tolerance
+        assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
+        cert_path = tmp_path / "certificate.txt"
+        p, _, _ = load_certificate(cert_path)
+        cert_path.write_text(
+            cert_path.read_text().replace(f"eps_max = {p.eps_max:.17g}\n", "eps_max = nan\n")
+        )
+        capsys.readouterr()
+        if command == "verify":
+            argv = ["verify", str(cert_path)]
+        else:
+            argv = ["simulate", "--certificate", str(cert_path), "--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: stored eps_max nan inconsistent with angle limits\n"
         )
 
     def test_zero_samples_usage_error(self, tmp_path, capsys):

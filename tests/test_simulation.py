@@ -449,8 +449,6 @@ class TestRun:
                 cert=cert075,
                 params=params,
             )
-        with pytest.raises(ValueError):
-            CircularReference(velocity_mode="nearest")
         # the horizon must be a whole number of steps; inexact float
         # quotients (0.58 / 0.02 = 28.999999999999996) pass
         with pytest.raises(ValueError, match="whole number of steps"):
@@ -964,8 +962,6 @@ class TestMetrics:
         w = ref.omega
         assert s[0] == pytest.approx(0.2 + 0.5 * math.cos(w * 0.7))
         assert s[3] == pytest.approx(-0.5 * w * math.sin(w * 0.7))
-        ref0 = CircularReference(velocity_mode="zero")
-        assert np.all(ref0.state(0.7)[3:] == 0.0)
         acc = ref.accel(0.7)
         assert acc[0] == pytest.approx(-0.5 * w * w * math.cos(w * 0.7))
 
@@ -979,13 +975,8 @@ def per_sample_state(ref, t):
         return [*ref.position, 0.0, 0.0, 0.0]
     wt = ref.omega * t
     c, s = math.cos(wt), math.sin(wt)
-    if ref.velocity_mode == "analytic":
-        vx = -ref.radius * ref.omega * s
-        vy = ref.radius * ref.omega * c
-    else:
-        vx = vy = 0.0
     return [ref.center[0] + ref.radius * c, ref.center[1] + ref.radius * s, ref.altitude,
-            vx, vy, 0.0]
+            -ref.radius * ref.omega * s, ref.radius * ref.omega * c, 0.0]
 
 
 def per_sample_accel(ref, t):
@@ -1019,12 +1010,10 @@ class TestReferenceGrid:
         OriginReference(),
         SetpointReference(position=(0.3, -0.0, 0.8)),
         CircularReference(),
-        CircularReference(velocity_mode="zero"),
         CircularReference(radius=0.37, center=(-1.0, 2.5), altitude=-0.0, omega=1.1),
-        CircularReference(radius=2.0, omega=-0.45, velocity_mode="zero"),
+        CircularReference(radius=2.0, omega=-0.45),
     ]
-    IDS = ["origin", "setpoint", "circle", "circle_zero_velocity", "circle_moved",
-           "circle_reversed_zero_velocity"]
+    IDS = ["origin", "setpoint", "circle", "circle_moved", "circle_reversed"]
 
     @staticmethod
     def grids():
@@ -1051,6 +1040,29 @@ class TestReferenceGrid:
         assert ref.state(t).shape == (3, 4, 6) and ref.accel(t).shape == (3, 4, 3)
         assert np.array_equal(ref.state(t)[1, 2], ref.state(t[1, 2]))
         assert np.array_equal(ref.accel(t)[2, 1], ref.accel(t[2, 1]))
+
+    @pytest.mark.parametrize("ref", REFERENCES, ids=IDS)
+    def test_velocity_and_accel_are_time_derivatives(self, ref):
+        # the run metrics take the error's rate as (d, v - accel), which
+        # holds only if the velocity columns are the derivative of the
+        # position columns and accel that of the velocity columns. The
+        # times t and t +- h are binary fractions, so the central difference
+        # (f(t+h) - f(t-h)) / 2h differs from f'(t) by at most the Taylor
+        # remainder h^2/6 max|f'''| plus delta / h, where delta bounds the
+        # rounding of one evaluation: a few ulps of its largest value,
+        # amplified by the phase omega t rounding inside cos and sin
+        h = 2.0 ** -12
+        t = np.arange(641) * 2.0 ** -6
+        r, w = (ref.radius, abs(ref.omega)) if isinstance(ref, CircularReference) else (0, 0)
+        signals = (
+            (lambda x: ref.state(x)[:, :3], ref.state(t)[:, 3:], r * w ** 3),
+            (lambda x: ref.state(x)[:, 3:], ref.accel(t), r * w ** 4),
+        )
+        for f, want, max_third in signals:
+            diff = (f(t + h) - f(t - h)) / (2.0 * h)
+            delta = 8.0 * np.finfo(float).eps * np.abs(f(t)).max() * (1.0 + w * t[-1])
+            bound = h * h / 6.0 * max_third + delta / h
+            assert np.abs(diff - want).max() <= bound
 
     @pytest.mark.parametrize("feedforward", [False, True])
     def test_run_samples_each_signal_once(self, params, cert125, feedforward):
