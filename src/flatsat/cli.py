@@ -37,7 +37,6 @@ from .simulation import (
     OriginReference,
     Scenario,
     SetpointReference,
-    SimulationAborted,
     metrics,
     run,
 )
@@ -261,14 +260,8 @@ def _load_or_synthesize(args, cfg: RunConfig):
 
 def _run_to_csv(scenario: Scenario, path: Path):
     """Run ``scenario`` and write its trace to ``path``; print the first 20
-    monitor violations, if any. On an abort, write the completed rows to
-    ``<stem>_partial.csv`` beside it, print the reason and return None."""
-    try:
-        trace = run(scenario)
-    except SimulationAborted as exc:
-        exc.trace.to_csv(path.with_name(f"{path.stem}_partial.csv"))
-        print(f"simulation aborted: {exc}", file=sys.stderr)
-        return None
+    monitor violations, if any."""
+    trace = run(scenario)
     trace.to_csv(path)
     for msg in trace.violations[:20]:
         print(f"violation: {msg}", file=sys.stderr)
@@ -284,8 +277,6 @@ def cmd_simulate(args) -> int:
     scenario = cfg.build_scenario(cert, params)
     out = _resolve_outdir(args, cfg)
     trace = _run_to_csv(scenario, out / "trace.csv")
-    if trace is None:
-        return EXIT_VIOLATIONS
     summary, clock = metrics(trace, scenario).split_kv()
     summary["gamma"] = cert.gamma
     text = dump_kv(summary, header="simulation summary")
@@ -319,8 +310,6 @@ def cmd_sweep(args) -> int:
     for i, gamma in enumerate(cfg.gammas):
         scenario = cfg.build_scenario(replace(base, gamma=gamma), params)
         trace = _run_to_csv(scenario, out / f"trace_gamma_{_gamma_tag(gamma)}.csv")
-        if trace is None:
-            return EXIT_VIOLATIONS
         summary, clock = metrics(trace, scenario).split_kv()
         combined[f"run{i}_gamma"] = gamma
         combined.update((f"run{i}_{key}", value) for key, value in summary.items())

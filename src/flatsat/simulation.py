@@ -10,17 +10,17 @@ equals the linear system.
 
 :func:`run` first samples every signal that the state does not affect over
 the whole time grid: the reference state, the feedforward acceleration (each
-reference takes a float or an array of times) and the yaw's cosine and sine,
-taken once for a constant yaw. A yaw that fails its check still aborts the
-run at its own sample, after that sample's control law. The per-sample
-loop then keeps only the feedback path, on plain Python floats: it calls the
-float kernels behind the public functions (the raw law and saturation of
-:func:`control_law`, the input map and acceleration of
-``to_physical``/``accel``) and packs each row (state, commands, physical
-input, pullback factor, controller wall time) into one flat buffer. At the
-end, or on abort, the buffer becomes the :class:`Trace` arrays, and the
-monitors (Lyapunov value, set memberships, ellipsoid, violation messages) run
-over it as array code with the same clauses as the scalar tests.
+reference takes a float or an array of times) and the yaw, and checks them
+all for a non-finite value before the first sample, so a run that starts
+completes. The per-sample loop then keeps only the feedback path, on plain
+Python floats: it calls the float kernels behind the public functions (the
+raw law and saturation of :func:`control_law`, the input map and
+acceleration of ``to_physical``/``accel``) and packs each row (state,
+commands, physical input, pullback factor, controller wall time) into one
+flat buffer. At the end the buffer becomes the :class:`Trace` arrays, and
+the monitors (Lyapunov value, set memberships, ellipsoid, violation
+messages) run over it as array code with the same clauses as the scalar
+tests.
 """
 
 from __future__ import annotations
@@ -52,20 +52,11 @@ __all__ = [
     "Scenario",
     "Trace",
     "RunMetrics",
-    "SimulationAborted",
     "control_law",
     "run",
     "metrics",
     "CSV_COLUMNS",
 ]
-
-class SimulationAborted(RuntimeError):
-    """The controller or the yaw check rejected a sample mid-run; carries
-    the partial trace."""
-
-    def __init__(self, message: str, trace: "Trace"):
-        super().__init__(message)
-        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -113,6 +104,10 @@ class CircularReference:
     altitude: float = 0.3
     omega: float = 0.3 * math.pi
 
+    def __post_init__(self) -> None:
+        if len(self.center) != 2:
+            raise ValueError(f"circle center needs exactly two values, got {len(self.center)}")
+
     def state(self, t) -> np.ndarray:
         wt = self.omega * np.asarray(t, dtype=float)
         c, s = np.cos(wt), np.sin(wt)
@@ -139,11 +134,11 @@ class CircularReference:
 class Scenario:
     """One reproducible closed-loop run.
 
-    ``psi`` is the yaw signal: a constant or a callable of time (the yaw is
-    exogenous; default 0). ``feedforward`` adds the reference acceleration
-    to the feedback before saturation. ``invariance_mode`` requires the
-    initial error state inside the certified ellipsoid and monitors every
-    sample against leaving it. ``duration`` must be a whole number of steps
+    ``psi`` is the yaw signal: a finite constant or a callable of time (the
+    yaw is exogenous; default 0). ``feedforward`` adds the reference
+    acceleration to the feedback before saturation. ``invariance_mode``
+    requires the initial error state inside the certified ellipsoid and
+    monitors every sample against leaving it. ``duration`` must be a whole number of steps
     ``dt`` (to 1e-9 relative), so the grid ends exactly at the horizon.
     """
 
@@ -163,6 +158,8 @@ class Scenario:
             raise ValueError(f"initial_state needs exactly six values, got {xi0.size}")
         if not np.all(np.isfinite(xi0)):
             raise ValueError("initial state must be finite")
+        if not (callable(self.psi) or math.isfinite(self.psi)):
+            raise ValueError(f"psi must be finite, got {self.psi}")
         xi0.setflags(write=False)
         object.__setattr__(self, "initial_state", xi0)
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -174,9 +171,6 @@ class Scenario:
             raise ValueError(
                 f"duration {self.duration} is not a whole number of steps dt = {self.dt}"
             )
-
-    def psi_at(self, t: float) -> float:
-        return self.psi(t) if callable(self.psi) else float(self.psi)
 
 
 # the trace CSV header: 18 float columns, written as '%.17g' by the array
@@ -213,11 +207,11 @@ class Trace:
     """Uniform-grid record of one run; one row per sample instant.
 
     ``xi_ref`` is the reference state at each sample: the rows of the one
-    ``reference.state`` call on the time grid, cut to the kept rows. The
-    command columns hold both the raw feedback and its saturated value;
-    ``lyapunov`` is the tracking-error Lyapunov value. ``violations``
-    collects human-readable monitor failures (empty on a clean run). The
-    trace CSV holds every column but ``xi_ref`` and ``ctrl_time``.
+    ``reference.state`` call on the time grid. The command columns hold
+    both the raw feedback and its saturated value; ``lyapunov`` is the
+    tracking-error Lyapunov value. ``violations`` collects human-readable
+    monitor failures (empty on a clean run). The trace CSV holds every
+    column but ``xi_ref`` and ``ctrl_time``.
     """
 
     t: np.ndarray
@@ -286,14 +280,14 @@ def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
     ``xi - xi_ref``, with ``feedforward_accel`` (if given) added before the
     saturation.
 
-    Returns ``(command, result)``: the saturated command and the
-    :class:`SaturationResult` of the raw one, whose ``v_out`` is that same
-    command. A thin wrapper over the float kernel that :func:`run` calls on
-    every sample; a run keeps the raw command as ``Trace.v_raw``. Both
-    states are cast to float64 and subtracted as Python floats, so a
-    non-finite error raises DomainError in the saturation, never a numpy
-    warning; a ValueError rejects a state of other than six values
-    (``xi_ref`` may be one scalar) or a feedforward of other than three.
+    Returns the :class:`SaturationResult` of the raw command, whose
+    ``v_out`` (field 0) is the saturated command. A thin wrapper over the
+    float kernel that :func:`run` calls on every sample; a run keeps the
+    raw command as ``Trace.v_raw``. Both states are cast to float64 and
+    subtracted as Python floats, so a non-finite error raises DomainError
+    in the saturation, never a numpy warning; a ValueError rejects a state
+    of other than six values (``xi_ref`` may be one scalar) or a
+    feedforward of other than three.
     """
     x = np.asarray(xi, dtype=float)
     r = np.asarray(xi_ref, dtype=float)
@@ -306,8 +300,7 @@ def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
         x1 - q1, x2 - q2, x3 - q3, x4 - q4, x5 - q5, x6 - q6, ff, cert.gamma,
         cert.gain.p2, cert.gain.p3, p
     )
-    v = np.array([w1, w2, w3])
-    return v, SaturationResult(v, lam, saturated, active)
+    return SaturationResult(np.array([w1, w2, w3]), lam, saturated, active)
 
 
 # one row of the run buffer: xi (0:6), v_raw (6:9), v (9:12), u (12:15), lam,
@@ -332,65 +325,40 @@ def _on_grid(signal: Callable, tgrid: np.ndarray, width: int, name: str) -> np.n
     return values
 
 
-class _RejectedYaw:
-    """Stands in for the cosine and sine of a yaw that failed its check:
-    unpacking it raises the check's DomainError, so the run aborts at the
-    yaw's own sample, after that sample's control law."""
-
-    def __init__(self, error: DomainError):
-        self.error = error
-
-    def __iter__(self):
-        raise self.error
-
-
-def _yaw_on_grid(scenario: Scenario, times: list, g: float) -> list:
-    """The yaw's ``(cos, sin)`` at each grid time, for the loop to zip with
-    the other signals. A constant yaw is checked once; a callable one is
-    called once per grid time and no further than the first value that
-    fails the check, which becomes a :class:`_RejectedYaw`."""
-    varying = callable(scenario.psi)
-    yaws = []
-    for t in times if varying else times[:1]:
-        try:
-            yaws.append(_yaw_trig(scenario.psi_at(t), g))
-        except DomainError as exc:
-            yaws.append(_RejectedYaw(exc))
-            break
-    return yaws if varying else yaws * len(times)
-
-
 def run(scenario: Scenario) -> Trace:
     """Execute a scenario on the fixed grid t_k = k dt, k = 0..n.
 
     Controls are evaluated at every grid point including the final one (the
     last command is recorded but not applied). Every command is a member of
     the command set, strictly above the cone apex, so the input map accepts
-    it: a run raises SimulationAborted, with the completed rows attached,
-    only for a non-finite yaw or a NaN or infinite state, reference or
-    feedforward, which the saturation rejects. The abort message names the
-    time, the state and the reference of the sample, then the rejecting
-    kernel's reason, which names the command when the command is at fault.
+    it.
 
     Nothing that the state does not affect is evaluated per sample: the
     reference state, the feedforward acceleration (only when
-    ``feedforward`` is on) and the yaw's cosine and sine are sampled once
-    over the whole grid before the loop. ``reference.state`` and
-    ``reference.accel`` are each called once, on the array of grid times,
-    and must return shape ``(n+1, 6)`` and ``(n+1, 3)``; another shape (as
-    from a reference that takes only scalar times) raises ValueError. A
-    constant yaw is checked once; a callable one is called once per grid
-    time and no further than its first non-finite value, whose sample
-    still aborts after its own control law, so a NaN reference there wins
-    the message. The per-sample loop then holds only the feedback path, on
-    plain floats: the control law of :func:`control_law`, the input map
-    ``to_physical`` at the sample's yaw, ``accel`` and the exact hold
-    update. ``ctrl_time`` times the error, the raw law,
-    the feedforward and the saturation of each sample. Everything that only
-    observes the run (the Lyapunov value, the ``in_Vc``/``in_U`` and
-    ellipsoid monitors, their violation messages and ``in_u``) is computed
-    afterwards, as array code over the completed rows, with the same
-    operations as the scalar definitions.
+    ``feedforward`` is on) and the yaw are sampled once over the whole grid
+    before the loop. ``reference.state`` and ``reference.accel`` are each
+    called once, on the array of grid times, and must return shape
+    ``(n+1, 6)`` and ``(n+1, 3)``; another shape (as from a reference that
+    takes only scalar times) raises ValueError. A callable yaw is called
+    once per grid time; a constant one is finite, as :class:`Scenario`
+    checks. One array check then looks for a non-finite value in these
+    signals and raises ValueError, before any sample, naming the earliest
+    grid time that holds one and the first signal, in the order
+    ``reference.state``, ``reference.accel``, ``psi``, that is not finite
+    there. So a run that starts completes, but for finite inputs whose
+    arithmetic overflows: a raw command whose squared norm overflows
+    (about 1.3e154) or a ``dt`` whose ``dt**2 / 2`` does. The saturation
+    rejects the first such sample with a DomainError whose message names
+    the sample's time, state and reference, then the reason.
+
+    The per-sample loop holds only the feedback path, on plain floats: the
+    control law of :func:`control_law`, the input map ``to_physical`` at
+    the sample's yaw, ``accel`` and the exact hold update. ``ctrl_time``
+    times the error, the raw law, the feedforward and the saturation of
+    each sample. Everything that only observes the run (the Lyapunov value,
+    the ``in_Vc``/``in_U`` and ellipsoid monitors, their violation messages
+    and ``in_u``) is computed afterwards, as array code over the completed
+    rows, with the same operations as the scalar definitions.
     """
     p = scenario.params
     cert = scenario.cert
@@ -400,59 +368,28 @@ def run(scenario: Scenario) -> Trace:
     half_dt2 = 0.5 * dt * dt
     n = int(round(scenario.duration / dt))
     invariance = scenario.invariance_mode
+    psi = scenario.psi
     clock = time.perf_counter
     pack = _ROW.pack
 
     tgrid = np.arange(n + 1) * dt
     times = tgrid.tolist()
     refs = _on_grid(scenario.reference.state, tgrid, 6, "state")
+    signals = {"reference.state": refs}
     if scenario.feedforward:
-        ffs = _on_grid(scenario.reference.accel, tgrid, 3, "accel").tolist()
+        signals["reference.accel"] = _on_grid(scenario.reference.accel, tgrid, 3, "accel")
+    if callable(psi):
+        signals["psi"] = np.array([psi(t) for t in times], dtype=float)
+    finite = np.isfinite(np.column_stack(list(signals.values()))).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        name = next(name for name, values in signals.items() if not np.isfinite(values[k]).all())
+        raise ValueError(f"{name} is not finite at t={times[k]}")
+    ffs = signals["reference.accel"].tolist() if scenario.feedforward else [None] * (n + 1)
+    if callable(psi):
+        yaws = [_yaw_trig(a, g) for a in signals["psi"].tolist()]
     else:
-        ffs = [None] * (n + 1)
-    yaws = _yaw_on_grid(scenario, times, g)
-    rows = bytearray()
-    acts: list[ActiveConstraint] = []
-
-    def partial(k: int) -> Trace:
-        buf = np.frombuffer(rows, dtype=float).reshape(k, _ROW.size // 8)
-        xi, v, u = buf[:, 0:6], buf[:, 9:12], buf[:, 12:15]
-        xi_ref = refs[:k]
-        lyapunov = _lyapunov((xi - xi_ref).T, p1, p2, p3)
-        in_u = _u_clauses(u[:, 0], u[:, 1], u[:, 2], p)
-        bad_v = ~_vc_clauses(v[:, 0], v[:, 1], v[:, 2], p)
-        bad_e = invariance & (lyapunov > eps * (1.0 + 1e-6))
-        violations = []
-        # the messages of a sample in the order command set, input box,
-        # ellipsoid, samples in time order
-        for i in np.flatnonzero(bad_v | ~in_u | bad_e).tolist():
-            t = times[i]
-            if bad_v[i]:
-                violations.append(f"t={t:.6g}: command left the convex set: {v[i]}")
-            if not in_u[i]:
-                ui = PhysicalInput(*u[i].tolist())
-                violations.append(f"t={t:.6g}: physical input left the box: {ui}")
-            if bad_e[i]:
-                violations.append(
-                    f"t={t:.6g}: left the certified ellipsoid: {float(lyapunov[i])} > {eps}"
-                )
-        return Trace(
-            t=tgrid[:k],
-            xi=xi,
-            xi_ref=xi_ref,
-            v_raw=buf[:, 6:9],
-            v=v,
-            u=u,
-            lyapunov=lyapunov,
-            lam=buf[:, 15],
-            saturated=buf[:, 16] != 0.0,
-            # _value_ is where an enum member keeps its value; reading it
-            # skips the per-member property lookup of .value
-            active=[a._value_ for a in acts],
-            in_u=in_u,
-            ctrl_time=buf[:, 17],
-            violations=violations,
-        )
+        yaws = [_yaw_trig(psi, g)] * (n + 1)
 
     v0 = _lyapunov((scenario.initial_state - refs[0]).tolist(), p1, p2, p3)
     if invariance and v0 > eps * (1.0 + 1e-9):
@@ -460,38 +397,77 @@ def run(scenario: Scenario) -> Trace:
             f"initial error level {v0} outside certified ellipsoid {eps}"
         )
 
+    rows = bytearray()
+    acts: list[ActiveConstraint] = []
     x, y, z, xd, yd, zd = scenario.initial_state.tolist()
-    for k, ((q1, q2, q3, q4, q5, q6), ff, yaw) in enumerate(zip(refs.tolist(), ffs, yaws)):
-        tic = clock()
-        try:
+    try:
+        for k, ((q1, q2, q3, q4, q5, q6), ff, (cpsi, spsi)) in enumerate(
+            zip(refs.tolist(), ffs, yaws)
+        ):
+            tic = clock()
             r1, r2, r3, (w1, w2, w3, lam, saturated, act) = _control_floats(
                 x - q1, y - q2, z - q3, xd - q4, yd - q5, zd - q6, ff, gamma, p2, p3, p
             )
             ctrl = clock() - tic
-            cpsi, spsi = yaw
-        except DomainError as exc:
-            xi = np.array([x, y, z, xd, yd, zd])
-            raise SimulationAborted(
-                f"sample at t={times[k]} rejected, state {xi}, reference {refs[k]}: {exc}",
-                partial(k),
-            ) from exc
 
-        # a command set member is finite and above the apex: no check needed
-        thrust, roll, pitch = _to_physical_floats(w1, w2, w3, cpsi, spsi, g)
-        rows += pack(x, y, z, xd, yd, zd, r1, r2, r3, w1, w2, w3, thrust, roll, pitch,
-                     lam, saturated, ctrl)
-        acts.append(act)
+            # a command set member is finite and above the apex: no check needed
+            thrust, roll, pitch = _to_physical_floats(w1, w2, w3, cpsi, spsi, g)
+            rows += pack(x, y, z, xd, yd, zd, r1, r2, r3, w1, w2, w3, thrust, roll, pitch,
+                         lam, saturated, ctrl)
+            acts.append(act)
 
-        if k < n:
-            a1, a2, a3 = _accel_floats(thrust, roll, pitch, cpsi, spsi, g)
-            x = x + dt * xd + half_dt2 * a1
-            y = y + dt * yd + half_dt2 * a2
-            z = z + dt * zd + half_dt2 * a3
-            xd += dt * a1
-            yd += dt * a2
-            zd += dt * a3
+            if k < n:
+                a1, a2, a3 = _accel_floats(thrust, roll, pitch, cpsi, spsi, g)
+                x = x + dt * xd + half_dt2 * a1
+                y = y + dt * yd + half_dt2 * a2
+                z = z + dt * zd + half_dt2 * a3
+                xd += dt * a1
+                yd += dt * a2
+                zd += dt * a3
+    except DomainError as exc:
+        # the inputs are finite, so only an overflow gets here
+        xi = np.array([x, y, z, xd, yd, zd])
+        raise DomainError(
+            f"sample at t={times[k]} rejected, state {xi}, reference {refs[k]}: {exc}"
+        ) from exc
 
-    return partial(n + 1)
+    buf = np.frombuffer(rows, dtype=float).reshape(n + 1, _ROW.size // 8)
+    xi, v, u = buf[:, 0:6], buf[:, 9:12], buf[:, 12:15]
+    lyapunov = _lyapunov((xi - refs).T, p1, p2, p3)
+    in_u = _u_clauses(u[:, 0], u[:, 1], u[:, 2], p)
+    bad_v = ~_vc_clauses(v[:, 0], v[:, 1], v[:, 2], p)
+    bad_e = invariance & (lyapunov > eps * (1.0 + 1e-6))
+    violations = []
+    # the messages of a sample in the order command set, input box,
+    # ellipsoid, samples in time order
+    for i in np.flatnonzero(bad_v | ~in_u | bad_e).tolist():
+        t = times[i]
+        if bad_v[i]:
+            violations.append(f"t={t:.6g}: command left the convex set: {v[i]}")
+        if not in_u[i]:
+            ui = PhysicalInput(*u[i].tolist())
+            violations.append(f"t={t:.6g}: physical input left the box: {ui}")
+        if bad_e[i]:
+            violations.append(
+                f"t={t:.6g}: left the certified ellipsoid: {float(lyapunov[i])} > {eps}"
+            )
+    return Trace(
+        t=tgrid,
+        xi=xi,
+        xi_ref=refs,
+        v_raw=buf[:, 6:9],
+        v=v,
+        u=u,
+        lyapunov=lyapunov,
+        lam=buf[:, 15],
+        saturated=buf[:, 16] != 0.0,
+        # _value_ is where an enum member keeps its value; reading it skips
+        # the per-member property lookup of .value
+        active=[a._value_ for a in acts],
+        in_u=in_u,
+        ctrl_time=buf[:, 17],
+        violations=violations,
+    )
 
 
 @dataclass(frozen=True)
@@ -539,8 +515,8 @@ def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:
     trace's times. The decay residual takes the error's rate as
     (d, v - accel): exact for a reference whose velocity is the derivative
     of its position, as every built-in one's is. Raises ValueError on a
-    trace with no rows, such as the partial trace of a run aborted at its
-    first sample."""
+    trace with no rows, which :func:`run` never returns but a trace built
+    by hand may have."""
     p = scenario.params
     tgrid = trace.t
     if len(tgrid) == 0:

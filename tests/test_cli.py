@@ -582,20 +582,23 @@ class TestSweep:
         assert swept[:20] == simulated
         assert simulated[0].startswith("violation: t=0: physical input left the box")
 
-    def test_aborted_run_writes_partial_trace(self, tmp_path, capsys):
-        # a NaN yaw aborts each run at its first sample, as in simulate
-        cfg = write_config(tmp_path / "c.txt", duration="1.0", psi="nan", gammas="1, 5")
-        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
-        assert rc == EXIT_VIOLATIONS
-        assert "simulation aborted" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.glob("trace*.csv")) == [
-            "trace_gamma_1_partial.csv"
-        ]
-        assert not (tmp_path / "sweep_summary.txt").exists()
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_VIOLATIONS
-        assert (tmp_path / "trace_partial.csv").read_bytes() == (
-            tmp_path / "trace_gamma_1_partial.csv"
-        ).read_bytes()
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [({"psi": "nan"}, "psi must be finite, got nan"),
+         ({"scenario": "circular", "circle_omega": "nan"},
+          "reference.state is not finite at t=0.0"),
+         ({"initial_state": "1e160, 0, 0, 0, 0, 0"},
+          "sample at t=0.0 rejected, state [1.e+160 0.e+000 0.e+000 0.e+000 0.e+000 "
+          "0.e+000], reference [0. 0. 0. 0. 0. 0.]: no feasible pullback factor")],
+        ids=["nan_yaw", "nan_reference", "overflow"],
+    )
+    def test_non_finite_input_writes_no_trace(self, tmp_path, capsys, pairs, message):
+        # a config error in simulate and sweep alike: exit 1 before any trace
+        cfg = write_config(tmp_path / "c.txt", duration="1.0", gammas="1, 5", **pairs)
+        for command in ("sweep", "simulate"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
+            assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
 
 
 class TestStudyConfigs:

@@ -1,10 +1,12 @@
 import math
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatsat import (
     ActiveConstraint,
@@ -17,7 +19,6 @@ from flatsat import (
     Scenario,
     SaturationResult,
     SetpointReference,
-    SimulationAborted,
     Trace,
     accel,
     boundary_states,
@@ -81,8 +82,7 @@ def scalar_lyapunov(e, p1, p2, p3):
 def numpy_run(scenario):
     """Reference for :func:`run`: the same loop on numpy state vectors,
     with the public input map, ``accel`` and membership tests evaluated
-    sample by sample. Returns the completed trace, or raises
-    SimulationAborted with the rows completed before the rejected sample."""
+    sample by sample. Returns the completed trace."""
     p = scenario.params
     cert = scenario.cert
     g = cert.gain
@@ -91,32 +91,16 @@ def numpy_run(scenario):
     tgrid = np.arange(n + 1) * dt
     rows = []  # (xi, ref, raw, v, u, lyap, lam, saturated, active, in_u)
     violations = []
-
-    def partial():
-        cols = list(zip(*rows)) or [()] * 10
-        block = lambda i, w: np.array(cols[i], dtype=float).reshape(len(rows), w)
-        return Trace(
-            t=tgrid[: len(rows)], xi=block(0, 6), xi_ref=block(1, 6), v_raw=block(2, 3),
-            v=block(3, 3), u=block(4, 3), lyapunov=np.array(cols[5], dtype=float),
-            lam=np.array(cols[6], dtype=float), saturated=np.array(cols[7], dtype=bool),
-            active=list(cols[8]), in_u=np.array(cols[9], dtype=bool),
-            ctrl_time=np.zeros(len(rows)), violations=violations,
-        )
+    psi = scenario.psi
 
     xi = np.array(scenario.initial_state, dtype=float)
     for k in range(n + 1):
         t = tgrid[k]
         ref = scenario.reference.state(t)
         ff = scenario.reference.accel(t) if scenario.feedforward else None
-        try:
-            v, raw, res = numpy_control_law(xi, ref, cert, p, feedforward_accel=ff)
-            psi_k = scenario.psi_at(t)
-            u = to_physical(v, psi_k, p.g)
-        except DomainError as exc:
-            raise SimulationAborted(
-                f"sample at t={t} rejected, state {xi}, reference {ref}: {exc}",
-                partial(),
-            ) from exc
+        v, raw, res = numpy_control_law(xi, ref, cert, p, feedforward_accel=ff)
+        psi_k = psi(t) if callable(psi) else psi
+        u = to_physical(v, psi_k, p.g)
         lyap = scalar_lyapunov((xi - ref).tolist(), g.p1, g.p2, g.p3)
         ok_u = in_U(u, p)
         if not in_Vc(v, p):
@@ -134,7 +118,21 @@ def numpy_run(scenario):
             xi = np.concatenate(
                 [xi[:3] + dt * xi[3:] + 0.5 * dt * dt * a, xi[3:] + dt * a]
             )
-    return partial()
+    cols = list(zip(*rows))
+    block = lambda i, w: np.array(cols[i], dtype=float).reshape(n + 1, w)
+    return Trace(
+        t=tgrid, xi=block(0, 6), xi_ref=block(1, 6), v_raw=block(2, 3), v=block(3, 3),
+        u=block(4, 3), lyapunov=np.array(cols[5], dtype=float),
+        lam=np.array(cols[6], dtype=float), saturated=np.array(cols[7], dtype=bool),
+        active=list(cols[8]), in_u=np.array(cols[9], dtype=bool),
+        ctrl_time=np.zeros(n + 1), violations=violations,
+    )
+
+
+def head(trace, k):
+    """The first ``k`` rows of ``trace``: every column, and the violations
+    list (empty on the clean runs this slices), cut to ``k``."""
+    return Trace(**{f.name: getattr(trace, f.name)[:k] for f in fields(Trace)})
 
 
 def format_value_csv(trace, path):
@@ -166,23 +164,24 @@ def format_value_csv(trace, path):
 class TestControlLaw:
     def test_at_reference_hover(self, params, cert075):
         xi = np.array([0.3, 0.3, 0.8, 0.0, 0.0, 0.0])
-        v, res = control_law(xi, xi, cert075, params)
-        assert np.all(v == 0.0)
+        res = control_law(xi, xi, cert075, params)
+        assert np.all(res.v_out == 0.0)
         assert not res.saturated
-        assert res.active is ActiveConstraint.NONE and res.v_out is v
-        u = to_physical(v, 0.0, params.g)
+        assert res.active is ActiveConstraint.NONE
+        u = to_physical(res.v_out, 0.0, params.g)
         assert u.thrust == params.g and u.roll == 0.0 and u.pitch == 0.0
 
     def test_boundary_state_unsaturated_at_unit_gamma(self, params, cert075):
         for xi in boundary_states(cert075.gain, cert075.eps, 16):
-            v, res = control_law(xi, np.zeros(6), cert075, params)
+            res = control_law(xi, np.zeros(6), cert075, params)
             assert not res.saturated
-            assert float(v @ v) <= cert075.rho + 1e-9
+            assert float(res.v_out @ res.v_out) <= cert075.rho + 1e-9
 
     def test_far_state_saturates_on_boundary(self, params, cert075):
         cert = replace(cert075, gamma=15.0)
         xi = 4.0 * CANONICAL_X0
-        v, res = control_law(xi, np.zeros(6), cert, params)
+        res = control_law(xi, np.zeros(6), cert, params)
+        v = res.v_out
         assert res.saturated
         c = v[2] + params.g
         h2 = v[0] ** 2 + v[1] ** 2
@@ -195,10 +194,10 @@ class TestControlLaw:
     def test_feedforward_added_before_saturation(self, params, cert075):
         xi = np.zeros(6)
         ff = (0.3, -0.2, 0.1)
-        v, res = control_law(xi, xi, cert075, params, feedforward_accel=ff)
+        res = control_law(xi, xi, cert075, params, feedforward_accel=ff)
         # unsaturated, so the command is the raw feedback (zero) plus ff
         assert res.lam == 1.0 and not res.saturated
-        assert np.allclose(v, ff)
+        assert np.allclose(res.v_out, ff)
 
 
 def bits(x):
@@ -237,10 +236,10 @@ class TestControlLawInputs:
                 ints = rng.integers(-4, 5, (2, 6))
                 forms.append(("int", ints[0], ints[1], None if ff is None else ints[0, :3]))
                 for tag, a, b, f in forms:
-                    v, res = control_law(a, b, cert, params, feedforward_accel=f)
+                    res = control_law(a, b, cert, params, feedforward_accel=f)
                     want, _, want_res = numpy_control_law(a, b, cert, params,
                                                           feedforward_accel=f)
-                    np.testing.assert_array_equal(bits(v), bits(want), err_msg=tag)
+                    np.testing.assert_array_equal(bits(res.v_out), bits(want), err_msg=tag)
                     assert bits(res.lam) == bits(want_res.lam), tag
                     assert res.saturated == want_res.saturated, tag
                     assert res.active is want_res.active, tag
@@ -277,9 +276,11 @@ class TestControlLawInputs:
 
     @pytest.mark.parametrize("scale", [0.1, 4.0])
     def test_result_holds_the_returned_command(self, params, cert075, scale):
+        # the saturation result alone, whose field 0 is the command
         cert = replace(cert075, gamma=15.0)
-        v, res = control_law(scale * CANONICAL_X0, np.zeros(6), cert, params)
-        assert isinstance(res, SaturationResult) and res.v_out is v
+        res = control_law(scale * CANONICAL_X0, np.zeros(6), cert, params)
+        assert isinstance(res, SaturationResult) and res[0] is res.v_out
+        assert res.v_out.shape == (3,) and in_Vc(res.v_out, params)
         assert res.saturated == (scale > 1.0)
 
 
@@ -343,26 +344,34 @@ class TestExactHoldStep:
             assert calls == [psi]
 
     @pytest.mark.parametrize("bad_from", [None, 0.0, 0.5, 1.0])
-    def test_callable_yaw_called_up_to_its_first_bad_value(self, params, cert075, bad_from):
-        # once per grid time on a clean run; up to and including the first
-        # non-finite value otherwise, which aborts the run at that sample
-        times = []
+    def test_callable_yaw_called_once_per_grid_time(self, params, cert075, monkeypatch,
+                                                    bad_from):
+        # at every grid time, before the first sample, whether or not a value
+        # is non-finite; the first non-finite value stops the run there
+        import flatsat.simulation as simulation
+
+        events = []
+        kernel = simulation._control_floats
+
+        def counting(*args):
+            events.append("sample")
+            return kernel(*args)
 
         def psi(t):
-            times.append(t)
+            events.append(t)
             return math.inf if bad_from is not None and t >= bad_from else 0.3
 
+        monkeypatch.setattr(simulation, "_control_floats", counting)
         sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0, psi=psi)
-        n = 50
+        times = (np.arange(51) * sc.dt).tolist()
         if bad_from is None:
-            assert len(run(sc)) == n + 1
-            assert len(times) == n + 1
+            assert len(run(sc)) == 51
+            assert events == times + ["sample"] * 51
             return
-        k = round(bad_from / sc.dt)
-        with pytest.raises(SimulationAborted, match="yaw and gravity must be finite") as excinfo:
+        t0 = times[round(bad_from / sc.dt)]
+        with pytest.raises(ValueError, match=f"^psi is not finite at t={t0}$"):
             run(sc)
-        assert len(excinfo.value.trace) == k
-        assert len(times) == k + 1 and times[-1] == pytest.approx(bad_from)
+        assert events == times
 
 
 class TestRun:
@@ -478,80 +487,121 @@ class TestRun:
         assert 0.0 < trace.v[0, 2] + p.g < 1e-13
         assert trace.u[0, 0] > 0.0
 
-    def test_non_finite_reference_aborts_with_partial_trace(self, params, cert075):
-        class NanAfterHalfSecond(OriginReference):
-            def state(self, t):
-                return np.where(np.asarray(t)[..., None] >= 0.5, math.nan, super().state(t))
+    @pytest.mark.parametrize("method", ["state", "accel"])
+    def test_non_finite_reference_rejected_before_any_sample(self, params, cert075,
+                                                             monkeypatch, method):
+        # accel is read, and checked, only with feedforward
+        import flatsat.simulation as simulation
 
-        sc = Scenario(
-            reference=NanAfterHalfSecond(),
-            initial_state=CANONICAL_X0,
-            duration=1.0,
-            dt=0.02,
-            cert=cert075,
-            params=params,
-        )
-        with pytest.raises(SimulationAborted) as excinfo:
+        sc = replace(origin_scenario(cert075, params, CANONICAL_X0, duration=1.0),
+                     reference=nan_from(**{method: 0.5}))
+        if method == "accel":
+            assert len(run(sc)) == 51
+            sc = replace(sc, feedforward=True)
+        monkeypatch.setattr(simulation, "_control_floats", no_sample)
+        with pytest.raises(ValueError, match=f"^reference.{method} is not finite at t=0.5$"):
             run(sc)
-        trace = excinfo.value.trace
-        assert len(trace) == 25 and trace.t[-1] == pytest.approx(0.48)
-        assert np.all(np.isfinite(trace.xi)) and not trace.violations
-        assert str(excinfo.value).startswith("sample at t=0.5 rejected, state ")
-        assert str(excinfo.value).endswith(
-            f"reference {np.full(6, math.nan)}: no feasible pullback factor for (nan, nan, nan)"
-        )
-
 
     @pytest.mark.parametrize("psi", [math.nan, math.inf])
     def test_non_finite_constant_yaw_aborts_before_any_row(self, params, cert075, psi):
-        sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0, psi=psi)
-        with pytest.raises(SimulationAborted) as excinfo:
-            run(sc)
-        assert len(excinfo.value.trace) == 0
-        # the command is finite and inside the set, so the message leaves it out
-        assert str(excinfo.value) == (
-            f"sample at t=0.0 rejected, state {np.array(CANONICAL_X0)}, "
-            f"reference {np.zeros(6)}: yaw and gravity must be finite"
-        )
+        # the scenario itself refuses it, as it does a non-finite start
+        with pytest.raises(ValueError, match=f"^psi must be finite, got {psi}$"):
+            origin_scenario(cert075, params, CANONICAL_X0, duration=1.0, psi=psi)
 
-    def test_yaw_turning_infinite_aborts_with_partial_trace(self, params, cert075):
-        sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0,
-                             psi=lambda t: math.inf if t >= 0.5 else 0.3)
-        # the clean run up to t = 0.5 ends on the sample that is rejected
-        clean = run(replace(sc, duration=0.5, psi=0.3))
-        with pytest.raises(SimulationAborted) as excinfo:
-            run(sc)
-        trace = excinfo.value.trace
-        assert len(trace) == 25 and not trace.violations
-        np.testing.assert_array_equal(trace.xi, clean.xi[:25])
-        assert str(excinfo.value) == (
-            f"sample at t=0.5 rejected, state {clean.xi[25]}, "
-            f"reference {np.zeros(6)}: yaw and gravity must be finite"
-        )
+    @pytest.mark.parametrize(
+        "state, accel, psi, named",
+        [(25, None, 25, "reference.state"), (25, None, 5, "psi"),
+         (25, 25, 25, "reference.state"), (26, 25, 25, "reference.accel"),
+         (None, 24, 25, "reference.accel")],
+    )
+    def test_earliest_non_finite_signal_named(self, params, cert075, monkeypatch, state,
+                                              accel, psi, named):
+        # the earliest grid time with a non-finite value, and there the
+        # first of reference.state, reference.accel and psi that has one;
+        # each signal turns NaN from the grid time of the given index on
+        import flatsat.simulation as simulation
 
-    @pytest.mark.parametrize("yaw", ["constant", "callable"])
-    def test_saturation_message_wins_over_a_bad_yaw(self, params, cert075, yaw):
-        # a sample with a NaN reference and an infinite yaw aborts on the
-        # control law, which comes first, so the message is the saturation's
-        start = 0.0 if yaw == "constant" else 0.5
-
-        class NanFrom(OriginReference):
-            def state(self, t):
-                return np.where(np.asarray(t)[..., None] >= start, math.nan, super().state(t))
-
-        psi = math.inf if yaw == "constant" else (lambda t: math.inf if t >= start else 0.3)
+        times = (np.arange(51) * 0.02).tolist()
+        at = lambda k: None if k is None else times[k]
         sc = replace(
-            origin_scenario(cert075, params, CANONICAL_X0, duration=1.0, psi=psi),
-            reference=NanFrom(),
+            origin_scenario(cert075, params, CANONICAL_X0, duration=1.0, feedforward=True,
+                            psi=lambda t: math.nan if t >= times[psi] else 0.3),
+            reference=nan_from(state=at(state), accel=at(accel)),
         )
-        with pytest.raises(SimulationAborted) as excinfo:
+        first = min(k for k in (state, accel, psi) if k is not None)
+        monkeypatch.setattr(simulation, "_control_floats", no_sample)
+        with pytest.raises(ValueError, match=f"^{named} is not finite at t={times[first]}$"):
             run(sc)
-        trace = excinfo.value.trace
-        assert len(trace) == round(start / sc.dt) and not trace.violations
-        assert str(excinfo.value).startswith(f"sample at t={start} rejected, state ")
-        assert str(excinfo.value).endswith(
-            f"reference {np.full(6, math.nan)}: no feasible pullback factor for (nan, nan, nan)"
+
+    @pytest.mark.parametrize(
+        "start, dt, t0",
+        [([1e160, 0.0, 0.0, 0.0, 0.0, 0.0], 0.02, 0.0), (CANONICAL_X0, 1e160, 1e160)],
+        ids=["start", "dt"],
+    )
+    def test_overflow_names_its_sample(self, params, cert075, start, dt, t0):
+        # finite inputs whose arithmetic overflows: a raw command whose
+        # squared norm does, from the start or from the first step
+        sc = replace(origin_scenario(cert075, params, start), dt=dt, duration=dt)
+        with pytest.raises(DomainError) as excinfo:
+            run(sc)
+        message = str(excinfo.value)
+        assert message.startswith(f"sample at t={t0} rejected, state ")
+        assert f", reference {np.zeros(6)}: no feasible pullback factor for " in message
+        if dt == 0.02:
+            assert f"state {np.array(start)}, " in message
+
+    @pytest.mark.parametrize("center", [(0.2,), (0.2, 0.0, 9.0)])
+    def test_circle_center_of_other_than_two_values_rejected(self, center):
+        with pytest.raises(ValueError, match=f"circle center needs exactly two values, "
+                           f"got {len(center)}"):
+            CircularReference(center=center)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.tuples(*[st.floats(-1e3, 1e3)] * 3, *[st.floats(-1e2, 1e2)] * 3),
+        setpoint=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+        psi=st.floats(-10.0, 10.0),
+        gamma=st.floats(1.0, 50.0),
+        steps=st.integers(1, 25),
+    )
+    def test_finite_setpoint_scenario_completes(self, params, cert075, start, setpoint, psi,
+                                                gamma, steps):
+        # a run that starts completes: n+1 rows, every monitor clean
+        sc = Scenario(
+            reference=SetpointReference(position=setpoint),
+            initial_state=start,
+            duration=steps * 0.02,
+            dt=0.02,
+            cert=replace(cert075, gamma=gamma),
+            params=params,
+            psi=psi,
         )
+        trace = run(sc)
+        assert len(trace) == steps + 1 and trace.violations == []
+
+
+def nan_from(state=None, accel=None):
+    """An origin reference whose state, and whose acceleration, turn NaN
+    from the given times on (None: never)."""
+
+    def turning(values, t, t0):
+        if t0 is None:
+            return values
+        return np.where(np.asarray(t)[..., None] >= t0, math.nan, values)
+
+    class NanFrom(OriginReference):
+        def state(self, t):
+            return turning(super().state(t), t, state)
+
+        def accel(self, t):
+            return turning(super().accel(t), t, accel)
+
+    return NanFrom()
+
+
+def no_sample(*args):
+    """Stands in for the control-law kernel where no sample may be computed."""
+    raise AssertionError("a sample was computed")
 
 
 def oracle_scenarios(params, cert075, cert125):
@@ -651,16 +701,6 @@ class TestFloatLoopOracle:
         assert any("convex set" in m for m in got.violations)
         assert any("left the box" in m for m in got.violations)
 
-        # an abort keeps the violations of the completed rows
-        sc = replace(sc, psi=lambda t: math.inf if t >= 0.1 else 0.3)
-        with pytest.raises(SimulationAborted) as got_exc:
-            run(sc)
-        with pytest.raises(SimulationAborted) as want_exc:
-            numpy_run(sc)
-        assert str(got_exc.value) == str(want_exc.value)
-        assert len(got_exc.value.trace) == 5 and got_exc.value.trace.violations
-        assert_same_trace(got_exc.value.trace, want_exc.value.trace, "aborted")
-
     def test_active_matches_residual_oracle(self, params, cert075, cert125):
         # the canonical and boundary-start runs; no saturated command of
         # theirs lands near the cone apex
@@ -673,22 +713,6 @@ class TestFloatLoopOracle:
                         assert act == residual_active(w, params).value
                         n_saturated += 1
         assert n_saturated > 0
-
-    def test_abort_keeps_completed_rows(self, params, cert075):
-        class NanFromOneSecond(OriginReference):
-            def state(self, t):
-                return np.where(np.asarray(t)[..., None] >= 1.0, math.nan, super().state(t))
-
-        sc = origin_scenario(replace(cert075, gamma=15.0), params, CANONICAL_X0)
-        full = run(origin_scenario(sc.cert, params, CANONICAL_X0, duration=0.98))
-        with pytest.raises(SimulationAborted) as excinfo:
-            run(replace(sc, reference=NanFromOneSecond()))
-        part = excinfo.value.trace
-        assert len(part) == 50 and len(part.active) == 50
-        for name in ("t", "xi", "xi_ref", "v_raw", "v", "u", "lyapunov", "lam", "saturated",
-                     "in_u"):
-            np.testing.assert_array_equal(getattr(part, name), getattr(full, name))
-        assert part.active == full.active
 
 
 class TestTraceExport:
@@ -705,21 +729,10 @@ class TestTraceExport:
         assert all(len(l.split(",")) == len(CSV_COLUMNS) for l in lines[1:])
 
     def test_csv_bytes_match_per_cell_writer(self, tmp_path, params, cert075):
-        def nan_from(t0):
-            class NanFrom(OriginReference):
-                def state(self, t):
-                    return np.where(np.asarray(t)[..., None] >= t0, math.nan, super().state(t))
-
-            return NanFrom()
-
-        def aborted(t0):
-            sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0)
-            with pytest.raises(SimulationAborted) as excinfo:
-                run(replace(sc, reference=nan_from(t0)))
-            return excinfo.value.trace
-
         saturated = run(origin_scenario(replace(cert075, gamma=15.0), params, CANONICAL_X0))
         unsaturated = run(origin_scenario(cert075, params, CANONICAL_X0))
+        # the first 25, 0 and 1 rows of a run
+        short = run(origin_scenario(cert075, params, CANONICAL_X0, duration=1.0))
         # the writer formats BLOCK_ROWS rows at a time: row counts on either
         # side of one block
         blocks = [
@@ -739,7 +752,8 @@ class TestTraceExport:
             active=[("none", "ball", "cone", "halfspace")[k % 4] for k in range(m)],
             in_u=np.arange(m) % 3 == 0, ctrl_time=col,
         )
-        traces = [saturated, unsaturated, aborted(0.5), aborted(0.0), aborted(0.02), *blocks, hand]
+        traces = [saturated, unsaturated, head(short, 25), head(short, 0), head(short, 1),
+                  *blocks, hand]
         assert saturated.saturated.any() and not unsaturated.saturated.any()
         assert [len(trace) for trace in traces[2:-1]] == [
             25, 0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1
@@ -945,16 +959,9 @@ class TestMetrics:
             np.testing.assert_array_equal(bits(got), bits(same), err_msg=str(i))
 
     def test_trace_without_rows_rejected(self, params, cert075):
-        class NanReference(OriginReference):
-            def state(self, t):
-                return np.full(np.shape(t) + (6,), math.nan)
-
-        sc = replace(origin_scenario(cert075, params, CANONICAL_X0), reference=NanReference())
-        with pytest.raises(SimulationAborted) as excinfo:
-            run(sc)
-        assert len(excinfo.value.trace) == 0
+        sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0)
         with pytest.raises(ValueError, match="no rows to summarize"):
-            metrics(excinfo.value.trace, sc)
+            metrics(head(run(sc), 0), sc)
 
     def test_circular_reference_modes(self):
         ref = CircularReference()
