@@ -502,6 +502,22 @@ class TestRun:
         with pytest.raises(ValueError, match=f"^reference.{method} is not finite at t=0.5$"):
             run(sc)
 
+    def test_yaw_turning_infinite_rejected_before_any_sample(self, params, cert075,
+                                                             monkeypatch):
+        # the grid up to t = 0.48 is clean and runs as with a constant yaw;
+        # one more step reaches the infinite value and nothing is sampled
+        import flatsat.simulation as simulation
+
+        sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0,
+                             psi=lambda t: math.inf if t >= 0.5 else 0.3)
+        clean = run(replace(sc, psi=0.3))
+        head = run(replace(sc, duration=0.48))
+        assert len(head) == 25 and not head.violations
+        np.testing.assert_array_equal(head.xi, clean.xi[:25])
+        monkeypatch.setattr(simulation, "_control_floats", no_sample)
+        with pytest.raises(ValueError, match="^psi is not finite at t=0.5$"):
+            run(sc)
+
     @pytest.mark.parametrize("psi", [math.nan, math.inf])
     def test_non_finite_constant_yaw_aborts_before_any_row(self, params, cert075, psi):
         # the scenario itself refuses it, as it does a non-finite start
