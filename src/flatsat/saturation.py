@@ -25,7 +25,8 @@ margin in ``constraint_sets``, the other half of the same rounding
 analysis. The control loop runs no solver and no search. :func:`saturate`
 is the per-sample real-time path, a thin wrapper over the float kernel that
 the closed loop calls directly; :func:`saturate_batch` applies the same
-arithmetic to many commands at once for offline checks. A bisection oracle
+arithmetic to many commands at once for offline checks, through the column
+kernel that the verifier calls. A bisection oracle
 is provided purely for cross-checking.
 """
 
@@ -119,16 +120,24 @@ def saturate_batch(v, p: ConstraintParams):
     """:func:`saturate` applied to every row of an ``(N, 3)`` array.
 
     Returns ``(v_out, lam, saturated)`` as ``(N, 3)``, ``(N,)`` and boolean
-    ``(N,)`` arrays, each row bit-identical to the scalar result: the two
-    exit factors are computed as columns with the same floating-point
-    operations as :func:`saturate`. Raises :class:`DomainError` on the
-    first row the scalar kernel rejects: a NaN or infinite component, or a
-    squared norm that overflows.
+    ``(N,)`` arrays, each row bit-identical to the scalar result: a thin
+    wrapper over the column kernel that the verifier calls directly.
+    Raises :class:`DomainError` on the first row the scalar kernel rejects:
+    a NaN or infinite component, or a squared norm that overflows.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) array, got shape {v.shape}")
-    v1, v2, v3 = v[:, 0], v[:, 1], v[:, 2]
+    w1, w2, w3, lam, saturated = _saturate_columns(v[:, 0], v[:, 1], v[:, 2], p)
+    return np.column_stack((w1, w2, w3)), lam, saturated
+
+
+def _saturate_columns(v1, v2, v3, p: ConstraintParams):
+    """:func:`saturate` on three 1-D columns of commands, the batch kernel:
+    the two exit factors are computed as columns with the same
+    floating-point operations as the scalar kernel, so every row is
+    bit-identical to it. Returns ``(w1, w2, w3, lam, saturated)``; contiguous
+    columns take numpy's fast loops."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         feasible = _vc_clauses(v1, v2, v3, p)
         h2 = v1 * v1 + v2 * v2
@@ -145,8 +154,9 @@ def saturate_batch(v, p: ConstraintParams):
     stuck = np.flatnonzero(~((0.0 < lam) & (lam <= 1.0)))
     if stuck.size:
         i = stuck[0]
-        raise DomainError(f"no feasible pullback factor for row {i}: {v[i]!r}")
-    return v * lam[:, None], lam, ~feasible
+        row = (float(v1[i]), float(v2[i]), float(v3[i]))
+        raise DomainError(f"no feasible pullback factor for row {i}: {row!r}")
+    return lam * v1, lam * v2, lam * v3, lam, ~feasible
 
 
 def saturate_oracle(v, p: ConstraintParams) -> float:

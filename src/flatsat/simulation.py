@@ -311,10 +311,13 @@ _ROW = struct.Struct("18d")
 def _on_grid(signal: Callable, tgrid: np.ndarray, width: int, name: str) -> np.ndarray:
     """``signal(tgrid)`` as a float array of shape ``(len(tgrid), width)``;
     a ValueError names the reference method that rejected the array of
-    times or returned another shape."""
+    times or returned another shape. The signal is sampled with numpy's
+    overflow and invalid-value warnings off: a non-finite value it returns
+    is the caller's to report, by the signal's name."""
     want = (len(tgrid), width)
     try:
-        values = np.asarray(signal(tgrid), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(signal(tgrid), dtype=float)
     except TypeError as exc:
         raise ValueError(f"reference.{name} must accept an array of times: {exc}") from exc
     if values.shape != want:
@@ -521,14 +524,19 @@ def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:
     tgrid = trace.t
     if len(tgrid) == 0:
         raise ValueError("the trace has no rows to summarize")
-    err = trace.xi - trace.xi_ref
+    # the errors as contiguous columns, computed in that layout rather than
+    # copied from rows: strided (N, 3) views take numpy's slow loops, and an
+    # extra array of a long run costs fresh pages
+    err = np.subtract(trace.xi.T, trace.xi_ref.T, order="C")
+    e, d = err[:3], err[3:]
     steady = tgrid >= 0.75 * tgrid[-1]
-    pos_err = np.linalg.norm(err[steady, :3], axis=1)
+    pos_err = np.linalg.norm(e[:, steady], axis=0)
     rms = float(np.sqrt(np.mean(pos_err ** 2)))
 
     gain = scenario.cert.gain
-    accel_err = trace.v - _on_grid(scenario.reference.accel, tgrid, 3, "accel")
-    rate = _half_rate(err[:, :3], err[:, 3:], accel_err, gain.p1, gain.p2, gain.p3)
+    accel = _on_grid(scenario.reference.accel, tgrid, 3, "accel")
+    accel_err = np.subtract(trace.v.T, accel.T, order="C")
+    rate = _half_rate(e, d, accel_err, gain.p1, gain.p2, gain.p3)
     decay = float(np.max(2.0 * rate + gain.alpha * trace.lyapunov))
 
     v1, v2, v3 = trace.v[:, 0], trace.v[:, 1], trace.v[:, 2]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .constraint_sets import ConstraintParams, max_inscribed_ball
 from .kvformat import dump_kv, non_negative_int, parse_kv
-from .saturation import saturate_batch
+from .saturation import _saturate_columns
 
 __all__ = [
     "SynthesisError",
@@ -112,7 +112,7 @@ class EllipsoidCert:
 def _raw_feedback(e, d, gamma: float, p2: float, p3: float):
     """The scaled gradient feedback -gamma (p2 e + p3 d) = -gamma B' P xi of
     one axis, for position error ``e`` and velocity error ``d``; on floats
-    or on ``(N, 3)`` blocks. The one definition of the raw control law,
+    or on column blocks. The one definition of the raw control law,
     shared by the closed loop and the verifier."""
     return -gamma * (p2 * e + p3 * d)
 
@@ -134,13 +134,15 @@ def _lyapunov(e, p1: float, p2: float, p3: float):
 
 def _half_rate(e, d, a, p1: float, p2: float, p3: float) -> np.ndarray:
     """Half the rate of V, xi' P (d, a), of each row of errors xi = (e, d)
-    moving along (d, a), from ``(N, 3)`` blocks ``e``, ``d`` and ``a``: the
-    one definition, shared by the verifier and the run metrics."""
+    moving along (d, a), from column triples ``e``, ``d`` and ``a`` (three
+    1-D columns each, or a ``(3, N)`` array): the one definition, shared by
+    the verifier and the run metrics."""
     return p1 * _row_dot(e, d) + p2 * (_row_dot(e, a) + _row_dot(d, d)) + p3 * _row_dot(d, a)
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
+def _row_dot(x, y) -> np.ndarray:
+    """Row-wise dot product of two column triples, summed left to right."""
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
 def _lambda_max_2x2(m11: Fraction, m12: Fraction, m22: Fraction) -> float:
@@ -306,13 +308,14 @@ def verify_cert(
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     gain, gamma = cert.gain, cert.gamma
     p1, p2, p3 = gain.p1, gain.p2, gain.p3
-    points = boundary_states(gain, cert.eps, n_samples, seed)
-    e, d = points[:, :3], points[:, 3:]
-    w, lam, saturated = saturate_batch(_raw_feedback(e, d, gamma, p2, p3), p)
+    # the transpose of the sampler's rows is a contiguous column block
+    cols = boundary_states(gain, cert.eps, n_samples, seed).T
+    e, d = cols[:3], cols[3:]
+    *w, lam, saturated = _saturate_columns(*_raw_feedback(e, d, gamma, p2, p3), p)
 
     # the closed loop moves xi = (e, d) along (d, w)
     flow = _half_rate(e, d, w, p1, p2, p3)
-    vdot_margin = 2.0 * flow + gain.alpha * _lyapunov(points.T, p1, p2, p3)
+    vdot_margin = 2.0 * flow + gain.alpha * _lyapunov(cols, p1, p2, p3)
     gmargin = gamma * lam - 1.0
     violation = np.maximum(flow - INWARD_TOL, vdot_margin - DECAY_TOL)
     violation = np.where(
@@ -338,13 +341,24 @@ def boundary_states(gain: GainMatrix, eps: float, n: int, seed: int = 0) -> np.n
     sampler of the ellipsoid, whose points :func:`verify_cert` checks for
     the same seed. Normal directions of ``default_rng(seed)``, normalized,
     scaled by sqrt(eps) and mapped by P^(-1/2); the first k of n rows are
-    the rows for n = k."""
-    dirs = np.random.default_rng(seed).standard_normal((n, 6))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    # one row alone would take BLAS's matrix-vector kernel, which rounds
+    the rows for n = k.
+
+    The work is done on six contiguous columns, and the rows are returned
+    as the transpose of that block (Fortran order). Every value is bitwise
+    equal to the row-major ``sqrt(eps) * (dirs / norm) @ P_inv_sqrt().T``
+    with ``np.linalg.norm``, which sums each row's squares left to right
+    as the loop below does."""
+    cols = np.random.default_rng(seed).standard_normal((n, 6)).T.copy()
+    sq = cols[0] * cols[0]
+    for c in cols[1:]:
+        sq += c * c
+    cols /= np.sqrt(sq)
+    # one column alone would take BLAS's matrix-vector kernel, which rounds
     # differently from the matrix-matrix kernel of any larger n
-    rows = np.repeat(dirs, 2, axis=0) if n == 1 else dirs
-    return (math.sqrt(eps) * rows @ gain.P_inv_sqrt().T)[:n]
+    if n == 1:
+        cols = np.repeat(cols, 2, axis=1)
+    xi = gain.P_inv_sqrt() @ (math.sqrt(eps) * cols)
+    return np.asfortranarray(xi[:, :n].T)
 
 
 CERT_FORMAT = "flatsat-certificate-1"

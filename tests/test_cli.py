@@ -587,10 +587,13 @@ class TestSweep:
         [({"psi": "nan"}, "psi must be finite, got nan"),
          ({"scenario": "circular", "circle_omega": "nan"},
           "reference.state is not finite at t=0.0"),
+         # omega^2 overflows, so the circle's accel computes inf * sin(0)
+         ({"scenario": "circular", "feedforward": "true", "circle_omega": "1e200"},
+          "reference.accel is not finite at t=0.0"),
          ({"initial_state": "1e160, 0, 0, 0, 0, 0"},
           "sample at t=0.0 rejected, state [1.e+160 0.e+000 0.e+000 0.e+000 0.e+000 "
           "0.e+000], reference [0. 0. 0. 0. 0. 0.]: no feasible pullback factor")],
-        ids=["nan_yaw", "nan_reference", "overflow"],
+        ids=["nan_yaw", "nan_reference", "infinite_accel", "overflow"],
     )
     def test_non_finite_input_writes_no_trace(self, tmp_path, capsys, pairs, message):
         # a config error in simulate and sweep alike: exit 1 before any trace

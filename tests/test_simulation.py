@@ -915,7 +915,7 @@ class TestMetrics:
             gain = sc.cert.gain
             err = trace.xi[rows] - trace.xi_ref[rows]
             accel_err = trace.v[rows] - sc.reference.accel(trace.t[rows])
-            rate = _half_rate(err[:, :3], err[:, 3:], accel_err, gain.p1, gain.p2, gain.p3)
+            rate = _half_rate(err.T[:3], err.T[3:], accel_err.T, gain.p1, gain.p2, gain.p3)
             got = 2.0 * rate + gain.alpha * trace.lyapunov[rows]
             for value, (exact, scale) in zip(got, exact_decay_rows(trace, sc, rows)):
                 assert abs(Fraction(float(value)) - exact) <= 16 * Fraction(2) ** -53 * scale
@@ -945,7 +945,7 @@ class TestMetrics:
                 trace = run(sc)
                 worst = max(worst, metrics(trace, sc).max_decay_residual)
                 err = trace.xi - trace.xi_ref
-                rate = _half_rate(err[:, :3], err[:, 3:], trace.v, gain.p1, gain.p2, gain.p3)
+                rate = _half_rate(err.T[:3], err.T[3:], trace.v.T, gain.p1, gain.p2, gain.p3)
                 failing = 2.0 * rate + gain.alpha * trace.lyapunov > 0.0
                 assert np.all(trace.saturated[failing] & (gamma * trace.lam[failing] < 1.0))
             assert worst > 0.0, gamma

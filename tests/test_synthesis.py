@@ -22,6 +22,7 @@ from flatsat import (
     save_certificate,
     solve_stabilizing_P,
     saturate,
+    saturate_batch,
     verify_cert,
 )
 from flatsat import synthesis
@@ -35,6 +36,10 @@ GAIN_A075 = (0.2109, 0.2813, 0.75)
 GAIN_A125 = (0.9766, 0.7813, 1.25)
 RHO_REF = 2.9019
 EPS_REF = 3.8692
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 def random_gain(rng):
@@ -412,6 +417,17 @@ class TestProcedure:
         assert all(x > y for x, y in zip(areas, areas[1:]))
 
 
+def row_major_boundary_states(gain, eps, n, seed):
+    """Reference for :func:`boundary_states` on rows: the draw of
+    ``default_rng(seed)`` normalized by ``np.linalg.norm`` and mapped by
+    ``P^(-1/2)`` as a row-major matrix product. One row is stacked twice,
+    so that BLAS takes its matrix-matrix kernel for every n."""
+    dirs = np.random.default_rng(seed).standard_normal((n, 6))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    rows = np.repeat(dirs, 2, axis=0) if n == 1 else dirs
+    return (math.sqrt(eps) * rows @ gain.P_inv_sqrt().T)[:n]
+
+
 def verify_by_loop(cert, p, n_samples, seed):
     """Per-sample reference for :func:`verify_cert`: the scalar saturation
     kernel and dense 6x6 products at each boundary point, with the
@@ -419,10 +435,7 @@ def verify_by_loop(cert, p, n_samples, seed):
     inward_tol, decay_tol, gain_tol = 1e-9, 1e-6, 1e-9
     gain, gamma = cert.gain, cert.gamma
     P = gain.P()
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_samples, 6))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    points = math.sqrt(cert.eps) * dirs @ gain.P_inv_sqrt().T
+    points = row_major_boundary_states(gain, cert.eps, n_samples, seed)
     out = dict(n_samples=n_samples, seed=seed, n_saturated=0, inward_failures=0,
                decay_failures=0, gain_failures=0, worst_inward=-math.inf,
                worst_decay=-math.inf, worst_gain_margin=math.inf, worst_sample=-1)
@@ -494,22 +507,43 @@ class TestVerifyCert:
         with pytest.raises(ValueError):
             verify_cert(cert075, params, n_samples=0)
 
+    @staticmethod
+    def saturation_calls(cert, params, monkeypatch):
+        """The (input, output) column pairs of each saturation kernel call
+        of one :func:`verify_cert` run, 300 samples at seed 7."""
+        calls = []
+        original = synthesis._saturate_columns
+
+        def recording(v1, v2, v3, p):
+            out = original(v1, v2, v3, p)
+            calls.append((np.array([v1, v2, v3]), out))
+            return out
+
+        monkeypatch.setattr(synthesis, "_saturate_columns", recording)
+        verify_cert(cert, params, n_samples=300, seed=7)
+        return calls
+
     @pytest.mark.parametrize("gamma", [1.0, 15.0])
     def test_checks_the_boundary_states(self, params, cert075, monkeypatch, gamma):
         cert = replace(cert075, gamma=gamma)
-        seen = []
-        original = synthesis.saturate_batch
-
-        def recording(v, p):
-            seen.append(v.copy())
-            return original(v, p)
-
-        monkeypatch.setattr(synthesis, "saturate_batch", recording)
-        verify_cert(cert, params, n_samples=300, seed=7)
+        calls = self.saturation_calls(cert, params, monkeypatch)
         points = boundary_states(cert.gain, cert.eps, 300, 7)
         g = cert.gain
         raw = -gamma * (g.p2 * points[:, :3] + g.p3 * points[:, 3:])
-        assert len(seen) == 1 and np.array_equal(seen[0], raw)
+        assert len(calls) == 1 and np.array_equal(calls[0][0], raw.T)
+
+    @pytest.mark.parametrize("gamma", [1.0, 5.0, 15.0])
+    def test_saturation_columns_are_saturate_batch_rows(self, params, cert075, monkeypatch,
+                                                        gamma):
+        # the verifier and saturate_batch share one kernel, bit for bit
+        cert = replace(cert075, gamma=gamma)
+        ((raw, (w1, w2, w3, lam, saturated)),) = self.saturation_calls(cert, params, monkeypatch)
+        w, lam_rows, saturated_rows = saturate_batch(raw.T, params)
+        assert np.array_equal(bits(np.column_stack([w1, w2, w3])), bits(w))
+        assert np.array_equal(bits(lam), bits(lam_rows))
+        assert np.array_equal(saturated, saturated_rows)
+        if gamma > 1.0:
+            assert saturated.any()
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
     def test_worst_sample_is_the_largest_recomputed_violation(self, params, cert075, seed):
@@ -530,6 +564,15 @@ class TestVerifyCert:
 
 
 class TestBoundaryStates:
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 10_000])
+    def test_bitwise_equal_to_row_major_oracle(self, cert075, n):
+        gain, eps = cert075.gain, cert075.eps
+        for seed in (0, 1, 5, 12345):
+            got = boundary_states(gain, eps, n, seed)
+            want = row_major_boundary_states(gain, eps, n, seed)
+            assert got.shape == (n, 6) and got.flags.f_contiguous, (seed, n)
+            assert np.array_equal(bits(got), bits(want)), (seed, n)
+
     def test_first_k_of_n_points_are_the_points_for_k(self, cert075):
         gain, eps = cert075.gain, cert075.eps
         for seed in (0, 5):
