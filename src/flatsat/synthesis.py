@@ -14,6 +14,7 @@ at any time.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -80,16 +81,6 @@ class GainMatrix:
                 f"matrix ({self.p1}, {self.p2}, {self.p3}) is not positive definite"
             )
 
-    def P_axis(self) -> np.ndarray:
-        return np.array([[self.p1, self.p2], [self.p2, self.p3]])
-
-    def P(self) -> np.ndarray:
-        return np.kron(self.P_axis(), np.eye(3))
-
-    def P_inv_sqrt(self) -> np.ndarray:
-        w, vecs = np.linalg.eigh(self.P())
-        return vecs @ np.diag(1.0 / np.sqrt(w)) @ vecs.T
-
 
 @dataclass(frozen=True)
 class EllipsoidCert:
@@ -145,18 +136,33 @@ def _row_dot(x, y) -> np.ndarray:
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
+@contextmanager
+def _decimals(*exact: Fraction):
+    """Yield exact rationals as Decimals rounded once, in a 34-digit context."""
+    with localcontext() as ctx:
+        ctx.prec = 34
+        yield [Decimal(x.numerator) / x.denominator for x in exact]
+
+
 def _lambda_max_2x2(m11: Fraction, m12: Fraction, m22: Fraction) -> float:
     """Largest eigenvalue of the symmetric block [[m11, m12], [m12, m22]] of
     exact rationals, rounded to float (+-inf beyond its range). The root
     (s + r)/2, with trace s and r = sqrt((m11 - m22)^2 + 4 m12^2), cancels
-    when s < 0, where it is taken as 2 det/(s - r). Trace, determinant, r
-    and the quotient are rounded at 34 digits, far below a float ulp."""
+    when s < 0, where it is taken as 2 det/(s - r), all at 34 digits."""
     exact = (m11 + m22, m11 * m22 - m12 * m12, (m11 - m22) ** 2 + 4 * m12 * m12)
-    with localcontext() as ctx:
-        ctx.prec = 34
-        s, det, disc = (Decimal(x.numerator) / x.denominator for x in exact)
-        r = disc.sqrt()
-        return float((s + r) / 2 if s >= 0 else 2 * det / (s - r))
+    with _decimals(*exact) as (s, det, disc):
+        return float((s + disc.sqrt()) / 2 if s >= 0 else 2 * det / (s - disc.sqrt()))
+
+
+def _axis_map(gain: GainMatrix, eps: float) -> tuple[float, float, float]:
+    """(a, b, c) of sqrt(eps) M^(-1/2) = [[a, b], [b, c]], M = [[p1, p2], [p2, p3]]: sqrt(eps)
+    [[p3 + s, -p2], [-p2, p1 + s]] / (s t), s = sqrt(det M), t = sqrt(p1 + p3 + 2 s) (Higham,
+    Functions of Matrices, 2008). No sum cancels or, at 34 digits, overflows; each rounded once."""
+    p1, p2, p3 = (Fraction(x) for x in (gain.p1, gain.p2, gain.p3))
+    with _decimals(p1, p2, p3, p1 * p3 - p2 * p2, Fraction(eps)) as (d1, d2, d3, det, e):
+        s = det.sqrt()
+        scale = e.sqrt() / (s * (d1 + d3 + 2 * s).sqrt())
+        return float((d3 + s) * scale), float(-d2 * scale), float((d1 + s) * scale)
 
 
 def lyapunov_residual(gain: GainMatrix) -> float:
@@ -339,26 +345,20 @@ def verify_cert(
 def boundary_states(gain: GainMatrix, eps: float, n: int, seed: int = 0) -> np.ndarray:
     """``n`` rows on the ellipsoid boundary { xi' P xi = eps }: the one
     sampler of the ellipsoid, whose points :func:`verify_cert` checks for
-    the same seed. Normal directions of ``default_rng(seed)``, normalized,
-    scaled by sqrt(eps) and mapped by P^(-1/2); the first k of n rows are
-    the rows for n = k.
-
-    The work is done on six contiguous columns, and the rows are returned
-    as the transpose of that block (Fortran order). Every value is bitwise
-    equal to the row-major ``sqrt(eps) * (dirs / norm) @ P_inv_sqrt().T``
-    with ``np.linalg.norm``, which sums each row's squares left to right
-    as the loop below does."""
+    the same seed. Normal directions of ``default_rng(seed)``, normalized by
+    the left-to-right sum of their six squares, each axis pair (u_i, w_i)
+    mapped to (a u_i + b w_i, b u_i + c w_i) by :func:`_axis_map`. Rows are
+    arithmetic on their own draw, so the first k of n rows are the rows for
+    n = k; they are the transpose of six contiguous columns (Fortran order)."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    a, b, c = _axis_map(gain, eps)
     cols = np.random.default_rng(seed).standard_normal((n, 6)).T.copy()
     sq = cols[0] * cols[0]
-    for c in cols[1:]:
-        sq += c * c
+    for col in cols[1:]:
+        sq += col * col
     cols /= np.sqrt(sq)
-    # one column alone would take BLAS's matrix-vector kernel, which rounds
-    # differently from the matrix-matrix kernel of any larger n
-    if n == 1:
-        cols = np.repeat(cols, 2, axis=1)
-    xi = gain.P_inv_sqrt() @ (math.sqrt(eps) * cols)
-    return np.asfortranarray(xi[:, :n].T)
+    return np.concatenate([a * cols[:3] + b * cols[3:], b * cols[:3] + c * cols[3:]]).T
 
 
 CERT_FORMAT = "flatsat-certificate-1"

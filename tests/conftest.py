@@ -18,6 +18,19 @@ A_MATRIX.setflags(write=False)
 B_MATRIX.setflags(write=False)
 
 
+def dense_P(gain):
+    """The assembled 6x6 Lyapunov matrix [[p1 I3, p2 I3], [p2 I3, p3 I3]] of
+    a :class:`GainMatrix`, for checks against dense matrix algebra; the
+    library works on the 2x2 axis block only."""
+    return np.kron(np.array([[gain.p1, gain.p2], [gain.p2, gain.p3]]), np.eye(3))
+
+
+def dense_P_inv_sqrt(gain):
+    """P^(-1/2) of :func:`dense_P` from a dense symmetric eigendecomposition."""
+    w, vecs = np.linalg.eigh(dense_P(gain))
+    return vecs @ np.diag(1.0 / np.sqrt(w)) @ vecs.T
+
+
 def flat_dynamics(xi, v):
     """State derivative of the acceleration-commanded model: (vel, v)."""
     xi = np.asarray(xi, dtype=float)

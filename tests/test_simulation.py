@@ -34,7 +34,7 @@ from flatsat.kvformat import BLOCK_ROWS, format_value
 from flatsat.simulation import CSV_COLUMNS, RunMetrics
 from flatsat.synthesis import _half_rate
 
-from conftest import CANONICAL_X0, residual_active
+from conftest import CANONICAL_X0, dense_P, residual_active
 
 
 def origin_scenario(cert, params, xi0, duration=20.0, **kw):
@@ -686,7 +686,7 @@ class TestFloatLoopOracle:
             assert_same_trace(got, want, i)
             # the block-scalar sum runs in another order than e' P e
             err = want.xi - want.xi_ref
-            dense = np.einsum("ij,jk,ik->i", err, sc.cert.gain.P(), err)
+            dense = np.einsum("ij,jk,ik->i", err, dense_P(sc.cert.gain), err)
             scale = np.maximum(1.0, np.abs(dense))
             assert np.all(np.abs(got.lyapunov - dense) <= 1e-15 * scale), i
             n_saturated += int(got.saturated.sum())
@@ -784,7 +784,7 @@ class TestTraceExport:
         a = boundary_states(cert075.gain, cert075.eps, 20)
         b = boundary_states(cert075.gain, cert075.eps, 20)
         assert np.array_equal(a, b)
-        P = cert075.gain.P()
+        P = dense_P(cert075.gain)
         levels = np.einsum("ij,jk,ik->i", a, P, a)
         assert np.allclose(levels, cert075.eps, rtol=1e-9)
         # reasonably spread: no two starts nearly coincide
@@ -808,7 +808,7 @@ def metrics_full_reference(trace, scenario):
     rms = float(np.sqrt(np.mean(pos_err[steady] ** 2)))
 
     gain = scenario.cert.gain
-    P = gain.P()
+    P = dense_P(gain)
     err = trace.xi - refs
     accel_ref = np.stack([scenario.reference.accel(t) for t in tgrid])
     flow = np.concatenate([err[:, 3:], trace.v - accel_ref], axis=1)

@@ -29,7 +29,7 @@ from flatsat import synthesis
 from flatsat.kvformat import parse_kv
 from flatsat.synthesis import CERT_KEYS, DELTA_CERT
 
-from conftest import A_MATRIX, B_MATRIX
+from conftest import A_MATRIX, B_MATRIX, dense_P, dense_P_inv_sqrt
 
 # frozen reference scalars for the canonical desk-scale setting
 GAIN_A075 = (0.2109, 0.2813, 0.75)
@@ -82,7 +82,7 @@ def bisection_gain(alpha, margin):
 def dense_lyapunov_residual(gain):
     """Reference for :func:`lyapunov_residual`: the largest float
     eigenvalue of the assembled 6x6 decay matrix."""
-    P = gain.P()
+    P = dense_P(gain)
     acl = A_MATRIX - B_MATRIX @ B_MATRIX.T @ P
     return float(np.linalg.eigvalsh(acl.T @ P + P @ acl + gain.alpha * P).max())
 
@@ -98,7 +98,7 @@ def dense_inverse_side(q1, q2, q3, alpha):
 def multiplier_matrix(gain, rho, eps, tau):
     """Assembled 7x7 S-procedure matrix whose positive semidefiniteness
     certifies: ||xi||_P^2 <= eps implies ||B' P xi||^2 <= rho."""
-    P = gain.P()
+    P = dense_P(gain)
     pb = P @ B_MATRIX
     out = np.zeros((7, 7))
     out[:6, :6] = P - tau * pb @ pb.T
@@ -174,14 +174,19 @@ class TestGainMatrix:
             EllipsoidCert(gain=gain, rho=rho, eps=eps, gamma=gamma)
 
     def test_block_assembly(self):
+        # the sampler's 2x2 entries, assembled into the 6x6 block, are the
+        # dense P^(-1/2) of the eigendecomposition, scaled by sqrt(eps)
         g = GainMatrix(p1=2.0, p2=0.5, p3=1.0, alpha=1.0)
-        P = g.P()
+        P = dense_P(g)
         assert P.shape == (6, 6)
         assert np.allclose(P[:3, :3], 2.0 * np.eye(3))
         assert np.allclose(P[:3, 3:], 0.5 * np.eye(3))
         assert np.allclose(P[3:, 3:], np.eye(3))
-        s = g.P_inv_sqrt()
-        assert np.allclose(s @ P @ s, np.eye(6), atol=1e-12)
+        for eps in (1.0, 4.0):
+            a, b, c = synthesis._axis_map(g, eps)
+            s = np.kron(np.array([[a, b], [b, c]]), np.eye(3)) / math.sqrt(eps)
+            assert np.allclose(s, dense_P_inv_sqrt(g), rtol=0.0, atol=1e-12)
+            assert np.allclose(s @ P @ s, np.eye(6), atol=1e-12)
 
 
 class TestSolveStabilizing:
@@ -358,7 +363,7 @@ class TestEpsMax:
             gain = random_gain(rng)
             rho = rng.uniform(0.1, 10.0)
             eps = eps_max(gain, rho)
-            btpb_max = np.linalg.eigvalsh(B_MATRIX.T @ gain.P() @ B_MATRIX).max()
+            btpb_max = np.linalg.eigvalsh(B_MATRIX.T @ dense_P(gain) @ B_MATRIX).max()
             assert abs(eps * btpb_max - rho) <= 1e-9
 
     def test_implication_by_sampling(self, params):
@@ -369,17 +374,15 @@ class TestEpsMax:
         dirs = rng.standard_normal((100_000, 6))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = rng.uniform(size=(100_000, 1)) ** (1.0 / 6.0)
-        pts = math.sqrt(eps) * (dirs * radii) @ gain.P_inv_sqrt().T
-        btp = B_MATRIX.T @ gain.P()
+        P, s = dense_P(gain), dense_P_inv_sqrt(gain)
+        pts = math.sqrt(eps) * (dirs * radii) @ s.T
+        btp = B_MATRIX.T @ P
         norms = np.sum((pts @ btp.T) ** 2, axis=1)
         assert norms.max() <= rho + 1e-9
         # slightly larger level must contain a violating point: the extremal
         # direction of the feedback magnitude provides the witness
-        P = gain.P()
-        w, vecs = np.linalg.eigh(
-            np.linalg.multi_dot([gain.P_inv_sqrt(), P @ B_MATRIX @ B_MATRIX.T @ P, gain.P_inv_sqrt()])
-        )
-        xi_star = math.sqrt(eps * 1.01) * gain.P_inv_sqrt() @ vecs[:, -1]
+        w, vecs = np.linalg.eigh(np.linalg.multi_dot([s, P @ B_MATRIX @ B_MATRIX.T @ P, s]))
+        xi_star = math.sqrt(eps * 1.01) * s @ vecs[:, -1]
         assert float(np.sum((btp @ xi_star) ** 2)) > rho + 1e-9
 
 
@@ -417,25 +420,14 @@ class TestProcedure:
         assert all(x > y for x, y in zip(areas, areas[1:]))
 
 
-def row_major_boundary_states(gain, eps, n, seed):
-    """Reference for :func:`boundary_states` on rows: the draw of
-    ``default_rng(seed)`` normalized by ``np.linalg.norm`` and mapped by
-    ``P^(-1/2)`` as a row-major matrix product. One row is stacked twice,
-    so that BLAS takes its matrix-matrix kernel for every n."""
-    dirs = np.random.default_rng(seed).standard_normal((n, 6))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    rows = np.repeat(dirs, 2, axis=0) if n == 1 else dirs
-    return (math.sqrt(eps) * rows @ gain.P_inv_sqrt().T)[:n]
-
-
 def verify_by_loop(cert, p, n_samples, seed):
     """Per-sample reference for :func:`verify_cert`: the scalar saturation
-    kernel and dense 6x6 products at each boundary point, with the
-    verifier's tolerances."""
+    kernel and dense 6x6 products at each of the :func:`boundary_states`
+    points, with the verifier's tolerances."""
     inward_tol, decay_tol, gain_tol = 1e-9, 1e-6, 1e-9
     gain, gamma = cert.gain, cert.gamma
-    P = gain.P()
-    points = row_major_boundary_states(gain, cert.eps, n_samples, seed)
+    P = dense_P(gain)
+    points = boundary_states(gain, cert.eps, n_samples, seed)
     out = dict(n_samples=n_samples, seed=seed, n_saturated=0, inward_failures=0,
                decay_failures=0, gain_failures=0, worst_inward=-math.inf,
                worst_decay=-math.inf, worst_gain_margin=math.inf, worst_sample=-1)
@@ -549,7 +541,7 @@ class TestVerifyCert:
     def test_worst_sample_is_the_largest_recomputed_violation(self, params, cert075, seed):
         bad = replace(cert075, eps=cert075.eps * 1.5)
         report = verify_cert(bad, params, n_samples=2000, seed=seed)
-        g, P, gamma = bad.gain, bad.gain.P(), bad.gamma
+        g, P, gamma = bad.gain, dense_P(bad.gain), bad.gamma
         violations = []
         for xi in boundary_states(g, bad.eps, 2000, seed):
             res = saturate(-gamma * (g.p2 * xi[:3] + g.p3 * xi[3:]), params)
@@ -563,15 +555,92 @@ class TestVerifyCert:
         assert report.worst_sample == int(np.argmax(violations))
 
 
+def exact_level_error(gain, eps, rows):
+    """Largest exact |V/eps - 1| over ``rows``, with V = xi' P xi of each
+    row's floats summed in :class:`Fraction`."""
+    p1, p2, p3, level = map(Fraction, (gain.p1, gain.p2, gain.p3, eps))
+    worst = Fraction(0)
+    for row in rows.tolist():
+        e1, e2, e3, d1, d2, d3 = map(Fraction, row)
+        v = sum(p1 * e * e + 2 * p2 * e * d + p3 * d * d
+                for e, d in ((e1, d1), (e2, d2), (e3, d3)))
+        worst = max(worst, abs(v / level - 1))
+    return worst
+
+
+def level_bound(gain):
+    """Bound on the exact |V/eps - 1| of a :func:`boundary_states` row, with
+    u = 2^-53. The normalized direction's squared norm is within 10 u of 1
+    (six squares summed, a square root, a quotient). Each mapped value
+    carries three roundings (its :func:`synthesis._axis_map` entry, a
+    product, the sum), which move V by at most 6 sqrt(2) kappa u relative,
+    kappa = sqrt(cond P_axis)."""
+    lo, hi = np.linalg.eigvalsh(np.array([[gain.p1, gain.p2], [gain.p2, gain.p3]]))
+    return (10.0 + 9.0 * math.sqrt(hi / lo)) * 2.0**-53
+
+
+def mp_axis_map(gain, eps):
+    """sqrt(eps) P_axis^(-1/2) from mpmath's symmetric eigendecomposition,
+    independent of the closed form: the entries (a, b, c). Call it at 50
+    digits."""
+    w, q = mpmath.eigsy(mpmath.matrix([[gain.p1, gain.p2], [gain.p2, gain.p3]]))
+    s = q * mpmath.diag([mpmath.sqrt(eps / x) for x in w]) * q.T
+    return s[0, 0], s[0, 1], s[1, 1]
+
+
+# valid gains far from the desk scale, each with a level: p ~ 1e+-150,
+# and p1 p3 = 1e400, which overflows a float
+EXTREME_GAINS = [
+    ((1e150, 3e149, 2e150), 1.0),
+    ((1e150, -3e149, 2e150), 1e-300),
+    ((1e-150, 3e-151, 2e-150), 1.0),
+    ((1e-150, -3e-151, 2e-150), 1e300),
+    ((1e200, 0.0, 1e200), 1.0),
+    ((1e200, 0.0, 1e200), 1e300),
+]
+
+
+def sampler_cases(params, n_random):
+    """(gain, eps) pairs: the synthesized certificates at alpha 0.25, 0.75,
+    1.25 and 3.0, then ``n_random`` seeded random gains and levels."""
+    cases = []
+    for alpha in (0.25, 0.75, 1.25, 3.0):
+        cert = synthesize_certificate(params, alpha=alpha, gamma=1.0)
+        cases.append((cert.gain, cert.eps))
+    rng = np.random.default_rng(53)
+    for _ in range(n_random):
+        gain = random_gain(rng)
+        cases.append((gain, eps_max(gain, rng.uniform(0.1, 10.0))))
+    return cases
+
+
 class TestBoundaryStates:
-    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 10_000])
-    def test_bitwise_equal_to_row_major_oracle(self, cert075, n):
-        gain, eps = cert075.gain, cert075.eps
-        for seed in (0, 1, 5, 12345):
-            got = boundary_states(gain, eps, n, seed)
-            want = row_major_boundary_states(gain, eps, n, seed)
-            assert got.shape == (n, 6) and got.flags.f_contiguous, (seed, n)
-            assert np.array_equal(bits(got), bits(want)), (seed, n)
+    def test_rows_on_the_level_set(self, params):
+        for i, (gain, eps) in enumerate(sampler_cases(params, 20)):
+            n = 2000 if i < 4 else 200
+            rows = boundary_states(gain, eps, n, seed=i)
+            assert rows.shape == (n, 6) and rows.flags.f_contiguous, i
+            assert exact_level_error(gain, eps, rows) <= level_bound(gain), i
+
+    def test_axis_map_entries_within_half_an_ulp(self, params):
+        extreme = [(GainMatrix(*p, alpha=1.0), eps) for p, eps in EXTREME_GAINS]
+        for gain, eps in sampler_cases(params, 20) + extreme:
+            got = synthesis._axis_map(gain, eps)
+            with mpmath.workdps(50):
+                for x, want in zip(got, mp_axis_map(gain, eps)):
+                    assert abs(mpmath.mpf(x) - want) <= mpmath.mpf(math.ulp(x)) / 2, (gain, eps)
+
+    @pytest.mark.parametrize("p, eps", EXTREME_GAINS)
+    def test_extreme_gains_on_the_level_set(self, p, eps):
+        gain = GainMatrix(*p, alpha=1.0)
+        rows = boundary_states(gain, eps, 200, seed=3)
+        assert np.all(np.isfinite(rows)) and np.any(rows != 0.0)
+        assert exact_level_error(gain, eps, rows) <= level_bound(gain)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_eps(self, cert075, eps):
+        with pytest.raises(ValueError, match="eps"):
+            boundary_states(cert075.gain, eps, 10)
 
     def test_first_k_of_n_points_are_the_points_for_k(self, cert075):
         gain, eps = cert075.gain, cert075.eps
