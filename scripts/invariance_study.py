@@ -8,8 +8,8 @@ constraint set, and writes one trace CSV per (gamma, start) pair, named by
 the gamma tags of ``flatsat sweep``. The gamma list is read and checked as
 ``flatsat sweep`` reads and checks it, before synthesis. Any bad argument,
 an infeasible ``--alpha`` or a ``--duration`` that is not a whole number of
-``--dt`` steps included, stops the script with one usage line before it
-writes anything.
+``--dt`` steps or whose step count overflows included, stops the script with
+one usage line before it writes anything.
 """
 
 import argparse

@@ -24,10 +24,9 @@ derived once per set of limits; its derivation sits beside the membership
 margin in ``constraint_sets``, the other half of the same rounding
 analysis. The control loop runs no solver and no search. :func:`saturate`
 is the per-sample real-time path, a thin wrapper over the float kernel that
-the closed loop calls directly; :func:`saturate_batch` applies the same
-arithmetic to many commands at once for offline checks, through the column
-kernel that the verifier calls. A bisection oracle
-is provided purely for cross-checking.
+the closed loop calls directly; a column kernel applies the same arithmetic
+to many commands at once, for the verifier. A bisection oracle is provided
+purely for cross-checking.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "ActiveConstraint",
     "SaturationResult",
     "saturate",
-    "saturate_batch",
     "saturate_oracle",
 ]
 
@@ -116,28 +114,15 @@ def _saturate_floats(v1: float, v2: float, v3: float, p: ConstraintParams):
     return lam * v1, lam * v2, lam * v3, lam, True, active
 
 
-def saturate_batch(v, p: ConstraintParams):
-    """:func:`saturate` applied to every row of an ``(N, 3)`` array.
-
-    Returns ``(v_out, lam, saturated)`` as ``(N, 3)``, ``(N,)`` and boolean
-    ``(N,)`` arrays, each row bit-identical to the scalar result: a thin
-    wrapper over the column kernel that the verifier calls directly.
-    Raises :class:`DomainError` on the first row the scalar kernel rejects:
-    a NaN or infinite component, or a squared norm that overflows.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3:
-        raise ValueError(f"expected an (N, 3) array, got shape {v.shape}")
-    w1, w2, w3, lam, saturated = _saturate_columns(v[:, 0], v[:, 1], v[:, 2], p)
-    return np.column_stack((w1, w2, w3)), lam, saturated
-
-
 def _saturate_columns(v1, v2, v3, p: ConstraintParams):
-    """:func:`saturate` on three 1-D columns of commands, the batch kernel:
-    the two exit factors are computed as columns with the same
-    floating-point operations as the scalar kernel, so every row is
-    bit-identical to it. Returns ``(w1, w2, w3, lam, saturated)``; contiguous
-    columns take numpy's fast loops."""
+    """:func:`saturate` on three 1-D columns of commands, the batch kernel
+    that :func:`flatsat.synthesis.verify_cert` calls: the two exit factors
+    are computed as columns with the same floating-point operations as the
+    float kernel, so every row is bit-identical to it. Returns
+    ``(w1, w2, w3, lam, saturated)``; contiguous columns take numpy's fast
+    loops. Raises :class:`DomainError` on the first row the float kernel
+    rejects: a NaN or infinite component, or a squared norm that
+    overflows."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         feasible = _vc_clauses(v1, v2, v3, p)
         h2 = v1 * v1 + v2 * v2

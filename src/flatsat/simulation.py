@@ -138,8 +138,9 @@ class Scenario:
     yaw is exogenous; default 0). ``feedforward`` adds the reference
     acceleration to the feedback before saturation. ``invariance_mode``
     requires the initial error state inside the certified ellipsoid and
-    monitors every sample against leaving it. ``duration`` must be a whole number of steps
-    ``dt`` (to 1e-9 relative), so the grid ends exactly at the horizon.
+    monitors every sample against leaving it. ``duration`` must be a whole
+    number of steps ``dt`` (to 1e-9 relative, their quotient finite), so the
+    grid ends exactly at the horizon.
     """
 
     reference: object
@@ -167,6 +168,8 @@ class Scenario:
         if not (self.dt <= self.duration < math.inf):
             raise ValueError("duration must be finite and cover at least one step")
         steps = self.duration / self.dt
+        if steps == math.inf:
+            raise ValueError(f"duration / dt overflows: {self.duration} / {self.dt}")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(
                 f"duration {self.duration} is not a whole number of steps dt = {self.dt}"
@@ -286,15 +289,15 @@ def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
     raw command as ``Trace.v_raw``. Both states are cast to float64 and
     subtracted as Python floats, so a non-finite error raises DomainError
     in the saturation, never a numpy warning; a ValueError rejects a state
-    of other than six values (``xi_ref`` may be one scalar) or a
-    feedforward of other than three.
+    or reference of other than six values, or a feedforward of other than
+    three.
     """
     x = np.asarray(xi, dtype=float)
     r = np.asarray(xi_ref, dtype=float)
-    if x.shape != (6,) or r.shape not in ((6,), ()):
+    if x.shape != (6,) or r.shape != (6,):
         raise ValueError(f"states need exactly six values, got shapes {x.shape} and {r.shape}")
     x1, x2, x3, x4, x5, x6 = x.tolist()
-    q1, q2, q3, q4, q5, q6 = r.tolist() if r.ndim else [r.item()] * 6
+    q1, q2, q3, q4, q5, q6 = r.tolist()
     ff = None if feedforward_accel is None else np.asarray(feedforward_accel, dtype=float).tolist()
     _, _, _, (w1, w2, w3, lam, saturated, active) = _control_floats(
         x1 - q1, x2 - q2, x3 - q3, x4 - q4, x5 - q5, x6 - q6, ff, cert.gamma,

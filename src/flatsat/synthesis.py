@@ -395,8 +395,9 @@ def save_certificate(
 ) -> None:
     """Write the certificate file: one ``key = value`` line per entry of
     :data:`CERT_KEYS`, in its order. Floats carry 17 significant digits so
-    the file round-trips bit-exactly.
-    """
+    the file round-trips bit-exactly. The text is first read back as the
+    load reads it: what the load rejects (a seed of -1, 1.5 or True) writes
+    no file."""
     holders = {
         "file": SimpleNamespace(format=CERT_FORMAT),
         "limits": p,
@@ -406,6 +407,7 @@ def save_certificate(
     }
     pairs = {key: getattr(holders[holder], key) for key, (holder, _) in CERT_KEYS.items()}
     text = dump_kv(pairs, header="invariant-ellipsoid certificate")
+    _read_certificate(parse_kv(text))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -414,11 +416,15 @@ def load_certificate(path):
     """Read a certificate file back to (ConstraintParams, EllipsoidCert, meta).
 
     ``meta`` is a dict with the seed and margin. Unknown or missing keys, a
-    value its reader rejects (named by its key), an unsupported format and an
-    inconsistent stored eps_max are rejected.
+    value its reader rejects (named by its key), an unsupported format and a
+    stored eps_max not bit-equal to the angle limits' are rejected.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_kv(fh.read())
+        return _read_certificate(parse_kv(fh.read()))
+
+
+def _read_certificate(raw: dict):
+    """:func:`load_certificate` on the parsed pairs ``raw`` of a file."""
     if set(raw) != set(CERT_KEYS):
         missing = sorted(set(CERT_KEYS) - set(raw))
         unknown = sorted(set(raw) - set(CERT_KEYS))
@@ -434,7 +440,7 @@ def load_certificate(path):
     if v.format != CERT_FORMAT:
         raise ValueError(f"unsupported certificate format {v.format!r}")
     p = ConstraintParams(g=v.g, t_max=v.t_max, phi_max=v.phi_max, theta_max=v.theta_max)
-    if not abs(p.eps_max - v.eps_max) <= 1e-12:
+    if p.eps_max != v.eps_max:
         raise ValueError(f"stored eps_max {v.eps_max} inconsistent with angle limits")
     gain = GainMatrix(p1=v.p1, p2=v.p2, p3=v.p3, alpha=v.alpha)
     cert = EllipsoidCert(gain=gain, rho=v.rho, eps=v.eps, gamma=v.gamma)

@@ -317,6 +317,14 @@ class TestSimulate:
         assert "whole number of steps" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_overflowing_step_count_rejected(self, tmp_path, capsys):
+        # one error line, not an OverflowError traceback
+        cfg = write_config(tmp_path / "c.txt", duration="1e300", dt="1e-10")
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == "error: duration / dt overflows: 1e+300 / 1e-10\n"
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_certificate_with_nan_gamma_rejected(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
         cert_path = tmp_path / "certificate.txt"
@@ -654,9 +662,11 @@ class TestStudyScripts:
             (["--dt", "0"], "--duration/--dt: dt must be positive, got 0.0"),
             (["--duration", "1.01"],
              "--duration/--dt: duration 1.01 is not a whole number of steps"),
+            (["--duration", "1e300", "--dt", "1e-10"],
+             "--duration/--dt: duration / dt overflows: 1e+300 / 1e-10"),
         ],
         ids=["repeated", "below_one", "below_one_second", "unparsable", "no_starts",
-             "infeasible_alpha", "zero_dt", "horizon_not_whole_steps"],
+             "infeasible_alpha", "zero_dt", "horizon_not_whole_steps", "step_count_overflows"],
     )
     def test_invariance_study_rejects_bad_arguments_before_any_run(
         self, tmp_path, monkeypatch, capsys, args, message

@@ -17,10 +17,10 @@ from flatsat import (
     in_U,
     in_Vc,
     saturate,
-    saturate_batch,
     saturate_oracle,
     to_physical,
 )
+from flatsat.saturation import _saturate_columns, _saturate_floats
 from conftest import residual_active
 
 G = 9.81
@@ -82,6 +82,17 @@ def fuzz_batch(rng, n):
 
 def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+def saturate_rows(v, strided=False):
+    """The column kernel on the rows of the ``(N, 3)`` array ``v``: on three
+    contiguous columns, the call that ``verify_cert`` makes, or with
+    ``strided`` on the column views of ``v``. Returns ``(w, lam,
+    saturated)`` with ``w`` of shape ``(N, 3)``."""
+    v = np.asarray(v, dtype=float)
+    cols = (v[:, 0], v[:, 1], v[:, 2]) if strided else v.T.copy()
+    w1, w2, w3, lam, saturated = _saturate_columns(*cols, PARAMS)
+    return np.column_stack((w1, w2, w3)), lam, saturated
 
 
 class TestSaturate:
@@ -199,7 +210,7 @@ class TestNonFinite:
             saturate(v, PARAMS)
         rows = np.array([[0.1, 0.2, 0.3], v, [30.0, 0.0, 0.0]])
         with pytest.raises(DomainError, match="row 1"):
-            saturate_batch(rows, PARAMS)
+            saturate_rows(rows)
 
     @pytest.mark.parametrize(
         "v",
@@ -213,7 +224,7 @@ class TestNonFinite:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="row 1"):
-                saturate_batch(rows, PARAMS)
+                saturate_rows(rows)
 
     @pytest.mark.parametrize(
         "v", [(1e154, 0.0, 0.0), (0.0, 0.0, -1.3e154), (0.0, 0.0, 1.3e154)]
@@ -221,18 +232,22 @@ class TestNonFinite:
     def test_largest_finite_squared_norm_saturates(self, v):
         res = saturate(v, PARAMS)
         assert res.saturated and in_Vc(res.v_out, PARAMS)
-        _, lam, _ = saturate_batch(np.array([v]), PARAMS)
+        _, lam, _ = saturate_rows([v])
         assert bits(lam[0]) == bits(res.lam)
 
 
 class TestSaturateBatch:
     def test_bitwise_equal_to_scalar_kernel(self):
+        # contiguous columns and the strided column views of one array alike
         v = fuzz_batch(np.random.default_rng(17), 210_000)
-        v_out, lam, saturated = saturate_batch(v, PARAMS)
-        ref = [saturate(row, PARAMS) for row in v]
-        np.testing.assert_array_equal(bits(lam), bits([r.lam for r in ref]))
-        np.testing.assert_array_equal(bits(v_out), bits([r.v_out for r in ref]))
-        np.testing.assert_array_equal(saturated, [r.saturated for r in ref])
+        w1, w2, w3, lam_ref, saturated_ref, _ = zip(
+            *(_saturate_floats(*row, PARAMS) for row in v.tolist())
+        )
+        for strided in (False, True):
+            v_out, lam, saturated = saturate_rows(v, strided)
+            np.testing.assert_array_equal(bits(lam), bits(lam_ref))
+            np.testing.assert_array_equal(bits(v_out), bits(np.transpose([w1, w2, w3])))
+            np.testing.assert_array_equal(saturated, saturated_ref)
         # every regime is present: saturated and feasible rows, zero rows,
         # and outputs just above the cone apex, from vertical and
         # apex-grazing rays
@@ -243,7 +258,7 @@ class TestSaturateBatch:
     def test_matches_oracle(self):
         # every row, those whose output is just above the cone apex included
         v = fuzz_batch(np.random.default_rng(9), 10_000)
-        w, lam, _ = saturate_batch(v, PARAMS)
+        w, lam, _ = saturate_rows(v)
         oracle = np.array([saturate_oracle(row, PARAMS) for row in v])
         at_apex = w[:, 2] + G < 1e-12
         assert 0 < np.count_nonzero(at_apex) < len(v)
@@ -252,18 +267,14 @@ class TestSaturateBatch:
     def test_apex_grazing_matches_oracle(self):
         h = np.array([1e-7, 1e-6, 1e-5])
         v = np.column_stack([h, np.zeros_like(h), np.full_like(h, -2 * G)])
-        _, lam, _ = saturate_batch(v, PARAMS)
+        _, lam, _ = saturate_rows(v)
         oracle = [saturate_oracle(row, PARAMS) for row in v]
         assert np.max(np.abs(lam - oracle)) <= 1e-8
 
     def test_empty_input(self):
-        v_out, lam, saturated = saturate_batch(np.empty((0, 3)), PARAMS)
+        v_out, lam, saturated = saturate_rows(np.empty((0, 3)))
         assert v_out.shape == (0, 3) and lam.shape == (0,)
         assert saturated.shape == (0,) and saturated.dtype == bool
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            saturate_batch(np.zeros(3), PARAMS)
 
 
 def grazing_rays(rng, n, lo, hi):
@@ -295,7 +306,7 @@ class TestExactness:
         # the exact factor times the backoff, to 1e-15 relative either side
         rng = np.random.default_rng(41)
         v = np.vstack([fuzz_batch(rng, 7000), grazing_rays(rng, 2000, 1e-18, 1e-4)])
-        _, lam, saturated = saturate_batch(v, PARAMS)
+        _, lam, saturated = saturate_rows(v)
         assert np.count_nonzero(saturated) > 6000
         backoff = mpmath.mpf(BACKOFF)
         for row, got in zip(v[saturated], lam[saturated]):
@@ -309,7 +320,7 @@ class TestExactness:
         v[:1000, :2] = 0.0
         v[1000:1100, 0] = 7.5e-17 * -v[1000:1100, 2]
         v[1000:1100, 1] = 0.0
-        w, _, saturated = saturate_batch(v, PARAMS)
+        w, _, saturated = saturate_rows(v)
         assert saturated.all()
         assert np.all(w[:, 2] + G > 0.0)
         for row in w:
@@ -384,11 +395,12 @@ class TestExactMembership:
     @given(rows=st.lists(hard_commands(), min_size=1, max_size=30))
     def test_every_output_is_an_exact_member(self, rows):
         v = np.array(rows)
-        w, lam, saturated = saturate_batch(v, PARAMS)
-        for row, wb, lb, sb in zip(v, w, lam, saturated):
+        batches = [saturate_rows(v, strided) for strided in (False, True)]
+        for i, row in enumerate(v):
             res = saturate(row, PARAMS)
-            np.testing.assert_array_equal(bits(res.v_out), bits(wb))
-            assert bits(res.lam) == bits(lb) and res.saturated == sb
+            for w, lam, saturated in batches:
+                np.testing.assert_array_equal(bits(res.v_out), bits(w[i]))
+                assert bits(res.lam) == bits(lam[i]) and res.saturated == saturated[i]
             assert exact_member(res.v_out, PARAMS), (row, res)
             for psi in (0.0, 0.7, -2.3):
                 assert in_U(to_physical(res.v_out, psi, G), PARAMS), (row, res, psi)

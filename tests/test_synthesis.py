@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from flatsat import (
+    ConstraintParams,
     EllipsoidCert,
     GainMatrix,
     SynthesisError,
@@ -22,10 +23,10 @@ from flatsat import (
     save_certificate,
     solve_stabilizing_P,
     saturate,
-    saturate_batch,
     verify_cert,
 )
 from flatsat import synthesis
+from flatsat.saturation import _saturate_floats
 from flatsat.kvformat import parse_kv
 from flatsat.synthesis import CERT_KEYS, DELTA_CERT
 
@@ -501,14 +502,16 @@ class TestVerifyCert:
 
     @staticmethod
     def saturation_calls(cert, params, monkeypatch):
-        """The (input, output) column pairs of each saturation kernel call
-        of one :func:`verify_cert` run, 300 samples at seed 7."""
+        """The (input, output, contiguous) triples of each saturation kernel
+        call of one :func:`verify_cert` run, 300 samples at seed 7:
+        ``contiguous`` tells whether all three input columns were."""
         calls = []
         original = synthesis._saturate_columns
 
         def recording(v1, v2, v3, p):
             out = original(v1, v2, v3, p)
-            calls.append((np.array([v1, v2, v3]), out))
+            contiguous = all(c.flags.c_contiguous for c in (v1, v2, v3))
+            calls.append((np.array([v1, v2, v3]), out, contiguous))
             return out
 
         monkeypatch.setattr(synthesis, "_saturate_columns", recording)
@@ -525,15 +528,19 @@ class TestVerifyCert:
         assert len(calls) == 1 and np.array_equal(calls[0][0], raw.T)
 
     @pytest.mark.parametrize("gamma", [1.0, 5.0, 15.0])
-    def test_saturation_columns_are_saturate_batch_rows(self, params, cert075, monkeypatch,
-                                                        gamma):
-        # the verifier and saturate_batch share one kernel, bit for bit
+    def test_saturation_columns_are_scalar_kernel_rows(self, params, cert075, monkeypatch,
+                                                       gamma):
+        # the verifier saturates contiguous columns, each row bit for bit
+        # the float kernel of the closed loop
         cert = replace(cert075, gamma=gamma)
-        ((raw, (w1, w2, w3, lam, saturated)),) = self.saturation_calls(cert, params, monkeypatch)
-        w, lam_rows, saturated_rows = saturate_batch(raw.T, params)
-        assert np.array_equal(bits(np.column_stack([w1, w2, w3])), bits(w))
-        assert np.array_equal(bits(lam), bits(lam_rows))
-        assert np.array_equal(saturated, saturated_rows)
+        ((raw, (w1, w2, w3, lam, saturated), contiguous),) = self.saturation_calls(
+            cert, params, monkeypatch
+        )
+        assert contiguous
+        rows = [_saturate_floats(*row, params) for row in raw.T.tolist()]
+        assert np.array_equal(bits(np.column_stack([w1, w2, w3])), bits([r[:3] for r in rows]))
+        assert np.array_equal(bits(lam), bits([r[3] for r in rows]))
+        assert saturated.tolist() == [r[4] for r in rows]
         if gamma > 1.0:
             assert saturated.any()
 
@@ -670,6 +677,15 @@ class TestCertificateFile:
         assert p2 == params
         assert cert2 == cert075
         assert meta == {"seed": 7, "margin": 1e-9}
+        # at any limits: the load compares the stored eps_max exactly
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            g = rng.uniform(0.1, 30.0)
+            phi_max, theta_max = rng.uniform(1e-3, 1.57, 2)
+            p = ConstraintParams(g=g, t_max=g * rng.uniform(1.01, 3.0), phi_max=phi_max,
+                                 theta_max=theta_max)
+            save_certificate(path, p, cert075)
+            assert load_certificate(path)[:2] == (p, cert075)
 
     def test_rejects_unknown_key(self, tmp_path, params, cert075):
         path = tmp_path / "cert.txt"
@@ -687,14 +703,30 @@ class TestCertificateFile:
             load_certificate(path)
 
     def test_rejects_inconsistent_angle_bound(self, tmp_path, params, cert075):
+        # one ulp off either side included
         path = tmp_path / "cert.txt"
-        save_certificate(path, params, cert075)
-        text = path.read_text().replace(
-            f"eps_max = {params.eps_max:.17g}", "eps_max = 0.3"
-        )
-        path.write_text(text)
-        with pytest.raises(ValueError, match="eps_max"):
-            load_certificate(path)
+        for value in (0.3, math.nextafter(params.eps_max, 0.0),
+                      math.nextafter(params.eps_max, 1.0)):
+            save_certificate(path, params, cert075)
+            text = path.read_text().replace(
+                f"eps_max = {params.eps_max:.17g}", f"eps_max = {value:.17g}"
+            )
+            path.write_text(text)
+            with pytest.raises(ValueError, match="eps_max"):
+                load_certificate(path)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "expected a non-negative integer, got -1"),
+        (1.5, "invalid literal for int() with base 10: '1.5'"),
+        (True, "invalid literal for int() with base 10: 'true'"),
+    ], ids=["negative", "fractional", "boolean"])
+    def test_save_rejects_a_value_the_load_rejects(self, tmp_path, params, cert075, seed,
+                                                   message):
+        path = tmp_path / "cert.txt"
+        with pytest.raises(ValueError) as exc:
+            save_certificate(path, params, cert075, seed=seed)
+        assert str(exc.value) == f"certificate key 'seed': {message}"
+        assert not path.exists()
 
     def test_rejects_nan_gamma(self, tmp_path, params, cert075):
         path = tmp_path / "cert.txt"
