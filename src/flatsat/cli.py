@@ -24,6 +24,7 @@ included), 2 synthesis infeasible, 3 monitor or verification failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -260,8 +261,16 @@ def _load_or_synthesize(args, cfg: RunConfig):
 
 def _run_to_csv(scenario: Scenario, path: Path):
     """Run ``scenario`` and write its trace to ``path``; print the first 20
-    monitor violations, if any."""
-    trace = run(scenario)
+    monitor violations, if any. A run that memory cannot hold is a
+    ValueError naming its step count."""
+    try:
+        trace = run(scenario)
+    except MemoryError as exc:
+        steps = round(scenario.duration / scenario.dt)
+        raise ValueError(
+            f"duration / dt = {scenario.duration} / {scenario.dt} = {steps} steps: "
+            "out of memory for the run"
+        ) from exc
     trace.to_csv(path)
     for msg in trace.violations[:20]:
         print(f"violation: {msg}", file=sys.stderr)
@@ -351,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("synth", help="synthesize and write a certificate")
     add_common(sp)
     sp.add_argument("--gamma", type=float, help="feedback scale (>= 1)")
-    sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("saturate", help="saturate one command vector")
     # argparse reads an argument that starts with "-" as an option unless it
@@ -364,19 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("v3", type=float)
     sp.add_argument("--config", help="key = value config file")
     sp.add_argument("--oracle", action="store_true", help="also print bisection factor")
-    sp.set_defaults(func=cmd_saturate)
 
     sp = sub.add_parser("simulate", help="run one closed-loop scenario")
     add_common(sp)
     sp.add_argument("--gamma", type=float, help="feedback scale (>= 1)")
     sp.add_argument("--certificate", help="use this certificate file instead of synthesizing")
-    sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("verify", help="re-check a certificate by sampling")
     sp.add_argument("certificate", help="certificate file")
     sp.add_argument("--samples", type=int, default=10000)
     sp.add_argument("--seed", type=non_negative_int, help="override the stored seed")
-    sp.set_defaults(func=cmd_verify)
 
     # no abbreviations here, so that "--gamma" is not read as "--gammas"
     sp = sub.add_parser(
@@ -384,20 +389,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(sp)
     sp.add_argument("--gammas", type=float_list, help="comma-separated gamma list")
-    sp.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in this process, built on the
+    first: parsing keeps no state in it, so a usage error or ``--help``
+    leaves later calls unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the usage error (or the help) and exits 2
         # (or 0); 2 is the infeasible-synthesis code here
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    # the command function is looked up by name on each call, not kept in
+    # the shared parser, so a wrapper installed over it later still runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except SynthesisError as exc:
         print(f"synthesis error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Union
@@ -140,7 +141,8 @@ class Scenario:
     requires the initial error state inside the certified ellipsoid and
     monitors every sample against leaving it. ``duration`` must be a whole
     number of steps ``dt`` (to 1e-9 relative, their quotient finite), so the
-    grid ends exactly at the horizon.
+    grid ends exactly at the horizon, and the run's row buffer of
+    ``steps + 1`` rows must fit an array index (``sys.maxsize`` bytes).
     """
 
     reference: object
@@ -170,6 +172,11 @@ class Scenario:
         steps = self.duration / self.dt
         if steps == math.inf:
             raise ValueError(f"duration / dt overflows: {self.duration} / {self.dt}")
+        if (round(steps) + 1) * _ROW.size > sys.maxsize:
+            raise ValueError(
+                f"duration / dt is too many steps to run: {self.duration} / {self.dt} "
+                f"= {steps:g} steps, whose row buffer exceeds sys.maxsize bytes"
+            )
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(
                 f"duration {self.duration} is not a whole number of steps dt = {self.dt}"
@@ -203,6 +210,16 @@ CSV_COLUMNS = (
     "active",
     "in_u",
 )
+
+# the CSV row tail after the float columns: saturated, active, in_u; a run
+# writes one of 12, keyed here by the values it holds
+_TAIL = ",%d,%s,%d\n"
+_TAILS = {
+    (sat, act.value, in_u): _TAIL % (sat, act.value, in_u)
+    for sat in (False, True)
+    for act in ActiveConstraint
+    for in_u in (False, True)
+}
 
 
 @dataclass
@@ -245,12 +262,14 @@ class Trace:
         ``'%.17g'`` from a fixed template. Python's own ``'%.17g'`` formats
         the cells it leaves: zero, inf, nan, exponents of three digits and
         near-ties such as ``2**-25``. The oracle is the per-cell writer over
-        ``format_value`` in the tests."""
+        ``format_value`` in the tests. Each row's tail is looked up in
+        ``_TAILS``; a row outside it (a hand-built trace) is formatted."""
         floats = np.column_stack(
             [self.t, self.xi, self.v_raw, self.v, self.u, self.lyapunov, self.lam]
         )
+        tail = _TAILS.get
         tails = [
-            ",%d,%s,%d\n" % row
+            tail(row) or _TAIL % row
             for row in zip(self.saturated.tolist(), self.active, self.in_u.tolist())
         ]
         with open(path, "wb") as fh:

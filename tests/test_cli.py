@@ -1,6 +1,9 @@
 
+import functools
 import inspect
+import os
 import runpy
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,6 +19,7 @@ from flatsat import (
     max_inscribed_ball,
     run,
 )
+from flatsat import cli
 from flatsat.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -318,12 +322,34 @@ class TestSimulate:
         assert not (tmp_path / "trace.csv").exists()
 
     def test_overflowing_step_count_rejected(self, tmp_path, capsys):
-        # one error line, not an OverflowError traceback
-        cfg = write_config(tmp_path / "c.txt", duration="1e300", dt="1e-10")
-        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
-        assert rc == EXIT_USAGE
-        assert capsys.readouterr().err == "error: duration / dt overflows: 1e+300 / 1e-10\n"
-        assert not (tmp_path / "trace.csv").exists()
+        # one error line naming duration and dt, not an OverflowError
+        # traceback or numpy's "Maximum allowed size exceeded"
+        for duration, dt, message in [
+            ("1e300", "1e-10", "duration / dt overflows: 1e+300 / 1e-10"),
+            ("1e300", "1", "duration / dt is too many steps to run: 1e+300 / 1.0 = 1e+300 "
+             "steps, whose row buffer exceeds sys.maxsize bytes"),
+        ]:
+            cfg = write_config(tmp_path / "c.txt", duration=duration, dt=dt)
+            rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+            assert rc == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "trace.csv").exists()
+
+    def test_run_out_of_memory_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # a step count that fits an array index but not memory: one line
+        # naming duration, dt and the step count, and no trace
+        def out_of_memory(scenario):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run", out_of_memory)
+        cfg = write_config(tmp_path / "c.txt", duration="1e12", dt="1")
+        for command in ("simulate", "sweep"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                "error: duration / dt = 1000000000000.0 / 1.0 = 1000000000000 steps: "
+                "out of memory for the run\n"
+            )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
 
     def test_certificate_with_nan_gamma_rejected(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
@@ -737,3 +763,62 @@ class TestUsageErrors:
     def test_help_returns_ok(self, capsys):
         assert main(["simulate", "--help"]) == EXIT_OK
         assert "--certificate" in capsys.readouterr().out
+
+    def test_one_parser_serves_repeated_calls(self, tmp_path, capsys, monkeypatch):
+        """simulate, a usage error, --help and the same simulate again in one
+        process: the parser is built once, and each repeated call writes the
+        same files and prints the same input-determined output."""
+        build, built = cli.build_parser, []
+
+        def counted():
+            built.append(build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        # an empty cache, as in a fresh process
+        monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+        cfg = write_config(tmp_path / "c.txt", duration="1.0")
+        outputs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            rc = main(["simulate", "--config", cfg, "--out", str(out)])
+            stdout = capsys.readouterr().out.partition(f"# {cli._CLOCK_HEADER}")[0]
+            outputs.append((rc, stdout))
+            outputs.append((main(["simulate", "--bogus"]), capsys.readouterr().err))
+            outputs.append((main(["simulate", "--help"]), capsys.readouterr().out))
+        assert outputs[:3] == outputs[3:]
+        assert [rc for rc, _ in outputs[:3]] == [EXIT_OK, EXIT_USAGE, EXIT_OK]
+        assert outputs[0][1] == (tmp_path / "a" / "summary.txt").read_text()
+        assert "unrecognized arguments: --bogus" in outputs[1][1]
+        assert "--certificate" in outputs[2][1]
+        files = [{p.name: p.read_bytes() for p in out.iterdir()}
+                 for out in (tmp_path / "a", tmp_path / "b")]
+        assert sorted(files[0]) == ["summary.txt", "trace.csv"]
+        assert files[0] == files[1]
+        assert len(built) == 1 and cli._parser() is built[0]
+
+    def test_command_looked_up_per_call(self, capsys, monkeypatch):
+        # a wrapper installed over a command function after the parser is
+        # built still runs
+        assert main(["saturate", "1", "2", "3"]) == EXIT_OK
+        calls = []
+        monkeypatch.setattr(cli, "cmd_saturate", lambda args: calls.append(args.v1) or 7)
+        assert main(["saturate", "1", "2", "3"]) == 7
+        assert calls == [1.0]
+
+    def test_import_builds_no_parser(self):
+        # a fresh process: importing the CLI constructs no ArgumentParser
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import flatsat.cli\n"
+            "print(len(built), flatsat.cli._parser.cache_info().currsize)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "0 0\n"

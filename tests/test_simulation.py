@@ -469,6 +469,13 @@ class TestRun:
         message = "duration / dt overflows: 1e+300 / 1e-10"
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(origin_scenario(cert075, params, CANONICAL_X0), duration=1e300, dt=1e-10)
+        # so is a finite one whose row buffer, (steps + 1) rows of 144
+        # bytes, exceeds sys.maxsize: 2**56 steps do, 2**55 do not
+        base = origin_scenario(cert075, params, CANONICAL_X0)
+        replace(base, duration=2.0**55, dt=1.0)
+        for duration in (2.0**56, 1e300):
+            with pytest.raises(ValueError, match=r"^duration / dt is too many steps to run: "):
+                replace(base, duration=duration, dt=1.0)
 
     def test_apex_command_runs_above_the_apex(self):
         # exact-binary setup driving the first command straight down onto
@@ -767,11 +774,18 @@ class TestTraceExport:
         m = len(special)
         col = np.array(special)
         block = np.tile(col[:, None], (1, 6))
+        # the row tails: every (saturated, active, in_u) that a run writes,
+        # then "halfspace", which no run writes
+        tails = [
+            (sat, act.value, in_u)
+            for sat in (False, True) for act in ActiveConstraint for in_u in (False, True)
+        ] + [(True, "halfspace", False)]
+        assert len(tails) == 13 <= m
+        sat, act, in_u = zip(*(tails[k % len(tails)] for k in range(m)))
         hand = Trace(
             t=col, xi=block, xi_ref=-block, v_raw=block[:, :3], v=-block[:, 3:], u=block[:, ::2],
-            lyapunov=-col, lam=col, saturated=np.arange(m) % 2 == 0,
-            active=[("none", "ball", "cone", "halfspace")[k % 4] for k in range(m)],
-            in_u=np.arange(m) % 3 == 0, ctrl_time=col,
+            lyapunov=-col, lam=col, saturated=np.array(sat), active=list(act),
+            in_u=np.array(in_u), ctrl_time=col,
         )
         traces = [saturated, unsaturated, head(short, 25), head(short, 0), head(short, 1),
                   *blocks, hand]
