@@ -7,12 +7,17 @@ trajectory leaves the set and no command or physical input leaves its
 constraint set, and writes one trace CSV per (gamma, start) pair, named by
 the gamma tags of ``flatsat sweep``. The gamma list is read and checked as
 ``flatsat sweep`` reads and checks it, before synthesis. Any bad argument,
-an infeasible ``--alpha`` or a ``--duration`` that is not a whole number of
-``--dt`` steps or whose step count overflows included, stops the script with
-one usage line before it writes anything.
+an infeasible ``--alpha``, a ``--starts`` too large to draw or a
+``--duration`` that is not a whole number of ``--dt`` steps or whose step
+count overflows included, stops the script with one usage line before it
+writes anything. After the table the script exits with the runs' monitor
+verdict: 3, as ``flatsat simulate`` does, if any run reported a violation
+(an exit from the ellipsoid among them: every run is in invariance mode),
+else 0.
 """
 
 import argparse
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,10 +33,10 @@ from flatsat import (
     run,
     synthesize_certificate,
 )
-from flatsat.cli import _check_gammas, _gamma_tag, float_list
+from flatsat.cli import EXIT_OK, EXIT_VIOLATIONS, _check_gammas, _gamma_tag, float_list
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out_invariance", help="output directory")
     ap.add_argument("--alpha", type=float, default=0.75)
@@ -54,7 +59,12 @@ def main() -> None:
         base = synthesize_certificate(params, args.alpha, 1.0)
     except SynthesisError as exc:
         ap.error(f"--alpha: {exc}")
-    starts = boundary_states(base.gain, base.eps, args.starts)
+    try:
+        starts = boundary_states(base.gain, base.eps, args.starts)
+    except ValueError as exc:
+        ap.error(f"--starts: {exc}")
+    except MemoryError:
+        ap.error(f"--starts {args.starts}: out of memory for the starts")
 
     def scenario(cert, xi0):
         return Scenario(
@@ -76,6 +86,7 @@ def main() -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(f"certificate: rho={base.rho:.4f} eps={base.eps:.4f} alpha={args.alpha}")
+    any_violations = False
     for gamma in args.gammas:
         cert = replace(base, gamma=gamma)
         worst = 0.0
@@ -93,7 +104,9 @@ def main() -> None:
             f"gamma={gamma:5.1f}: max V/eps={worst:.9f} violations={n_violations} "
             f"saturation duty mean={np.mean(duty):.3f}"
         )
+        any_violations = any_violations or n_violations > 0
+    return EXIT_VIOLATIONS if any_violations else EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

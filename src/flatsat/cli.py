@@ -266,9 +266,8 @@ def _run_to_csv(scenario: Scenario, path: Path):
     try:
         trace = run(scenario)
     except MemoryError as exc:
-        steps = round(scenario.duration / scenario.dt)
         raise ValueError(
-            f"duration / dt = {scenario.duration} / {scenario.dt} = {steps} steps: "
+            f"duration / dt = {scenario.duration} / {scenario.dt} = {scenario.steps} steps: "
             "out of memory for the run"
         ) from exc
     trace.to_csv(path)
@@ -298,7 +297,10 @@ def cmd_verify(args) -> int:
     params, cert, meta = load_certificate(args.certificate)
     seed = meta["seed"] if args.seed is None else args.seed
     residual = lyapunov_residual(cert.gain)
-    report = verify_cert(cert, params, n_samples=args.samples, seed=seed)
+    try:
+        report = verify_cert(cert, params, n_samples=args.samples, seed=seed)
+    except MemoryError as exc:
+        raise ValueError(f"--samples {args.samples}: out of memory for the samples") from exc
     pairs = {"closed_loop_residual": residual}
     pairs.update(report.to_kv())
     sys.stdout.write(dump_kv(pairs, header="verification report"))

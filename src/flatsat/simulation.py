@@ -139,10 +139,12 @@ class Scenario:
     yaw is exogenous; default 0). ``feedforward`` adds the reference
     acceleration to the feedback before saturation. ``invariance_mode``
     requires the initial error state inside the certified ellipsoid and
-    monitors every sample against leaving it. ``duration`` must be a whole
-    number of steps ``dt`` (to 1e-9 relative, their quotient finite), so the
-    grid ends exactly at the horizon, and the run's row buffer of
-    ``steps + 1`` rows must fit an array index (``sys.maxsize`` bytes).
+    monitors every sample against leaving it, both up to the one level
+    bound ``eps (1 + _LEVEL_SLACK)``. ``duration`` must be a whole number of steps
+    ``dt`` (to 1e-9 relative, their quotient finite), so the grid ends
+    exactly at the horizon, and the run's row buffer of ``steps + 1`` rows
+    must fit an array index (``sys.maxsize`` bytes). ``steps``, that whole
+    number, is derived here.
     """
 
     reference: object
@@ -154,6 +156,7 @@ class Scenario:
     psi: Union[float, Callable[[float], float]] = 0.0
     feedforward: bool = False
     invariance_mode: bool = False
+    steps: int = field(init=False)
 
     def __post_init__(self) -> None:
         xi0 = np.array(self.initial_state, dtype=float).ravel()
@@ -169,18 +172,20 @@ class Scenario:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (self.dt <= self.duration < math.inf):
             raise ValueError("duration must be finite and cover at least one step")
-        steps = self.duration / self.dt
-        if steps == math.inf:
+        quotient = self.duration / self.dt
+        if quotient == math.inf:
             raise ValueError(f"duration / dt overflows: {self.duration} / {self.dt}")
-        if (round(steps) + 1) * _ROW.size > sys.maxsize:
+        steps = round(quotient)
+        if (steps + 1) * _ROW.size > sys.maxsize:
             raise ValueError(
                 f"duration / dt is too many steps to run: {self.duration} / {self.dt} "
-                f"= {steps:g} steps, whose row buffer exceeds sys.maxsize bytes"
+                f"= {quotient:g} steps, whose row buffer exceeds sys.maxsize bytes"
             )
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if abs(quotient - steps) > 1e-9 * quotient:
             raise ValueError(
                 f"duration {self.duration} is not a whole number of steps dt = {self.dt}"
             )
+        object.__setattr__(self, "steps", steps)
 
 
 # the trace CSV header: 18 float columns, written as '%.17g' by the array
@@ -211,11 +216,12 @@ CSV_COLUMNS = (
     "in_u",
 )
 
-# the CSV row tail after the float columns: saturated, active, in_u; a run
-# writes one of 12, keyed here by the values it holds
-_TAIL = ",%d,%s,%d\n"
+# the CSV row tail after the float columns: saturated, active, in_u, keyed
+# by the values a trace holds; the table holds all 12 (saturated, active,
+# in_u), and a run writes 6 of them, as saturated holds exactly when active
+# is not none
 _TAILS = {
-    (sat, act.value, in_u): _TAIL % (sat, act.value, in_u)
+    (sat, act.value, in_u): ",%d,%s,%d\n" % (sat, act.value, in_u)
     for sat in (False, True)
     for act in ActiveConstraint
     for in_u in (False, True)
@@ -263,15 +269,21 @@ class Trace:
         the cells it leaves: zero, inf, nan, exponents of three digits and
         near-ties such as ``2**-25``. The oracle is the per-cell writer over
         ``format_value`` in the tests. Each row's tail is looked up in
-        ``_TAILS``; a row outside it (a hand-built trace) is formatted."""
+        ``_TAILS``; a row outside it, whose ``active`` is not
+        ``none|ball|cone``, is a ValueError naming the row and the value."""
         floats = np.column_stack(
             [self.t, self.xi, self.v_raw, self.v, self.u, self.lyapunov, self.lam]
         )
-        tail = _TAILS.get
-        tails = [
-            tail(row) or _TAIL % row
-            for row in zip(self.saturated.tolist(), self.active, self.in_u.tolist())
-        ]
+        saturated, in_u, table = self.saturated.tolist(), self.in_u.tolist(), _TAILS
+        try:
+            tails = [table[row] for row in zip(saturated, self.active, in_u)]
+        except KeyError as exc:
+            row = exc.args[0]
+            k = list(zip(saturated, self.active, in_u)).index(row)
+            raise ValueError(
+                f"row {k}: no CSV tail for (saturated, active, in_u) = {row}; "
+                "active must be none|ball|cone"
+            ) from None
         with open(path, "wb") as fh:
             fh.write((",".join(CSV_COLUMNS) + "\n").encode())
             fh.writelines(format_rows(floats, tails))
@@ -328,6 +340,12 @@ def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
 # one row of the run buffer: xi (0:6), v_raw (6:9), v (9:12), u (12:15), lam,
 # saturated, ctrl_time
 _ROW = struct.Struct("18d")
+
+# the relative slack of the one level bound eps (1 + _LEVEL_SLACK) that an
+# invariance-mode run holds its start and every sample to: rounding of V
+# only (a run from a boundary start of the sampler reads V/eps - 1 of a few
+# units of 2^-53), far below any real exit from the ellipsoid
+_LEVEL_SLACK = 1e-9
 
 
 def _on_grid(signal: Callable, tgrid: np.ndarray, width: int, name: str) -> np.ndarray:
@@ -391,7 +409,7 @@ def run(scenario: Scenario) -> Trace:
     gamma, g, eps = cert.gamma, p.g, cert.eps
     dt = scenario.dt
     half_dt2 = 0.5 * dt * dt
-    n = int(round(scenario.duration / dt))
+    n = scenario.steps
     invariance = scenario.invariance_mode
     psi = scenario.psi
     clock = time.perf_counter
@@ -416,8 +434,9 @@ def run(scenario: Scenario) -> Trace:
     else:
         yaws = [_yaw_trig(psi, g)] * (n + 1)
 
+    level = eps * (1.0 + _LEVEL_SLACK)
     v0 = _lyapunov((scenario.initial_state - refs[0]).tolist(), p1, p2, p3)
-    if invariance and v0 > eps * (1.0 + 1e-9):
+    if invariance and v0 > level:
         raise ValueError(
             f"initial error level {v0} outside certified ellipsoid {eps}"
         )
@@ -461,7 +480,7 @@ def run(scenario: Scenario) -> Trace:
     lyapunov = _lyapunov((xi - refs).T, p1, p2, p3)
     in_u = _u_clauses(u[:, 0], u[:, 1], u[:, 2], p)
     bad_v = ~_vc_clauses(v[:, 0], v[:, 1], v[:, 2], p)
-    bad_e = invariance & (lyapunov > eps * (1.0 + 1e-6))
+    bad_e = invariance & (lyapunov > level)
     violations = []
     # the messages of a sample in the order command set, input box,
     # ellipsoid, samples in time order

@@ -14,6 +14,7 @@ at any time.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
@@ -349,9 +350,15 @@ def boundary_states(gain: GainMatrix, eps: float, n: int, seed: int = 0) -> np.n
     the left-to-right sum of their six squares, each axis pair (u_i, w_i)
     mapped to (a u_i + b w_i, b u_i + c w_i) by :func:`_axis_map`. Rows are
     arithmetic on their own draw, so the first k of n rows are the rows for
-    n = k; they are the transpose of six contiguous columns (Fortran order)."""
+    n = k; they are the transpose of six contiguous columns (Fortran order).
+    An ``n`` whose ``(n, 6)`` float64 block exceeds ``sys.maxsize`` bytes is
+    a ValueError, before the draw."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if n * 6 * 8 > sys.maxsize:
+        raise ValueError(
+            f"n = {n} boundary states: their (n, 6) float64 block exceeds sys.maxsize bytes"
+        )
     a, b, c = _axis_map(gain, eps)
     cols = np.random.default_rng(seed).standard_normal((n, 6)).T.copy()
     sq = cols[0] * cols[0]

@@ -493,6 +493,27 @@ class TestVerify:
         assert rc == EXIT_USAGE
         assert "n_samples must be positive" in capsys.readouterr().err
 
+    def test_sample_count_too_large_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # one line naming the count: 1e20 is rejected before the draw, and a
+        # count that memory cannot hold names the flag
+        assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        cert = str(tmp_path / "certificate.txt")
+        assert main(["verify", cert, "--samples", str(10**20)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: n = {10**20} boundary states: their (n, 6) float64 block exceeds "
+            "sys.maxsize bytes\n"
+        )
+
+        def out_of_memory(cert, params, n_samples, seed=0):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "verify_cert", out_of_memory)
+        assert main(["verify", cert, "--samples", "1000000000"]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: --samples 1000000000: out of memory for the samples\n"
+        )
+
     def test_report_keys_in_order(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
@@ -575,16 +596,37 @@ class TestSweep:
         assert _gamma_tag(4.0 / 3.0) == "1p3333333333333333"
 
     def test_invariance_study_names_traces_by_gamma_tag(self, tmp_path, monkeypatch, capsys):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "invariance_study.py"
-        monkeypatch.setattr(sys, "argv", [
-            str(script), "--gammas", "5,5.000001", "--starts", "2", "--duration", "0.2",
-            "--out", str(tmp_path),
-        ])
-        runpy.run_path(str(script), run_name="__main__")
+        with pytest.raises(SystemExit) as exc:
+            run_script("invariance_study.py", monkeypatch, "--gammas", "5,5.000001",
+                       "--starts", "2", "--duration", "0.2", "--out", str(tmp_path))
+        # the runs' monitor verdict is the exit status: clean, one line per gamma
+        assert exc.value.code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[1:]] == ["gamma=  5.0"] * 2
+        assert all(" violations=0 " in line for line in lines[1:])
         assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
             "trace_g5_s00.csv", "trace_g5_s01.csv",
             "trace_g5p000001_s00.csv", "trace_g5p000001_s01.csv",
         ]
+
+    def test_invariance_study_exits_on_a_monitor_violation(self, tmp_path, monkeypatch, capsys):
+        import flatsat
+
+        def violating(scenario):
+            trace = run(scenario)
+            trace.violations.append("t=0: left the certified ellipsoid")
+            return trace
+
+        monkeypatch.setattr(flatsat, "run", violating)
+        with pytest.raises(SystemExit) as exc:
+            run_script("invariance_study.py", monkeypatch, "--gammas", "1,5",
+                       "--starts", "2", "--duration", "0.2", "--out", str(tmp_path))
+        # the table is printed whole, then the script exits as simulate does
+        assert exc.value.code == EXIT_VIOLATIONS
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert all(line.startswith("gamma=") and " violations=2 " in line for line in lines[1:])
+        assert len(list(tmp_path.glob("*.csv"))) == 4
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_repeated_gamma_rejected_before_any_trace(self, tmp_path, capsys, where):
@@ -683,6 +725,9 @@ class TestStudyScripts:
             (["--gammas", "5,0.5"], "--gammas: gamma must be >= 1 and finite, got 0.5"),
             (["--gammas", "x"], "argument --gammas: invalid float_list value: 'x'"),
             (["--starts", "0"], "--starts must be at least 1, got 0"),
+            (["--starts", str(10**20)],
+             f"--starts: n = {10**20} boundary states: their (n, 6) float64 block exceeds "
+             "sys.maxsize bytes"),
             (["--alpha", "0"], "--alpha: alpha must be positive and finite, got 0.0"),
             (["--dt", "0"], "--duration/--dt: dt must be positive, got 0.0"),
             (["--duration", "1.01"],
@@ -691,7 +736,8 @@ class TestStudyScripts:
              "--duration/--dt: duration / dt overflows: 1e+300 / 1e-10"),
         ],
         ids=["repeated", "below_one", "below_one_second", "unparsable", "no_starts",
-             "infeasible_alpha", "zero_dt", "horizon_not_whole_steps", "step_count_overflows"],
+             "too_many_starts", "infeasible_alpha", "zero_dt", "horizon_not_whole_steps",
+             "step_count_overflows"],
     )
     def test_invariance_study_rejects_bad_arguments_before_any_run(
         self, tmp_path, monkeypatch, capsys, args, message
@@ -706,6 +752,24 @@ class TestStudyScripts:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith(f"invariance_study.py: error: {message}")
+        assert not out.exists()
+
+    def test_invariance_study_out_of_memory_is_a_usage_error(self, tmp_path, monkeypatch,
+                                                             capsys):
+        import flatsat
+
+        def out_of_memory(gain, eps, n, seed=0):
+            raise MemoryError
+
+        monkeypatch.setattr(flatsat, "boundary_states", out_of_memory)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_script("invariance_study.py", monkeypatch, "--starts", "1000000000",
+                       "--out", str(out))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "invariance_study.py: error: --starts 1000000000: out of memory for the starts"
+        )
         assert not out.exists()
 
     def test_alpha_sweep_rejects_unparsable_alphas(self, monkeypatch, capsys):

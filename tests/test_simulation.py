@@ -32,7 +32,7 @@ from flatsat import (
     to_physical,
 )
 from flatsat.kvformat import BLOCK_ROWS, format_value
-from flatsat.simulation import CSV_COLUMNS, RunMetrics
+from flatsat.simulation import _LEVEL_SLACK, CSV_COLUMNS, RunMetrics
 from flatsat.synthesis import _half_rate
 
 from conftest import CANONICAL_X0, dense_P, residual_active
@@ -108,7 +108,7 @@ def numpy_run(scenario):
             violations.append(f"t={t:.6g}: command left the convex set: {v}")
         if not ok_u:
             violations.append(f"t={t:.6g}: physical input left the box: {u}")
-        if scenario.invariance_mode and lyap > cert.eps * (1.0 + 1e-6):
+        if scenario.invariance_mode and lyap > cert.eps * (1.0 + _LEVEL_SLACK):
             violations.append(
                 f"t={t:.6g}: left the certified ellipsoid: {lyap} > {cert.eps}"
             )
@@ -382,9 +382,29 @@ class TestRun:
                 origin_scenario(cert, params, xi0, duration=5.0, invariance_mode=True)
             )
             assert trace.violations == []
-            assert trace.lyapunov.max() <= cert.eps * (1.0 + 1e-6)
+            assert trace.lyapunov.max() <= cert.eps * (1.0 + _LEVEL_SLACK)
             assert all(in_Vc(v, params) for v in trace.v)
             assert trace.in_u.all()
+
+    def test_ellipsoid_monitor_flags_an_exit_past_the_level_slack(self, params, cert125):
+        # a circle tracked without feedforward from a boundary start: V rises
+        # above its start (about 1.093 V0). With eps set so that the largest
+        # V is eps (1 + 1e-7), an overshoot far above the rounding of V, the
+        # monitor flags the samples past the level bound, and nothing else
+        # of the trace changes
+        ref = CircularReference(omega=1.7)
+        xi0 = ref.state(0.0) + boundary_states(cert125.gain, cert125.eps, 16, seed=2)[0]
+        sc = Scenario(reference=ref, initial_state=xi0, duration=10.0, dt=0.02,
+                      cert=cert125, params=params)
+        free = run(sc)
+        top = float(free.lyapunov.max())
+        assert free.violations == [] and top > 1.09 * free.lyapunov[0]
+        eps = top / (1.0 + 1e-7)
+        trace = run(replace(sc, cert=replace(cert125, eps=eps), invariance_mode=True))
+        assert trace.violations
+        assert all("left the certified ellipsoid" in m for m in trace.violations)
+        assert f"left the certified ellipsoid: {top!r} > {eps!r}" in "".join(trace.violations)
+        assert_same_trace(replace(trace, violations=[]), free, "level")
 
     def test_unit_gamma_never_saturates_and_decays(self, params, cert075):
         trace = run(origin_scenario(cert075, params, CANONICAL_X0))
@@ -753,6 +773,7 @@ class TestTraceExport:
         trace.to_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
+        assert sc.steps == 50
         assert len(lines) == 1 + 51  # header + n+1 samples at dt=0.02
         assert all(len(l.split(",")) == len(CSV_COLUMNS) for l in lines[1:])
 
@@ -774,13 +795,12 @@ class TestTraceExport:
         m = len(special)
         col = np.array(special)
         block = np.tile(col[:, None], (1, 6))
-        # the row tails: every (saturated, active, in_u) that a run writes,
-        # then "halfspace", which no run writes
+        # the row tails: every (saturated, active, in_u) that a trace can hold
         tails = [
             (sat, act.value, in_u)
             for sat in (False, True) for act in ActiveConstraint for in_u in (False, True)
-        ] + [(True, "halfspace", False)]
-        assert len(tails) == 13 <= m
+        ]
+        assert len(tails) == 12 <= m
         sat, act, in_u = zip(*(tails[k % len(tails)] for k in range(m)))
         hand = Trace(
             t=col, xi=block, xi_ref=-block, v_raw=block[:, :3], v=-block[:, 3:], u=block[:, ::2],
@@ -798,6 +818,16 @@ class TestTraceExport:
             trace.to_csv(got)
             format_value_csv(trace, want)
             assert got.read_bytes() == want.read_bytes(), i
+        # a row whose active is not none|ball|cone has no tail: rejected,
+        # naming the row and the value, before the file is opened
+        hand.active[5] = "halfspace"
+        path = tmp_path / "halfspace.csv"
+        with pytest.raises(ValueError, match=re.escape(
+            f"row 5: no CSV tail for (saturated, active, in_u) = "
+            f"({hand.saturated[5]}, 'halfspace', {hand.in_u[5]}); active must be none|ball|cone"
+        )):
+            hand.to_csv(path)
+        assert not path.exists()
 
     def test_boundary_starts_deterministic_and_on_level_set(self, cert075):
         a = boundary_states(cert075.gain, cert075.eps, 20)

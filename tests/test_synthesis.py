@@ -649,6 +649,15 @@ class TestBoundaryStates:
         with pytest.raises(ValueError, match="eps"):
             boundary_states(cert075.gain, eps, 10)
 
+    @pytest.mark.parametrize("n", [10**20, sys.maxsize // 48 + 1])
+    def test_rejects_a_count_too_large_to_hold(self, cert075, n):
+        # rejected before the draw, so nothing is allocated
+        with pytest.raises(ValueError, match=(
+            f"^n = {n} boundary states: their \\(n, 6\\) float64 block exceeds "
+            "sys.maxsize bytes$"
+        )):
+            boundary_states(cert075.gain, cert075.eps, n)
+
     def test_first_k_of_n_points_are_the_points_for_k(self, cert075):
         gain, eps = cert075.gain, cert075.eps
         for seed in (0, 5):
