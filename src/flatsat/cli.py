@@ -6,6 +6,7 @@ Subcommands:
     simulate   run a closed-loop scenario, write trace CSV and summary
     verify     re-check a certificate file by boundary sampling
     sweep      run the scenario once per gamma value, combined summary
+    invariance run from boundary starts of the certified ellipsoid per gamma
 
 Configuration lives in a ``key = value`` text file (``#`` comments allowed;
 unknown keys rejected); every key has a default mirroring the desk-scale
@@ -30,6 +31,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .constraint_sets import ConstraintParams
 from .kvformat import dump_kv, non_negative_int, parse_kv
 from .saturation import saturate, saturate_oracle
@@ -46,6 +49,7 @@ from .synthesis import (
     EllipsoidCert,
     SynthesisError,
     _check_gamma,
+    boundary_states,
     load_certificate,
     lyapunov_residual,
     synthesize_certificate,
@@ -190,16 +194,17 @@ def _gamma_tag(g: float) -> str:
     return text.replace(".", "p").replace("-", "m")
 
 
-def _check_gammas(gammas, source="--gammas (or the gammas config key)") -> None:
+def _check_gammas(gammas) -> None:
     """Raise :class:`SynthesisError` unless every gamma passes
-    :func:`_check_gamma`, and ValueError naming ``source`` if one repeats:
-    each gamma writes its own trace file."""
+    :func:`_check_gamma`, and ValueError if one repeats: each gamma writes
+    its own trace file."""
     for gamma in gammas:
         _check_gamma(gamma)
     for i, gamma in enumerate(gammas):
         if gamma in gammas[:i]:
             raise ValueError(
-                f"{source} lists gamma {gamma!r} twice; each gamma writes its own trace file"
+                f"--gammas (or the gammas config key) lists gamma {gamma!r} twice; "
+                "each gamma writes its own trace file"
             )
 
 
@@ -260,9 +265,9 @@ def _load_or_synthesize(args, cfg: RunConfig):
 
 
 def _run_to_csv(scenario: Scenario, path: Path):
-    """Run ``scenario`` and write its trace to ``path``; print the first 20
-    monitor violations, if any. A run that memory cannot hold is a
-    ValueError naming its step count."""
+    """Run ``scenario``, write its trace to ``path``, print the first 20
+    monitor violations, if any, and return the run's :func:`metrics`. A run
+    that memory cannot hold is a ValueError naming its step count."""
     try:
         trace = run(scenario)
     except MemoryError as exc:
@@ -273,7 +278,18 @@ def _run_to_csv(scenario: Scenario, path: Path):
     trace.to_csv(path)
     for msg in trace.violations[:20]:
         print(f"violation: {msg}", file=sys.stderr)
-    return trace
+    return metrics(trace, scenario)
+
+
+def _draw(flag: str, count: int, draw, *args):
+    """``draw(*args)`` of ``count`` boundary states; its ValueError or
+    MemoryError becomes one ValueError naming ``flag`` and ``count``."""
+    try:
+        return draw(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {count}: {exc}") from exc
+    except MemoryError as exc:
+        raise ValueError(f"{flag} {count}: out of memory for the {flag[2:]}") from exc
 
 
 _CLOCK_HEADER = "controller wall-clock time per call (s), on stdout only: it varies between runs"
@@ -284,23 +300,20 @@ def cmd_simulate(args) -> int:
     params, cert = _load_or_synthesize(args, cfg)
     scenario = cfg.build_scenario(cert, params)
     out = _resolve_outdir(args, cfg)
-    trace = _run_to_csv(scenario, out / "trace.csv")
-    summary, clock = metrics(trace, scenario).split_kv()
+    m = _run_to_csv(scenario, out / "trace.csv")
+    summary, clock = m.split_kv()
     summary["gamma"] = cert.gamma
     text = dump_kv(summary, header="simulation summary")
     (out / "summary.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text + dump_kv(clock, header=_CLOCK_HEADER))
-    return EXIT_VIOLATIONS if trace.violations else EXIT_OK
+    return EXIT_VIOLATIONS if m.n_violations else EXIT_OK
 
 
 def cmd_verify(args) -> int:
     params, cert, meta = load_certificate(args.certificate)
     seed = meta["seed"] if args.seed is None else args.seed
     residual = lyapunov_residual(cert.gain)
-    try:
-        report = verify_cert(cert, params, n_samples=args.samples, seed=seed)
-    except MemoryError as exc:
-        raise ValueError(f"--samples {args.samples}: out of memory for the samples") from exc
+    report = _draw("--samples", args.samples, verify_cert, cert, params, args.samples, seed)
     pairs = {"closed_loop_residual": residual}
     pairs.update(report.to_kv())
     sys.stdout.write(dump_kv(pairs, header="verification report"))
@@ -320,15 +333,57 @@ def cmd_sweep(args) -> int:
     any_violations = False
     for i, gamma in enumerate(cfg.gammas):
         scenario = cfg.build_scenario(replace(base, gamma=gamma), params)
-        trace = _run_to_csv(scenario, out / f"trace_gamma_{_gamma_tag(gamma)}.csv")
-        summary, clock = metrics(trace, scenario).split_kv()
+        m = _run_to_csv(scenario, out / f"trace_gamma_{_gamma_tag(gamma)}.csv")
+        summary, clock = m.split_kv()
         combined[f"run{i}_gamma"] = gamma
         combined.update((f"run{i}_{key}", value) for key, value in summary.items())
         clocks.update((f"run{i}_{key}", value) for key, value in clock.items())
-        any_violations = any_violations or bool(trace.violations)
+        any_violations = any_violations or m.n_violations > 0
     text = dump_kv(combined, header="gamma sweep summary")
     (out / "sweep_summary.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text + dump_kv(clocks, header=_CLOCK_HEADER))
+    return EXIT_VIOLATIONS if any_violations else EXIT_OK
+
+
+def cmd_invariance(args) -> int:
+    """The scenario from ``--starts`` boundary points of the certified
+    ellipsoid (the :func:`boundary_states` that ``verify`` checks for the
+    config's seed), in invariance mode, once per gamma: one trace per
+    (gamma, start), and per gamma the worst V/eps, the violation count and
+    the mean saturation duty."""
+    cfg = _resolve_config(args)
+    params = cfg.params()
+    _check_gammas(cfg.gammas)
+    if args.starts < 1:
+        raise ValueError(f"--starts must be at least 1, got {args.starts}")
+    base = synthesize_certificate(params, cfg.alpha, cfg.gammas[0], margin=cfg.margin)
+    starts = _draw("--starts", args.starts, boundary_states, base.gain, base.eps, args.starts,
+                   cfg.seed)
+
+    def scenario(gamma, start):
+        run_cfg = replace(cfg, initial_state=tuple(start), invariance_mode=True)
+        return run_cfg.build_scenario(replace(base, gamma=gamma), params)
+
+    # the horizon checks are the same for every start and gamma
+    scenario(cfg.gammas[0], starts[0])
+    out = _resolve_outdir(args, cfg)
+    print(f"certificate: rho={base.rho:.4f} eps={base.eps:.4f} alpha={cfg.alpha}")
+    any_violations = False
+    for gamma in cfg.gammas:
+        worst = 0.0
+        n_violations = 0
+        duty = []
+        for i, start in enumerate(starts):
+            m = _run_to_csv(scenario(gamma, start),
+                            out / f"trace_g{_gamma_tag(gamma)}_s{i:02d}.csv")
+            worst = max(worst, m.max_lyapunov / base.eps)
+            n_violations += m.n_violations
+            duty.append(m.saturation_duty)
+        print(
+            f"gamma={gamma:5.1f}: max V/eps={worst:.9f} violations={n_violations} "
+            f"saturation duty mean={np.mean(duty):.3f}"
+        )
+        any_violations = any_violations or n_violations > 0
     return EXIT_VIOLATIONS if any_violations else EXIT_OK
 
 
@@ -398,6 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(sp)
     sp.add_argument("--gammas", type=float_list, help="comma-separated gamma list")
+
+    sp = sub.add_parser(
+        "invariance", help="run from boundary starts of the certified ellipsoid per gamma",
+        allow_abbrev=False,
+    )
+    add_common(sp)
+    sp.add_argument("--gammas", type=float_list, help="comma-separated gamma list")
+    sp.add_argument("--starts", type=int, default=20, help="boundary starts per gamma")
 
     return parser
 

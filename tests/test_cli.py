@@ -13,8 +13,10 @@ import pytest
 from flatsat import (
     CircularReference,
     ConstraintParams,
+    OriginReference,
     Scenario,
     SetpointReference,
+    boundary_states,
     max_inscribed_ball,
     run,
 )
@@ -342,7 +344,7 @@ class TestSimulate:
 
         monkeypatch.setattr(cli, "run", out_of_memory)
         cfg = write_config(tmp_path / "c.txt", duration="1e12", dt="1")
-        for command in ("simulate", "sweep"):
+        for command in ("simulate", "sweep", "invariance"):
             assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_USAGE
             assert capsys.readouterr().err == (
                 "error: duration / dt = 1000000000000.0 / 1.0 = 1000000000000 steps: "
@@ -489,20 +491,23 @@ class TestVerify:
 
     def test_zero_samples_usage_error(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
         rc = main(["verify", str(tmp_path / "certificate.txt"), "--samples", "0"])
         assert rc == EXIT_USAGE
-        assert "n_samples must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: --samples 0: n_samples must be positive, got 0\n"
+        )
 
     def test_sample_count_too_large_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
-        # one line naming the count: 1e20 is rejected before the draw, and a
-        # count that memory cannot hold names the flag
+        # one line naming the flag and the count: 1e20 is rejected before the
+        # draw, and so is a count that memory cannot hold
         assert main(["synth", "--out", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
         cert = str(tmp_path / "certificate.txt")
         assert main(["verify", cert, "--samples", str(10**20)]) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            f"error: n = {10**20} boundary states: their (n, 6) float64 block exceeds "
-            "sys.maxsize bytes\n"
+            f"error: --samples {10**20}: n = {10**20} boundary states: their (n, 6) float64 "
+            "block exceeds sys.maxsize bytes\n"
         )
 
         def out_of_memory(cert, params, n_samples, seed=0):
@@ -595,38 +600,41 @@ class TestSweep:
         assert _gamma_tag(1.0 + 2.0**-52) == "1p0000000000000002"
         assert _gamma_tag(4.0 / 3.0) == "1p3333333333333333"
 
-    def test_invariance_study_names_traces_by_gamma_tag(self, tmp_path, monkeypatch, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_script("invariance_study.py", monkeypatch, "--gammas", "5,5.000001",
-                       "--starts", "2", "--duration", "0.2", "--out", str(tmp_path))
+    def test_invariance_study_names_traces_by_gamma_tag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.txt", duration="0.2")
+        out = tmp_path / "out"
+        rc = main(["invariance", "--config", cfg, "--gammas", "5,5.000001", "--starts", "2",
+                   "--out", str(out)])
         # the runs' monitor verdict is the exit status: clean, one line per gamma
-        assert exc.value.code == EXIT_OK
+        assert rc == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines[1:]] == ["gamma=  5.0"] * 2
         assert all(" violations=0 " in line for line in lines[1:])
-        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        assert sorted(p.name for p in out.iterdir()) == [
             "trace_g5_s00.csv", "trace_g5_s01.csv",
             "trace_g5p000001_s00.csv", "trace_g5p000001_s01.csv",
         ]
 
     def test_invariance_study_exits_on_a_monitor_violation(self, tmp_path, monkeypatch, capsys):
-        import flatsat
-
         def violating(scenario):
             trace = run(scenario)
             trace.violations.append("t=0: left the certified ellipsoid")
             return trace
 
-        monkeypatch.setattr(flatsat, "run", violating)
-        with pytest.raises(SystemExit) as exc:
-            run_script("invariance_study.py", monkeypatch, "--gammas", "1,5",
-                       "--starts", "2", "--duration", "0.2", "--out", str(tmp_path))
-        # the table is printed whole, then the script exits as simulate does
-        assert exc.value.code == EXIT_VIOLATIONS
-        lines = capsys.readouterr().out.splitlines()
+        monkeypatch.setattr(cli, "run", violating)
+        cfg = write_config(tmp_path / "c.txt", duration="0.2")
+        out = tmp_path / "out"
+        rc = main(["invariance", "--config", cfg, "--gammas", "1,5", "--starts", "2",
+                   "--out", str(out)])
+        # the table is printed whole, then the command exits as simulate does,
+        # with simulate's violation lines on stderr
+        assert rc == EXIT_VIOLATIONS
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
         assert len(lines) == 3
         assert all(line.startswith("gamma=") and " violations=2 " in line for line in lines[1:])
-        assert len(list(tmp_path.glob("*.csv"))) == 4
+        assert captured.err == "violation: t=0: left the certified ellipsoid\n" * 4
+        assert len(list(out.glob("*.csv"))) == 4
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_repeated_gamma_rejected_before_any_trace(self, tmp_path, capsys, where):
@@ -717,60 +725,91 @@ class TestStudyConfigs:
 
 
 class TestStudyScripts:
+    """The alpha sweep script, and the boundary-start study that ``flatsat
+    invariance`` runs."""
+
     @pytest.mark.parametrize(
-        "args, message",
+        "pairs, args, code, line",
         [
-            (["--gammas", "5,5"], "--gammas lists gamma 5.0 twice"),
-            (["--gammas", "0.5"], "--gammas: gamma must be >= 1 and finite, got 0.5"),
-            (["--gammas", "5,0.5"], "--gammas: gamma must be >= 1 and finite, got 0.5"),
-            (["--gammas", "x"], "argument --gammas: invalid float_list value: 'x'"),
-            (["--starts", "0"], "--starts must be at least 1, got 0"),
-            (["--starts", str(10**20)],
-             f"--starts: n = {10**20} boundary states: their (n, 6) float64 block exceeds "
-             "sys.maxsize bytes"),
-            (["--alpha", "0"], "--alpha: alpha must be positive and finite, got 0.0"),
-            (["--dt", "0"], "--duration/--dt: dt must be positive, got 0.0"),
-            (["--duration", "1.01"],
-             "--duration/--dt: duration 1.01 is not a whole number of steps"),
-            (["--duration", "1e300", "--dt", "1e-10"],
-             "--duration/--dt: duration / dt overflows: 1e+300 / 1e-10"),
+            ({}, ["--gammas", "5,5"], EXIT_USAGE,
+             "error: --gammas (or the gammas config key) lists gamma 5.0 twice; "
+             "each gamma writes its own trace file"),
+            ({}, ["--gammas", "0.5"], EXIT_INFEASIBLE,
+             "synthesis error: gamma must be >= 1 and finite, got 0.5"),
+            ({}, ["--gammas", "5,0.5"], EXIT_INFEASIBLE,
+             "synthesis error: gamma must be >= 1 and finite, got 0.5"),
+            ({}, ["--gammas", "x"], EXIT_USAGE,
+             "flatsat invariance: error: argument --gammas: invalid float_list value: 'x'"),
+            ({}, ["--starts", "0"], EXIT_USAGE, "error: --starts must be at least 1, got 0"),
+            ({}, ["--starts", str(10**20)], EXIT_USAGE,
+             f"error: --starts {10**20}: n = {10**20} boundary states: their (n, 6) float64 "
+             "block exceeds sys.maxsize bytes"),
+            ({}, ["--alpha", "0"], EXIT_INFEASIBLE,
+             "synthesis error: alpha must be positive and finite, got 0.0"),
+            ({"dt": "0"}, [], EXIT_USAGE, "error: dt must be positive, got 0.0"),
+            ({"duration": "1.01"}, [], EXIT_USAGE,
+             "error: duration 1.01 is not a whole number of steps dt = 0.02"),
+            ({"duration": "1e300", "dt": "1e-10"}, [], EXIT_USAGE,
+             "error: duration / dt overflows: 1e+300 / 1e-10"),
         ],
         ids=["repeated", "below_one", "below_one_second", "unparsable", "no_starts",
              "too_many_starts", "infeasible_alpha", "zero_dt", "horizon_not_whole_steps",
              "step_count_overflows"],
     )
     def test_invariance_study_rejects_bad_arguments_before_any_run(
-        self, tmp_path, monkeypatch, capsys, args, message
+        self, tmp_path, capsys, pairs, args, code, line
     ):
+        cfg = write_config(tmp_path / "c.txt", **{"duration": "0.2", **pairs})
         out = tmp_path / "out"
-        # any exception but SystemExit would end the script in a traceback
-        with pytest.raises(SystemExit) as exc:
-            # the case's own arguments last: argparse keeps a flag's last value
-            run_script("invariance_study.py", monkeypatch, "--duration", "0.2",
-                       "--out", str(out), *args)
-        assert exc.value.code == 2
+        assert main(["invariance", "--config", cfg, "--out", str(out), *args]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith(f"invariance_study.py: error: {message}")
+        # one error line, after argparse's usage lines if argparse rejects
+        assert captured.err.endswith(line + "\n") and captured.err.count("error: ") == 1
         assert not out.exists()
 
     def test_invariance_study_out_of_memory_is_a_usage_error(self, tmp_path, monkeypatch,
                                                              capsys):
-        import flatsat
-
         def out_of_memory(gain, eps, n, seed=0):
             raise MemoryError
 
-        monkeypatch.setattr(flatsat, "boundary_states", out_of_memory)
+        monkeypatch.setattr(cli, "boundary_states", out_of_memory)
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            run_script("invariance_study.py", monkeypatch, "--starts", "1000000000",
-                       "--out", str(out))
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "invariance_study.py: error: --starts 1000000000: out of memory for the starts"
+        assert main(["invariance", "--starts", "1000000000", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", "error: --starts 1000000000: out of memory for the starts\n"
         )
         assert not out.exists()
+
+    def test_invariance_traces_equal_library_runs(self, tmp_path, monkeypatch, params,
+                                                  cert125):
+        # the boundary-start study at alpha 1.25: each trace is the library
+        # run, in invariance mode, from the boundary_states row of the
+        # config's seed
+        modes = []
+        monkeypatch.setattr(cli, "run", lambda sc: modes.append(sc.invariance_mode) or run(sc))
+        cfg = write_config(tmp_path / "c.txt", alpha="1.25", duration="1.0", seed="4")
+        out = tmp_path / "inv"
+        assert main(["invariance", "--config", cfg, "--starts", "2", "--out", str(out)]) == EXIT_OK
+        assert modes == [True] * 6
+        starts = boundary_states(cert125.gain, cert125.eps, 2, seed=4)
+        for gamma in (1.0, 5.0, 15.0):
+            for i, start in enumerate(starts):
+                scenario = Scenario(
+                    reference=OriginReference(),
+                    initial_state=start,
+                    duration=1.0,
+                    dt=0.02,
+                    cert=replace(cert125, gamma=gamma),
+                    params=params,
+                    invariance_mode=True,
+                )
+                path = tmp_path / "library.csv"
+                run(scenario).to_csv(path)
+                assert (out / f"trace_g{gamma:g}_s{i:02d}.csv").read_bytes() == (
+                    path.read_bytes()
+                ), (gamma, i)
+        assert len(list(out.iterdir())) == 6
 
     def test_alpha_sweep_rejects_unparsable_alphas(self, monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:
