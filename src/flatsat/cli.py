@@ -18,6 +18,10 @@ else the config value. Every file written there depends only on the inputs,
 so reruns are byte-identical; ``simulate`` and ``sweep`` print the
 controller's wall-clock times on stdout only, after the summary.
 
+``simulate``, ``sweep`` and ``invariance`` build all their scenarios, then
+share one run step that makes the output directory only once the first run
+has completed: a command that fails before then leaves nothing behind.
+
 Exit codes: 0 clean, 1 usage or config error (argparse's own errors
 included), 2 synthesis infeasible, 3 monitor or verification failures.
 """
@@ -41,6 +45,7 @@ from .simulation import (
     OriginReference,
     Scenario,
     SetpointReference,
+    _on_grid,
     metrics,
     run,
 )
@@ -102,7 +107,6 @@ class RunConfig:
     dt: float = 0.02
     psi: float = Scenario.psi
     feedforward: bool = Scenario.feedforward
-    invariance_mode: bool = Scenario.invariance_mode
     seed: int = 0
     outdir: str = "flatsat_out"
     gammas: tuple = (1.0, 5.0, 15.0)
@@ -138,7 +142,6 @@ class RunConfig:
             params=params,
             psi=self.psi,
             feedforward=self.feedforward,
-            invariance_mode=self.invariance_mode,
         )
 
 
@@ -174,14 +177,7 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _resolve_outdir(args, cfg: RunConfig) -> Path:
-    if getattr(args, "out", None):
-        out = Path(args.out)
-    elif os.environ.get(ENV_OUTDIR):
-        out = Path(os.environ[ENV_OUTDIR])
-    else:
-        out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(getattr(args, "out", None) or os.environ.get(ENV_OUTDIR) or cfg.outdir)
 
 
 def _gamma_tag(g: float) -> str:
@@ -191,7 +187,7 @@ def _gamma_tag(g: float) -> str:
     text = f"{g:g}"
     if float(text) != g:
         text = repr(g)
-    return text.replace(".", "p").replace("-", "m")
+    return text.replace(".", "p")
 
 
 def _check_gammas(gammas) -> None:
@@ -213,6 +209,7 @@ def cmd_synth(args) -> int:
     params = cfg.params()
     cert = synthesize_certificate(params, cfg.alpha, cfg.gamma, margin=cfg.margin)
     out = _resolve_outdir(args, cfg)
+    out.mkdir(parents=True, exist_ok=True)
     save_certificate(out / "certificate.txt", params, cert, seed=cfg.seed, margin=cfg.margin)
     report = {
         "rho": cert.rho,
@@ -264,21 +261,31 @@ def _load_or_synthesize(args, cfg: RunConfig):
     return params, cert
 
 
-def _run_to_csv(scenario: Scenario, path: Path):
-    """Run ``scenario``, write its trace to ``path``, print the first 20
-    monitor violations, if any, and return the run's :func:`metrics`. A run
-    that memory cannot hold is a ValueError naming its step count."""
-    try:
-        trace = run(scenario)
-    except MemoryError as exc:
-        raise ValueError(
-            f"duration / dt = {scenario.duration} / {scenario.dt} = {scenario.steps} steps: "
-            "out of memory for the run"
-        ) from exc
-    trace.to_csv(path)
-    for msg in trace.violations[:20]:
-        print(f"violation: {msg}", file=sys.stderr)
-    return metrics(trace, scenario)
+def _run_step(args, cfg: RunConfig, runs: dict) -> tuple[Path, list]:
+    """Run each scenario of ``runs`` (trace file name to :class:`Scenario`)
+    in order, holding one trace at a time: write its trace to the output
+    directory, print its first 20 monitor violations, if any, and keep its
+    :func:`metrics`. The directory is made once the first run has completed,
+    so a command that fails before then leaves nothing behind. A run that
+    memory cannot hold is a ValueError naming its step count. Returns the
+    directory and the metrics in the order of ``runs``."""
+    out = _resolve_outdir(args, cfg)
+    results = []
+    for name, scenario in runs.items():
+        try:
+            trace = run(scenario)
+        except MemoryError as exc:
+            raise ValueError(
+                f"duration / dt = {scenario.duration} / {scenario.dt} = {scenario.steps} "
+                "steps: out of memory for the run"
+            ) from exc
+        out.mkdir(parents=True, exist_ok=True)
+        trace.to_csv(out / name)
+        for msg in trace.violations[:20]:
+            print(f"violation: {msg}", file=sys.stderr)
+        results.append(metrics(trace, scenario))
+        del trace
+    return out, results
 
 
 def _draw(flag: str, count: int, draw, *args):
@@ -298,9 +305,7 @@ _CLOCK_HEADER = "controller wall-clock time per call (s), on stdout only: it var
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     params, cert = _load_or_synthesize(args, cfg)
-    scenario = cfg.build_scenario(cert, params)
-    out = _resolve_outdir(args, cfg)
-    m = _run_to_csv(scenario, out / "trace.csv")
+    out, (m,) = _run_step(args, cfg, {"trace.csv": cfg.build_scenario(cert, params)})
     summary, clock = m.split_kv()
     summary["gamma"] = cert.gamma
     text = dump_kv(summary, header="simulation summary")
@@ -327,64 +332,58 @@ def cmd_sweep(args) -> int:
     # synthesize once and vary only the feedback scale
     _check_gammas(cfg.gammas)
     base = synthesize_certificate(params, cfg.alpha, cfg.gammas[0], margin=cfg.margin)
-    out = _resolve_outdir(args, cfg)
+    runs = {f"trace_gamma_{_gamma_tag(gamma)}.csv":
+            cfg.build_scenario(replace(base, gamma=gamma), params) for gamma in cfg.gammas}
+    out, results = _run_step(args, cfg, runs)
     combined: dict = {}
     clocks: dict = {}
-    any_violations = False
-    for i, gamma in enumerate(cfg.gammas):
-        scenario = cfg.build_scenario(replace(base, gamma=gamma), params)
-        m = _run_to_csv(scenario, out / f"trace_gamma_{_gamma_tag(gamma)}.csv")
+    for i, (gamma, m) in enumerate(zip(cfg.gammas, results)):
         summary, clock = m.split_kv()
         combined[f"run{i}_gamma"] = gamma
         combined.update((f"run{i}_{key}", value) for key, value in summary.items())
         clocks.update((f"run{i}_{key}", value) for key, value in clock.items())
-        any_violations = any_violations or m.n_violations > 0
     text = dump_kv(combined, header="gamma sweep summary")
     (out / "sweep_summary.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text + dump_kv(clocks, header=_CLOCK_HEADER))
-    return EXIT_VIOLATIONS if any_violations else EXIT_OK
+    return EXIT_VIOLATIONS if any(m.n_violations for m in results) else EXIT_OK
 
 
 def cmd_invariance(args) -> int:
     """The scenario from ``--starts`` boundary points of the certified
     ellipsoid (the :func:`boundary_states` that ``verify`` checks for the
-    config's seed), in invariance mode, once per gamma: one trace per
-    (gamma, start), and per gamma the worst V/eps, the violation count and
-    the mean saturation duty."""
+    config's seed), centred on the reference's state at t = 0, in invariance
+    mode, once per gamma: one trace per (gamma, start), and per gamma the
+    worst V/eps, the violation count and the mean saturation duty."""
     cfg = _resolve_config(args)
     params = cfg.params()
     _check_gammas(cfg.gammas)
     if args.starts < 1:
         raise ValueError(f"--starts must be at least 1, got {args.starts}")
     base = synthesize_certificate(params, cfg.alpha, cfg.gammas[0], margin=cfg.margin)
-    starts = _draw("--starts", args.starts, boundary_states, base.gain, base.eps, args.starts,
-                   cfg.seed)
-
-    def scenario(gamma, start):
-        run_cfg = replace(cfg, initial_state=tuple(start), invariance_mode=True)
-        return run_cfg.build_scenario(replace(base, gamma=gamma), params)
-
-    # the horizon checks are the same for every start and gamma
-    scenario(cfg.gammas[0], starts[0])
-    out = _resolve_outdir(args, cfg)
-    print(f"certificate: rho={base.rho:.4f} eps={base.eps:.4f} alpha={cfg.alpha}")
-    any_violations = False
+    offsets = _draw("--starts", args.starts, boundary_states, base.gain, base.eps, args.starts,
+                    cfg.seed)
+    # the starts surround the reference at t = 0: a non-finite one is the
+    # error that run gives it, before any directory is made
+    centre = _on_grid(cfg.reference().state, np.zeros(1), 6, "state")[0]
+    if not np.isfinite(centre).all():
+        raise ValueError("reference.state is not finite at t=0.0")
+    runs = {}
     for gamma in cfg.gammas:
-        worst = 0.0
-        n_violations = 0
-        duty = []
-        for i, start in enumerate(starts):
-            m = _run_to_csv(scenario(gamma, start),
-                            out / f"trace_g{_gamma_tag(gamma)}_s{i:02d}.csv")
-            worst = max(worst, m.max_lyapunov / base.eps)
-            n_violations += m.n_violations
-            duty.append(m.saturation_duty)
-        print(
-            f"gamma={gamma:5.1f}: max V/eps={worst:.9f} violations={n_violations} "
-            f"saturation duty mean={np.mean(duty):.3f}"
-        )
-        any_violations = any_violations or n_violations > 0
-    return EXIT_VIOLATIONS if any_violations else EXIT_OK
+        scenario = cfg.build_scenario(replace(base, gamma=gamma), params)
+        for i, offset in enumerate(offsets):
+            runs[f"trace_g{_gamma_tag(gamma)}_s{i:02d}.csv"] = replace(
+                scenario, initial_state=centre + offset, invariance_mode=True)
+    _, results = _run_step(args, cfg, runs)
+    print(f"certificate: rho={base.rho:.4f} eps={base.eps:.4f} alpha={cfg.alpha}")
+    n = len(offsets)
+    for k, gamma in enumerate(cfg.gammas):
+        per_start = results[k * n:(k + 1) * n]
+        worst = max(m.max_lyapunov / base.eps for m in per_start)
+        count = sum(m.n_violations for m in per_start)
+        duty = np.mean([m.saturation_duty for m in per_start])
+        print(f"gamma={gamma:5.1f}: max V/eps={worst:.9f} violations={count} "
+              f"saturation duty mean={duty:.3f}")
+    return EXIT_VIOLATIONS if any(m.n_violations for m in results) else EXIT_OK
 
 
 class _NegativeFloatLiteral:

@@ -91,6 +91,13 @@ class TestConfig:
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "run")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: unknown config keys: circle_velocity_mode\n"
 
+    def test_invariance_mode_is_not_a_key(self, tmp_path, capsys):
+        # invariance mode is the library's Scenario field, which only
+        # ``flatsat invariance`` sets, for each of its runs
+        path = write_config(tmp_path / "c.txt", invariance_mode="true")
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: unknown config keys: invariance_mode\n"
+
     def test_bad_value_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.txt", alpha="fast")
         with pytest.raises(ValueError, match="alpha"):
@@ -108,7 +115,7 @@ class TestConfig:
         assert cfg.params() == ConstraintParams()
         assert cfg.reference() == CircularReference()
         sc = cfg.build_scenario(cert075, params)
-        for name in ("psi", "feedforward", "invariance_mode"):
+        for name in ("psi", "feedforward"):
             assert getattr(sc, name) == getattr(Scenario, name), name
 
     def test_margin_defaults_are_one_constant(self):
@@ -686,6 +693,24 @@ class TestSweep:
             assert capsys.readouterr().err.startswith(f"error: {message}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "invariance"])
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [({"duration": "0.03"}, "duration 0.03 is not a whole number of steps dt = 0.02"),
+         ({"scenario": "circular", "circle_omega": "nan"},
+          "reference.state is not finite at t=0.0")],
+        ids=["horizon", "nan_reference"],
+    )
+    def test_failing_run_command_leaves_no_output_directory(self, tmp_path, capsys, command,
+                                                            pairs, message):
+        # every run command builds its scenarios, and run checks its
+        # signals, before the output directory is made
+        cfg = write_config(tmp_path / "c.txt", **pairs)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
 
 class TestStudyConfigs:
     """The committed tracking-study configs run the setpoint and circle
@@ -783,33 +808,40 @@ class TestStudyScripts:
 
     def test_invariance_traces_equal_library_runs(self, tmp_path, monkeypatch, params,
                                                   cert125):
-        # the boundary-start study at alpha 1.25: each trace is the library
+        # the boundary-start study at alpha 1.25, regulating to the origin
+        # and to the setpoint study's hover target: each trace is the library
         # run, in invariance mode, from the boundary_states row of the
-        # config's seed
+        # config's seed added to the reference's state at t = 0
         modes = []
         monkeypatch.setattr(cli, "run", lambda sc: modes.append(sc.invariance_mode) or run(sc))
-        cfg = write_config(tmp_path / "c.txt", alpha="1.25", duration="1.0", seed="4")
-        out = tmp_path / "inv"
-        assert main(["invariance", "--config", cfg, "--starts", "2", "--out", str(out)]) == EXIT_OK
-        assert modes == [True] * 6
         starts = boundary_states(cert125.gain, cert125.eps, 2, seed=4)
-        for gamma in (1.0, 5.0, 15.0):
-            for i, start in enumerate(starts):
-                scenario = Scenario(
-                    reference=OriginReference(),
-                    initial_state=start,
-                    duration=1.0,
-                    dt=0.02,
-                    cert=replace(cert125, gamma=gamma),
-                    params=params,
-                    invariance_mode=True,
-                )
-                path = tmp_path / "library.csv"
-                run(scenario).to_csv(path)
-                assert (out / f"trace_g{gamma:g}_s{i:02d}.csv").read_bytes() == (
-                    path.read_bytes()
-                ), (gamma, i)
-        assert len(list(out.iterdir())) == 6
+        for pairs, reference in [
+            ({}, OriginReference()),
+            ({"scenario": "setpoint"}, SetpointReference(position=(0.3, 0.3, 0.8))),
+        ]:
+            cfg = write_config(tmp_path / "c.txt", alpha="1.25", duration="1.0", seed="4",
+                               **pairs)
+            out = tmp_path / type(reference).__name__
+            assert main(["invariance", "--config", cfg, "--starts", "2",
+                         "--out", str(out)]) == EXIT_OK
+            for gamma in (1.0, 5.0, 15.0):
+                for i, start in enumerate(starts):
+                    scenario = Scenario(
+                        reference=reference,
+                        initial_state=reference.state(0.0) + start,
+                        duration=1.0,
+                        dt=0.02,
+                        cert=replace(cert125, gamma=gamma),
+                        params=params,
+                        invariance_mode=True,
+                    )
+                    path = tmp_path / "library.csv"
+                    run(scenario).to_csv(path)
+                    assert (out / f"trace_g{gamma:g}_s{i:02d}.csv").read_bytes() == (
+                        path.read_bytes()
+                    ), (reference, gamma, i)
+            assert len(list(out.iterdir())) == 6
+        assert modes == [True] * 12
 
     def test_alpha_sweep_rejects_unparsable_alphas(self, monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:
