@@ -29,7 +29,9 @@ included), 2 synthesis infeasible, 3 monitor or verification failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -263,28 +265,43 @@ def _load_or_synthesize(args, cfg: RunConfig):
 
 def _run_step(args, cfg: RunConfig, runs: dict) -> tuple[Path, list]:
     """Run each scenario of ``runs`` (trace file name to :class:`Scenario`)
-    in order, holding one trace at a time: write its trace to the output
-    directory, print its first 20 monitor violations, if any, and keep its
-    :func:`metrics`. The directory is made once the first run has completed,
-    so a command that fails before then leaves nothing behind. A run that
-    memory cannot hold is a ValueError naming its step count. Returns the
-    directory and the metrics in the order of ``runs``."""
+    in order, holding one trace at a time: keep its :func:`metrics`, write
+    its trace to the output directory and print its first 20 monitor
+    violations, if any. A run that memory cannot hold is a ValueError
+    naming its step count. A command that fails leaves nothing behind: the
+    directory is made once the first run and its metrics have completed,
+    and on an error the traces written so far are removed, with the
+    directories made for them; a file that was there before stays. Returns
+    the directory and the metrics in the order of ``runs``."""
     out = _resolve_outdir(args, cfg)
+    made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
+    written = []
     results = []
-    for name, scenario in runs.items():
-        try:
-            trace = run(scenario)
-        except MemoryError as exc:
-            raise ValueError(
-                f"duration / dt = {scenario.duration} / {scenario.dt} = {scenario.steps} "
-                "steps: out of memory for the run"
-            ) from exc
-        out.mkdir(parents=True, exist_ok=True)
-        trace.to_csv(out / name)
-        for msg in trace.violations[:20]:
-            print(f"violation: {msg}", file=sys.stderr)
-        results.append(metrics(trace, scenario))
-        del trace
+    try:
+        for name, scenario in runs.items():
+            try:
+                trace = run(scenario)
+            except MemoryError as exc:
+                raise ValueError(
+                    f"duration / dt = {scenario.duration} / {scenario.dt} = {scenario.steps} "
+                    "steps: out of memory for the run"
+                ) from exc
+            results.append(metrics(trace, scenario))
+            out.mkdir(parents=True, exist_ok=True)
+            path = out / name
+            if not path.exists():
+                written.append(path)
+            trace.to_csv(path)
+            for msg in trace.violations[:20]:
+                print(f"violation: {msg}", file=sys.stderr)
+            del trace
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
     return out, results
 
 

@@ -173,7 +173,8 @@ def in_Vc(v, p: ConstraintParams) -> bool:
 def _vc_clauses(v1, v2, v3, p: ConstraintParams):
     """The three :func:`in_Vc` clauses joined with ``&``, on floats or
     row-wise on 1-D coordinate arrays: the one membership test, which the
-    saturation kernels, their oracle and the run monitors share."""
+    saturation kernels, their oracle and the run monitors share, and which
+    the closed loop inlines with the same operations in the same order."""
     c = v3 + p.g
     h2 = v1 * v1 + v2 * v2
     cc = c * c

@@ -24,8 +24,9 @@ derived once per set of limits; its derivation sits beside the membership
 margin in ``constraint_sets``, the other half of the same rounding
 analysis. The control loop runs no solver and no search. :func:`saturate`
 is the per-sample real-time path, a thin wrapper over the float kernel that
-the closed loop calls directly; a column kernel applies the same arithmetic
-to many commands at once, for the verifier. A bisection oracle is provided
+the closed loop calls on each sample that fails its inlined membership
+test; a column kernel applies the same arithmetic to many commands at
+once, for the verifier. A bisection oracle is provided
 purely for cross-checking.
 """
 
@@ -90,8 +91,9 @@ def saturate(v, p: ConstraintParams) -> SaturationResult:
 
 
 def _saturate_floats(v1: float, v2: float, v3: float, p: ConstraintParams):
-    """:func:`saturate` on plain floats, the per-sample kernel of the
-    closed loop; returns ``(w1, w2, w3, lam, saturated, active)``."""
+    """:func:`saturate` on plain floats, the exit kernel of the closed
+    loop, which calls it on a sample that fails the membership test;
+    returns ``(w1, w2, w3, lam, saturated, active)``."""
     if _vc_clauses(v1, v2, v3, p):
         return v1, v2, v3, 1.0, False, _NONE
     h2 = v1 * v1 + v2 * v2

@@ -12,15 +12,19 @@ equals the linear system.
 the whole time grid: the reference state, the feedforward acceleration (each
 reference takes a float or an array of times) and the yaw, and checks them
 all for a non-finite value before the first sample, so a run that starts
-completes. The per-sample loop then keeps only the feedback path, on plain
-Python floats: it calls the float kernels behind the public functions (the
-raw law and saturation of :func:`control_law`, the input map and
-acceleration of ``to_physical``/``accel``) and packs each row (state,
-commands, physical input, pullback factor, controller wall time) into one
-flat buffer. At the end the buffer becomes the :class:`Trace` arrays, and
-the monitors (Lyapunov value, set memberships, ellipsoid, violation
-messages) run over it as array code with the same clauses as the scalar
-tests.
+completes. The per-sample loop then keeps only the feedback path, as one
+flat block on plain Python floats with the operations of the float kernels
+behind the public functions, in their order: the raw law of
+:func:`control_law`, the membership test of ``in_Vc``, the input map of
+``to_physical`` and the acceleration of ``accel``. A sample that fails the
+membership test calls the one exit kernel of the saturation; a sample that
+passes calls no function of the package. Each row (state, commands,
+physical input, pullback factor, controller wall time) is packed into one
+flat buffer. A loop on numpy vectors over the public functions is the
+oracle of this block in the tests, bit for bit. At the end the buffer
+becomes the :class:`Trace` arrays, and the monitors (Lyapunov value, set
+memberships, ellipsoid, violation messages) run over it as array code with
+the same clauses as the scalar tests.
 """
 
 from __future__ import annotations
@@ -29,19 +33,13 @@ import math
 import struct
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
 
 from .constraint_sets import ConstraintParams, _u_clauses, _vc_clauses
-from .flat_model import (
-    DomainError,
-    PhysicalInput,
-    _accel_floats,
-    _to_physical_floats,
-    _yaw_trig,
-)
+from .flat_model import DomainError, PhysicalInput, _yaw_trig
 from .kvformat import format_rows
 from .saturation import ActiveConstraint, SaturationResult, _saturate_floats
 from .synthesis import EllipsoidCert, _half_rate, _lyapunov, _raw_feedback
@@ -289,25 +287,6 @@ class Trace:
             fh.writelines(format_rows(floats, tails))
 
 
-def _control_floats(e1: float, e2: float, e3: float, d1: float, d2: float, d3: float,
-                    ff, gamma: float, p2: float, p3: float, p: ConstraintParams):
-    """The controller on plain floats: the raw law on the tracking error
-    ``(e1, e2, e3, d1, d2, d3)`` plus the feedforward acceleration ``ff``
-    (three floats, or None), then ray saturation. Returns
-    ``(r1, r2, r3, (w1, w2, w3, lam, saturated, active))``, the raw command
-    and the saturation kernel's tuple as it came; the one definition that
-    :func:`run` and :func:`control_law` share."""
-    r1 = _raw_feedback(e1, d1, gamma, p2, p3)
-    r2 = _raw_feedback(e2, d2, gamma, p2, p3)
-    r3 = _raw_feedback(e3, d3, gamma, p2, p3)
-    if ff is not None:
-        f1, f2, f3 = ff
-        r1 += f1
-        r2 += f2
-        r3 += f3
-    return r1, r2, r3, _saturate_floats(r1, r2, r3, p)
-
-
 def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
                 feedforward_accel=None):
     """Saturated scaled gradient feedback on the tracking error
@@ -315,13 +294,13 @@ def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
     saturation.
 
     Returns the :class:`SaturationResult` of the raw command, whose
-    ``v_out`` (field 0) is the saturated command. A thin wrapper over the
-    float kernel that :func:`run` calls on every sample; a run keeps the
-    raw command as ``Trace.v_raw``. Both states are cast to float64 and
-    subtracted as Python floats, so a non-finite error raises DomainError
-    in the saturation, never a numpy warning; a ValueError rejects a state
-    or reference of other than six values, or a feedforward of other than
-    three.
+    ``v_out`` (field 0) is the saturated command: the raw law on floats,
+    then the saturation's float kernel, as :func:`run` computes each
+    sample inline; a run keeps the raw command as ``Trace.v_raw``. Both
+    states are cast to float64 and subtracted as Python floats, so a
+    non-finite error raises DomainError in the saturation, never a numpy
+    warning; a ValueError rejects a state or reference of other than six
+    values, or a feedforward of other than three.
     """
     x = np.asarray(xi, dtype=float)
     r = np.asarray(xi_ref, dtype=float)
@@ -329,11 +308,16 @@ def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
         raise ValueError(f"states need exactly six values, got shapes {x.shape} and {r.shape}")
     x1, x2, x3, x4, x5, x6 = x.tolist()
     q1, q2, q3, q4, q5, q6 = r.tolist()
-    ff = None if feedforward_accel is None else np.asarray(feedforward_accel, dtype=float).tolist()
-    _, _, _, (w1, w2, w3, lam, saturated, active) = _control_floats(
-        x1 - q1, x2 - q2, x3 - q3, x4 - q4, x5 - q5, x6 - q6, ff, cert.gamma,
-        cert.gain.p2, cert.gain.p3, p
-    )
+    gamma, p2, p3 = cert.gamma, cert.gain.p2, cert.gain.p3
+    r1 = _raw_feedback(x1 - q1, x4 - q4, gamma, p2, p3)
+    r2 = _raw_feedback(x2 - q2, x5 - q5, gamma, p2, p3)
+    r3 = _raw_feedback(x3 - q3, x6 - q6, gamma, p2, p3)
+    if feedforward_accel is not None:
+        f1, f2, f3 = np.asarray(feedforward_accel, dtype=float).tolist()
+        r1 += f1
+        r2 += f2
+        r3 += f3
+    w1, w2, w3, lam, saturated, active = _saturate_floats(r1, r2, r3, p)
     return SaturationResult(np.array([w1, w2, w3]), lam, saturated, active)
 
 
@@ -394,9 +378,12 @@ def run(scenario: Scenario) -> Trace:
     rejects the first such sample with a DomainError whose message names
     the sample's time, state and reference, then the reason.
 
-    The per-sample loop holds only the feedback path, on plain floats: the
-    control law of :func:`control_law`, the input map ``to_physical`` at
-    the sample's yaw, ``accel`` and the exact hold update. ``ctrl_time``
+    The per-sample loop holds only the feedback path, inlined on plain
+    floats with the float kernels' operations in their order: the raw law
+    and membership test of :func:`control_law`, the input map
+    ``to_physical`` at the sample's yaw, ``accel`` and the exact hold
+    update. Only a sample that fails the membership test calls a kernel,
+    the saturation's, for its exit factor and backoff. ``ctrl_time``
     times the error, the raw law, the feedforward and the saturation of
     each sample. Everything that only observes the run (the Lyapunov value,
     the ``in_Vc``/``in_U`` and ellipsoid monitors, their violation messages
@@ -407,6 +394,7 @@ def run(scenario: Scenario) -> Trace:
     cert = scenario.cert
     p1, p2, p3 = cert.gain.p1, cert.gain.p2, cert.gain.p3
     gamma, g, eps = cert.gamma, p.g, cert.eps
+    t2_in, tan2_in = p.t2_max_inside, p.tan2_eps_inside
     dt = scenario.dt
     half_dt2 = 0.5 * dt * dt
     n = scenario.steps
@@ -414,20 +402,20 @@ def run(scenario: Scenario) -> Trace:
     psi = scenario.psi
     clock = time.perf_counter
     pack = _ROW.pack
+    sqrt, hypot, atan2, cos, sin = math.sqrt, math.hypot, math.atan2, math.cos, math.sin
 
     tgrid = np.arange(n + 1) * dt
-    times = tgrid.tolist()
     refs = _on_grid(scenario.reference.state, tgrid, 6, "state")
     signals = {"reference.state": refs}
     if scenario.feedforward:
         signals["reference.accel"] = _on_grid(scenario.reference.accel, tgrid, 3, "accel")
     if callable(psi):
-        signals["psi"] = np.array([psi(t) for t in times], dtype=float)
+        signals["psi"] = np.array([psi(t) for t in tgrid.tolist()], dtype=float)
     finite = np.isfinite(np.column_stack(list(signals.values()))).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
         name = next(name for name, values in signals.items() if not np.isfinite(values[k]).all())
-        raise ValueError(f"{name} is not finite at t={times[k]}")
+        raise ValueError(f"{name} is not finite at t={float(tgrid[k])}")
     ffs = signals["reference.accel"].tolist() if scenario.feedforward else [None] * (n + 1)
     if callable(psi):
         yaws = [_yaw_trig(a, g) for a in signals["psi"].tolist()]
@@ -442,26 +430,54 @@ def run(scenario: Scenario) -> Trace:
         )
 
     rows = bytearray()
-    acts: list[ActiveConstraint] = []
+    active: list[str] = []
     x, y, z, xd, yd, zd = scenario.initial_state.tolist()
     try:
         for k, ((q1, q2, q3, q4, q5, q6), ff, (cpsi, spsi)) in enumerate(
             zip(refs.tolist(), ffs, yaws)
         ):
             tic = clock()
-            r1, r2, r3, (w1, w2, w3, lam, saturated, act) = _control_floats(
-                x - q1, y - q2, z - q3, xd - q4, yd - q5, zd - q6, ff, gamma, p2, p3, p
-            )
+            # the raw law of _raw_feedback, per axis
+            r1 = -gamma * (p2 * (x - q1) + p3 * (xd - q4))
+            r2 = -gamma * (p2 * (y - q2) + p3 * (yd - q5))
+            r3 = -gamma * (p2 * (z - q3) + p3 * (zd - q6))
+            if ff is not None:
+                f1, f2, f3 = ff
+                r1 += f1
+                r2 += f2
+                r3 += f3
+            # the clauses of _vc_clauses; a member passes through, bitwise
+            c = r3 + g
+            h2 = r1 * r1 + r2 * r2
+            cc = c * c
+            if h2 + cc <= t2_in and h2 <= cc * tan2_in and c > 0.0:
+                w1, w2, w3, lam, saturated, act = r1, r2, r3, 1.0, False, "none"
+            else:
+                w1, w2, w3, lam, saturated, act = _saturate_floats(r1, r2, r3, p)
+                act = act._value_
+                c = w3 + g
+                h2 = w1 * w1 + w2 * w2
+                cc = c * c
             ctrl = clock() - tic
 
-            # a command set member is finite and above the apex: no check needed
-            thrust, roll, pitch = _to_physical_floats(w1, w2, w3, cpsi, spsi, g)
+            # the input map of _to_physical_floats: a command set member is
+            # finite and above the apex, so no check is needed
+            thrust = sqrt(h2 + cc)
+            a = w1 * cpsi + w2 * spsi
+            b = w1 * spsi - w2 * cpsi
+            roll = atan2(b, hypot(a, c))
+            pitch = atan2(a, c)
             rows += pack(x, y, z, xd, yd, zd, r1, r2, r3, w1, w2, w3, thrust, roll, pitch,
                          lam, saturated, ctrl)
-            acts.append(act)
+            active.append(act)
 
             if k < n:
-                a1, a2, a3 = _accel_floats(thrust, roll, pitch, cpsi, spsi, g)
+                # the acceleration of _accel_floats, held over the step
+                cphi, sphi = cos(roll), sin(roll)
+                cth, sth = cos(pitch), sin(pitch)
+                a1 = thrust * (cphi * sth * cpsi + sphi * spsi)
+                a2 = thrust * (cphi * sth * spsi - sphi * cpsi)
+                a3 = thrust * cphi * cth - g
                 x = x + dt * xd + half_dt2 * a1
                 y = y + dt * yd + half_dt2 * a2
                 z = z + dt * zd + half_dt2 * a3
@@ -472,12 +488,15 @@ def run(scenario: Scenario) -> Trace:
         # the inputs are finite, so only an overflow gets here
         xi = np.array([x, y, z, xd, yd, zd])
         raise DomainError(
-            f"sample at t={times[k]} rejected, state {xi}, reference {refs[k]}: {exc}"
+            f"sample at t={float(tgrid[k])} rejected, state {xi}, reference {refs[k]}: {exc}"
         ) from exc
 
     buf = np.frombuffer(rows, dtype=float).reshape(n + 1, _ROW.size // 8)
     xi, v, u = buf[:, 0:6], buf[:, 9:12], buf[:, 12:15]
-    lyapunov = _lyapunov((xi - refs).T, p1, p2, p3)
+    # V of a state far from the reference can overflow: the trace keeps the
+    # inf or nan, which metrics then reports by its field
+    with np.errstate(over="ignore", invalid="ignore"):
+        lyapunov = _lyapunov((xi - refs).T, p1, p2, p3)
     in_u = _u_clauses(u[:, 0], u[:, 1], u[:, 2], p)
     bad_v = ~_vc_clauses(v[:, 0], v[:, 1], v[:, 2], p)
     bad_e = invariance & (lyapunov > level)
@@ -485,7 +504,7 @@ def run(scenario: Scenario) -> Trace:
     # the messages of a sample in the order command set, input box,
     # ellipsoid, samples in time order
     for i in np.flatnonzero(bad_v | ~in_u | bad_e).tolist():
-        t = times[i]
+        t = float(tgrid[i])
         if bad_v[i]:
             violations.append(f"t={t:.6g}: command left the convex set: {v[i]}")
         if not in_u[i]:
@@ -505,9 +524,7 @@ def run(scenario: Scenario) -> Trace:
         lyapunov=lyapunov,
         lam=buf[:, 15],
         saturated=buf[:, 16] != 0.0,
-        # _value_ is where an enum member keeps its value; reading it skips
-        # the per-member property lookup of .value
-        active=[a._value_ for a in acts],
+        active=active,
         in_u=in_u,
         ctrl_time=buf[:, 17],
         violations=violations,
@@ -560,43 +577,55 @@ def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:
     (d, v - accel): exact for a reference whose velocity is the derivative
     of its position, as every built-in one's is. Raises ValueError on a
     trace with no rows, which :func:`run` never returns but a trace built
-    by hand may have."""
+    by hand may have. The sums run with numpy's overflow and invalid-value
+    warnings off, so no finite field changes; a field that is not finite,
+    as from a run whose values overflow float64 in them, is a DomainError
+    naming the first such field in field order."""
     p = scenario.params
     tgrid = trace.t
     if len(tgrid) == 0:
         raise ValueError("the trace has no rows to summarize")
-    # the errors as contiguous columns, computed in that layout rather than
-    # copied from rows: strided (N, 3) views take numpy's slow loops, and an
-    # extra array of a long run costs fresh pages
-    err = np.subtract(trace.xi.T, trace.xi_ref.T, order="C")
-    e, d = err[:3], err[3:]
-    steady = tgrid >= 0.75 * tgrid[-1]
-    pos_err = np.linalg.norm(e[:, steady], axis=0)
-    rms = float(np.sqrt(np.mean(pos_err ** 2)))
+    # a non-finite value is reported below, by the field that holds it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the errors as contiguous columns, computed in that layout rather
+        # than copied from rows: strided (N, 3) views take numpy's slow
+        # loops, and an extra array of a long run costs fresh pages
+        err = np.subtract(trace.xi.T, trace.xi_ref.T, order="C")
+        e, d = err[:3], err[3:]
+        steady = tgrid >= 0.75 * tgrid[-1]
+        pos_err = np.linalg.norm(e[:, steady], axis=0)
+        rms = float(np.sqrt(np.mean(pos_err ** 2)))
 
-    gain = scenario.cert.gain
-    accel = _on_grid(scenario.reference.accel, tgrid, 3, "accel")
-    accel_err = np.subtract(trace.v.T, accel.T, order="C")
-    rate = _half_rate(e, d, accel_err, gain.p1, gain.p2, gain.p3)
-    decay = float(np.max(2.0 * rate + gain.alpha * trace.lyapunov))
+        gain = scenario.cert.gain
+        accel = _on_grid(scenario.reference.accel, tgrid, 3, "accel")
+        accel_err = np.subtract(trace.v.T, accel.T, order="C")
+        rate = _half_rate(e, d, accel_err, gain.p1, gain.p2, gain.p3)
+        decay = float(np.max(2.0 * rate + gain.alpha * trace.lyapunov))
 
-    v1, v2, v3 = trace.v[:, 0], trace.v[:, 1], trace.v[:, 2]
-    c = v3 + p.g
-    h2 = v1 * v1 + v2 * v2
-    thrust, roll, pitch = trace.u[:, 0], trace.u[:, 1], trace.u[:, 2]
+        v1, v2, v3 = trace.v[:, 0], trace.v[:, 1], trace.v[:, 2]
+        c = v3 + p.g
+        h2 = v1 * v1 + v2 * v2
+        thrust, roll, pitch = trace.u[:, 0], trace.u[:, 1], trace.u[:, 2]
 
-    return RunMetrics(
-        rms_pos_error_steady=rms,
-        max_decay_residual=decay,
-        saturation_duty=float(np.mean(trace.saturated)),
-        ctrl_time_mean=float(np.mean(trace.ctrl_time)),
-        ctrl_time_p99=float(np.percentile(trace.ctrl_time, 99)),
-        max_lyapunov=float(np.max(trace.lyapunov)),
-        min_ball_margin=float(np.min(p.t2_max - (h2 + c * c))),
-        min_cone_margin=float(np.min(c * c * p.tan2_eps - h2)),
-        min_half_margin=float(np.min(c)),
-        min_thrust_margin=float(np.min(np.minimum(thrust, p.t_max - thrust))),
-        min_roll_margin=float(np.min(p.phi_max - np.abs(roll))),
-        min_pitch_margin=float(np.min(p.theta_max - np.abs(pitch))),
-        n_violations=len(trace.violations),
-    )
+        m = RunMetrics(
+            rms_pos_error_steady=rms,
+            max_decay_residual=decay,
+            saturation_duty=float(np.mean(trace.saturated)),
+            ctrl_time_mean=float(np.mean(trace.ctrl_time)),
+            ctrl_time_p99=float(np.percentile(trace.ctrl_time, 99)),
+            max_lyapunov=float(np.max(trace.lyapunov)),
+            min_ball_margin=float(np.min(p.t2_max - (h2 + c * c))),
+            min_cone_margin=float(np.min(c * c * p.tan2_eps - h2)),
+            min_half_margin=float(np.min(c)),
+            min_thrust_margin=float(np.min(np.minimum(thrust, p.t_max - thrust))),
+            min_roll_margin=float(np.min(p.phi_max - np.abs(roll))),
+            min_pitch_margin=float(np.min(p.theta_max - np.abs(pitch))),
+            n_violations=len(trace.violations),
+        )
+    for f in fields(m):
+        value = getattr(m, f.name)
+        if not math.isfinite(value):
+            raise DomainError(
+                f"run metric {f.name} = {value} is not finite: the run's values overflow"
+            )
+    return m

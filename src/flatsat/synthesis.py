@@ -105,7 +105,8 @@ def _raw_feedback(e, d, gamma: float, p2: float, p3: float):
     """The scaled gradient feedback -gamma (p2 e + p3 d) = -gamma B' P xi of
     one axis, for position error ``e`` and velocity error ``d``; on floats
     or on column blocks. The one definition of the raw control law,
-    shared by the closed loop and the verifier."""
+    shared by ``control_law`` and the verifier, and inlined by the closed
+    loop with the same operations."""
     return -gamma * (p2 * e + p3 * d)
 
 

@@ -50,6 +50,13 @@ def run_script(name, monkeypatch, *args):
     runpy.run_path(str(script), run_name="__main__")
 
 
+# finite configs whose runs overflow: the first run's metrics, and a
+# sweep's gamma 15 run after its gamma 1 run has completed
+OVERFLOW_METRICS = {"initial_state": "1e154, 0, 0, 0, 0, 0", "duration": "1"}
+OVERFLOW_LATER_RUN = {"initial_state": "0, 0, 0, 1.5e153, 0, 0", "duration": "1",
+                      "gammas": "1, 15"}
+
+
 def write_config(path, **pairs):
     path.write_text(
         "# test config\n" + "".join(f"{k} = {v}\n" for k, v in pairs.items()),
@@ -693,23 +700,55 @@ class TestSweep:
             assert capsys.readouterr().err.startswith(f"error: {message}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep", "invariance"])
     @pytest.mark.parametrize(
-        "pairs, message",
-        [({"duration": "0.03"}, "duration 0.03 is not a whole number of steps dt = 0.02"),
-         ({"scenario": "circular", "circle_omega": "nan"},
-          "reference.state is not finite at t=0.0")],
-        ids=["horizon", "nan_reference"],
+        "pairs, message, command",
+        [pytest.param(pairs, message, command, id=f"{tag}-{command}")
+         for tag, pairs, message, commands in [
+             ("horizon", {"duration": "0.03"},
+              "duration 0.03 is not a whole number of steps dt = 0.02",
+              ("simulate", "sweep", "invariance")),
+             ("nan_reference", {"scenario": "circular", "circle_omega": "nan"},
+              "reference.state is not finite at t=0.0", ("simulate", "sweep", "invariance")),
+             # the first run completes and its metrics overflow (invariance
+             # draws its own starts)
+             ("overflow_metrics", OVERFLOW_METRICS,
+              "run metric rms_pos_error_steady = inf is not finite: the run's values overflow",
+              ("simulate", "sweep")),
+             # the gamma 1 run completes and writes its trace, the gamma 15
+             # one overflows
+             ("overflow_later_run", OVERFLOW_LATER_RUN,
+              "sample at t=0.0 rejected, state [0.0e+000 0.0e+000 0.0e+000 1.5e+153 0.0e+000 "
+              "0.0e+000], reference [0. 0. 0. 0. 0. 0.]: no feasible pullback factor for "
+              "(-1.687500001081055e+154, -0.0, -0.0)",
+              ("sweep",)),
+         ] for command in commands],
     )
     def test_failing_run_command_leaves_no_output_directory(self, tmp_path, capsys, command,
                                                             pairs, message):
         # every run command builds its scenarios, and run checks its
-        # signals, before the output directory is made
+        # signals, before the output directory is made; a run that fails
+        # later takes the directory and the traces written before it along
         cfg = write_config(tmp_path / "c.txt", **pairs)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+    def test_failing_later_run_keeps_only_what_was_there(self, tmp_path, capsys):
+        # the gamma 1 trace is written, then removed when the gamma 15 run
+        # overflows, with every directory made for it; a file that was
+        # there before stays, also one that the sweep wrote over
+        cfg = write_config(tmp_path / "c.txt", **OVERFLOW_LATER_RUN)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "a" / "b")]) == EXIT_USAGE
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        (out / "trace_gamma_1.csv").write_text("old")
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "trace_gamma_1.csv"]
+        assert (out / "notes.txt").read_text() == "kept"
+        assert capsys.readouterr().err.count("error: ") == 2
 
 
 class TestStudyConfigs:

@@ -3,6 +3,7 @@ import re
 import warnings
 from dataclasses import astuple, fields, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -302,28 +303,29 @@ class TestExactHoldStep:
         assert np.max(np.abs(trace.xi[1:] - want)) <= 1e-10
 
     def test_input_map_evaluated_once_per_sample(self, params, cert075, monkeypatch):
-        # the input map runs on every sample, the acceleration on every
-        # sample but the last, whose command is recorded but not applied
-        import flatsat.simulation as simulation
-
-        calls = {"_to_physical_floats": 0, "_accel_floats": 0}
-
-        def counting(name):
-            kernel = getattr(simulation, name)
-
-            def wrapper(a, b, c, cpsi, spsi, g):
-                calls[name] += 1
-                return kernel(a, b, c, cpsi, spsi, g)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(simulation, name, counting(name))
-        sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0)
+        # one packed row per sample; each row's physical input is the input
+        # map of its command at its yaw, bitwise, and every row but the last
+        # advances the state under that input's acceleration: the last
+        # command is recorded but not applied
+        packed = []
+        pack_rows(monkeypatch, lambda real, row: packed.append(row) or real(*row))
+        psi = lambda t: 0.7 * math.sin(t)
+        sc = origin_scenario(replace(cert075, gamma=15.0), params, CANONICAL_X0,
+                             duration=1.0, psi=psi)
+        trace = run(sc)
         n = 50
-        assert len(run(sc)) == n + 1
-        assert calls["_to_physical_floats"] == n + 1
-        assert calls["_accel_floats"] == n
+        assert len(trace) == n + 1 and len(packed) == n + 1
+        assert trace.saturated.any() and not trace.saturated.all()
+        dt = sc.dt
+        for k, t in enumerate(trace.t.tolist()):
+            u = to_physical(trace.v[k], psi(t), params.g)
+            np.testing.assert_array_equal(bits([u.thrust, u.roll, u.pitch]), bits(trace.u[k]))
+            if k < n:
+                a = accel(u, psi(t), params.g).tolist()
+                x = trace.xi[k].tolist()
+                want = [x[i] + dt * x[i + 3] + 0.5 * dt * dt * a[i] for i in range(3)]
+                want += [x[i + 3] + dt * a[i] for i in range(3)]
+                np.testing.assert_array_equal(bits(want), bits(trace.xi[k + 1]), err_msg=k)
 
     def test_constant_yaw_checked_once_per_run(self, params, cert075, monkeypatch):
         # a constant yaw has one cosine and sine, taken before the loop
@@ -348,20 +350,13 @@ class TestExactHoldStep:
                                                     bad_from):
         # at every grid time, before the first sample, whether or not a value
         # is non-finite; the first non-finite value stops the run there
-        import flatsat.simulation as simulation
-
         events = []
-        kernel = simulation._control_floats
-
-        def counting(*args):
-            events.append("sample")
-            return kernel(*args)
 
         def psi(t):
             events.append(t)
             return math.inf if bad_from is not None and t >= bad_from else 0.3
 
-        monkeypatch.setattr(simulation, "_control_floats", counting)
+        pack_rows(monkeypatch, lambda real, row: events.append("sample") or real(*row))
         sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0, psi=psi)
         times = (np.arange(51) * sc.dt).tolist()
         if bad_from is None:
@@ -523,14 +518,12 @@ class TestRun:
     def test_non_finite_reference_rejected_before_any_sample(self, params, cert075,
                                                              monkeypatch, method):
         # accel is read, and checked, only with feedforward
-        import flatsat.simulation as simulation
-
         sc = replace(origin_scenario(cert075, params, CANONICAL_X0, duration=1.0),
                      reference=nan_from(**{method: 0.5}))
         if method == "accel":
             assert len(run(sc)) == 51
             sc = replace(sc, feedforward=True)
-        monkeypatch.setattr(simulation, "_control_floats", no_sample)
+        pack_rows(monkeypatch, no_sample)
         with pytest.raises(ValueError, match=f"^reference.{method} is not finite at t=0.5$"):
             run(sc)
 
@@ -538,15 +531,13 @@ class TestRun:
                                                              monkeypatch):
         # the grid up to t = 0.48 is clean and runs as with a constant yaw;
         # one more step reaches the infinite value and nothing is sampled
-        import flatsat.simulation as simulation
-
         sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0,
                              psi=lambda t: math.inf if t >= 0.5 else 0.3)
         clean = run(replace(sc, psi=0.3))
         head = run(replace(sc, duration=0.48))
         assert len(head) == 25 and not head.violations
         np.testing.assert_array_equal(head.xi, clean.xi[:25])
-        monkeypatch.setattr(simulation, "_control_floats", no_sample)
+        pack_rows(monkeypatch, no_sample)
         with pytest.raises(ValueError, match="^psi is not finite at t=0.5$"):
             run(sc)
 
@@ -567,8 +558,6 @@ class TestRun:
         # the earliest grid time with a non-finite value, and there the
         # first of reference.state, reference.accel and psi that has one;
         # each signal turns NaN from the grid time of the given index on
-        import flatsat.simulation as simulation
-
         times = (np.arange(51) * 0.02).tolist()
         at = lambda k: None if k is None else times[k]
         sc = replace(
@@ -577,7 +566,7 @@ class TestRun:
             reference=nan_from(state=at(state), accel=at(accel)),
         )
         first = min(k for k in (state, accel, psi) if k is not None)
-        monkeypatch.setattr(simulation, "_control_floats", no_sample)
+        pack_rows(monkeypatch, no_sample)
         with pytest.raises(ValueError, match=f"^{named} is not finite at t={times[first]}$"):
             run(sc)
 
@@ -647,14 +636,66 @@ def nan_from(state=None, accel=None):
     return NanFrom()
 
 
-def no_sample(*args):
-    """Stands in for the control-law kernel where no sample may be computed."""
+def no_sample(real, row):
+    """Stands in for the row packer where no sample may be computed."""
     raise AssertionError("a sample was computed")
+
+
+def pack_rows(monkeypatch, pack):
+    """Route every row that :func:`run` packs, one per sample, through
+    ``pack(real, row)``, where ``real`` is the packer it replaces and ``row``
+    the row's 18 values."""
+    import flatsat.simulation as simulation
+
+    real = simulation._ROW
+    monkeypatch.setattr(simulation, "_ROW", SimpleNamespace(
+        size=real.size, pack=lambda *row: pack(real.pack, row)))
+
+
+def exit_factor(u, p, piece):
+    """The factor of the ray ``lam * u`` at its exit from the ball or the
+    cone, from the surface equations in closed form: the positive root of
+    |lam u + g e3|^2 = t_max^2, or |lam u_h| = (lam u3 + g) tan(eps)."""
+    u1, u2, u3 = u
+    h2 = u1 * u1 + u2 * u2
+    if piece == "ball":
+        a, beta = h2 + u3 * u3, p.g * u3
+        return (math.sqrt(beta * beta + a * p.k) - beta) / a
+    return p.g * p.tan_eps / (math.sqrt(h2) - u3 * p.tan_eps)
+
+
+# rays that leave the command set through the ball, through the cone's
+# side, and through the cone's apex, (0, 0, -g)
+EXIT_RAYS = [("ball", (0.4, -0.4, 1.0)), ("cone", (-0.7, 1.0, -0.3)),
+             ("cone", (0.0, 0.0, -1.0))]
+
+
+def near_boundary_starts(cert, params):
+    """Starts whose first raw command lies a few ulps inside or outside the
+    exit point of each ray of ``EXIT_RAYS``, where the membership test
+    changes its verdict: velocity error d = 0 and position error
+    e = -v / (gamma p2), whose raw law gives back v up to rounding, for
+    targets v at 1 + j 2^-53 of the exit point, |j| <= 16. Both verdicts
+    occur on each ray."""
+    starts = []
+    for piece, u in EXIT_RAYS:
+        other = "cone" if piece == "ball" else "ball"
+        lam = exit_factor(u, params, piece)
+        assert lam < exit_factor(u, params, other), piece
+        sides = set()
+        for j in range(-16, 17):
+            scale = lam * (1.0 + j * 2.0**-53)
+            xi0 = [-scale * x / (cert.gamma * cert.gain.p2) for x in u] + [0.0] * 3
+            sides.add(control_law(xi0, np.zeros(6), cert, params).saturated)
+            starts.append(xi0)
+        assert sides == {False, True}, u
+    return starts
 
 
 def oracle_scenarios(params, cert075, cert125):
     """The canonical run at gamma 1/5/15, 10 boundary starts x gamma
-    1/5/15 in invariance mode, and the 60 s circle with and without
+    1/5/15 in invariance mode, one step from each near-boundary start of
+    the command set at gamma 1/5/15, and the 60 s circle with and without
     feedforward under a time-varying yaw."""
     out = []
     for gamma in (1.0, 5.0, 15.0):
@@ -662,6 +703,8 @@ def oracle_scenarios(params, cert075, cert125):
         out.append(origin_scenario(cert, params, CANONICAL_X0))
         for xi0 in boundary_states(cert.gain, cert.eps, 10):
             out.append(origin_scenario(cert, params, xi0, invariance_mode=True))
+        for xi0 in near_boundary_starts(cert, params):
+            out.append(origin_scenario(cert, params, xi0, duration=0.02))
     for ff in (False, True):
         out.append(
             Scenario(
@@ -750,8 +793,9 @@ class TestFloatLoopOracle:
         assert any("left the box" in m for m in got.violations)
 
     def test_active_matches_residual_oracle(self, params, cert075, cert125):
-        # the canonical and boundary-start runs; no saturated command of
-        # theirs lands near the cone apex
+        # the canonical, boundary-start and near-boundary runs; a command
+        # saturated near the cone apex has a ball residual of about 1, so
+        # the oracle still tells the pieces apart there
         n_saturated = 0
         for sc in oracle_scenarios(params, cert075, cert125):
             if isinstance(sc.reference, OriginReference):
@@ -1022,6 +1066,23 @@ class TestMetrics:
             assert abs(got.max_decay_residual - want.max_decay_residual) <= bound, i
             same = replace(want, max_decay_residual=got.max_decay_residual)
             np.testing.assert_array_equal(bits(got), bits(same), err_msg=str(i))
+
+    @pytest.mark.parametrize(
+        "start, duration, name",
+        [([1e154, 0.0, 0.0, 0.0, 0.0, 0.0], 1.0, "rms_pos_error_steady"),
+         ([0.0, 0.0, 0.0, 1.7e154, 0.0, 0.0], 0.02, "max_decay_residual")],
+        ids=["position", "velocity"],
+    )
+    def test_overflowing_sums_name_their_field(self, params, cert075, start, duration, name):
+        # finite inputs whose run completes but whose sums overflow (the
+        # velocity start's V, too): no numpy warning, and a DomainError
+        # naming the first field that is not finite
+        sc = origin_scenario(cert075, params, start, duration=duration)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(sc)
+            with pytest.raises(DomainError, match=f"^run metric {name} = inf is not finite"):
+                metrics(trace, sc)
 
     def test_trace_without_rows_rejected(self, params, cert075):
         sc = origin_scenario(cert075, params, CANONICAL_X0, duration=1.0)
