@@ -18,9 +18,11 @@ else the config value. Every file written there depends only on the inputs,
 so reruns are byte-identical; ``simulate`` and ``sweep`` print the
 controller's wall-clock times on stdout only, after the summary.
 
-``simulate``, ``sweep`` and ``invariance`` build all their scenarios, then
-share one run step that makes the output directory only once the first run
-has completed: a command that fails before then leaves nothing behind.
+``synth``, ``simulate``, ``sweep`` and ``invariance`` write files by one
+rule: each is staged in the output directory under a temporary name, and
+the set is renamed onto its names once the command completes. A command
+that fails leaves the directory as it found it; only a failing rename (onto
+a directory of that name, say) can leave part of a set.
 
 Exit codes: 0 clean, 1 usage or config error (argparse's own errors
 included), 2 synthesis infeasible, 3 monitor or verification failures.
@@ -178,10 +180,6 @@ def _resolve_config(args) -> RunConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _resolve_outdir(args, cfg: RunConfig) -> Path:
-    return Path(getattr(args, "out", None) or os.environ.get(ENV_OUTDIR) or cfg.outdir)
-
-
 def _gamma_tag(g: float) -> str:
     """The file-name tag of a sweep gamma: its short ``g`` form when that
     reads back as ``g``, else its full-precision repr, so that two distinct
@@ -210,9 +208,6 @@ def cmd_synth(args) -> int:
     cfg = _resolve_config(args)
     params = cfg.params()
     cert = synthesize_certificate(params, cfg.alpha, cfg.gamma, margin=cfg.margin)
-    out = _resolve_outdir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    save_certificate(out / "certificate.txt", params, cert, seed=cfg.seed, margin=cfg.margin)
     report = {
         "rho": cert.rho,
         "eps": cert.eps,
@@ -225,7 +220,10 @@ def cmd_synth(args) -> int:
         "closed_loop_residual": lyapunov_residual(cert.gain),
     }
     text = dump_kv(report, header="synthesis report")
-    (out / "synth_report.txt").write_text(text, encoding="utf-8")
+    with _output(args, cfg) as stage:
+        save_certificate(stage("certificate.txt"), params, cert, seed=cfg.seed,
+                         margin=cfg.margin)
+        stage("synth_report.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -263,46 +261,57 @@ def _load_or_synthesize(args, cfg: RunConfig):
     return params, cert
 
 
-def _run_step(args, cfg: RunConfig, runs: dict) -> tuple[Path, list]:
-    """Run each scenario of ``runs`` (trace file name to :class:`Scenario`)
-    in order, holding one trace at a time: keep its :func:`metrics`, write
-    its trace to the output directory and print its first 20 monitor
-    violations, if any. A run that memory cannot hold is a ValueError
-    naming its step count. A command that fails leaves nothing behind: the
-    directory is made once the first run and its metrics have completed,
-    and on an error the traces written so far are removed, with the
-    directories made for them; a file that was there before stays. Returns
-    the directory and the metrics in the order of ``runs``."""
-    out = _resolve_outdir(args, cfg)
-    made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
-    written = []
-    results = []
-    try:
-        for name, scenario in runs.items():
-            try:
-                trace = run(scenario)
-            except MemoryError as exc:
-                raise ValueError(
-                    f"duration / dt = {scenario.duration} / {scenario.dt} = {scenario.steps} "
-                    "steps: out of memory for the run"
-                ) from exc
-            results.append(metrics(trace, scenario))
+@contextlib.contextmanager
+def _output(args, cfg: RunConfig):
+    """Yield ``stage``: ``stage(name)`` is the temporary path in the output
+    directory, made on the first call, to write the file ``name`` to. If the
+    block completes, each staged file is renamed onto its name, in order; if
+    it raises, the staged files and the directories made are removed. A
+    rename that fails keeps the files renamed before it."""
+    out = Path(getattr(args, "out", None) or os.environ.get(ENV_OUTDIR) or cfg.outdir)
+    made, staged = [], {}
+
+    def stage(name: str) -> Path:
+        if not staged:
+            made.extend(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
             out.mkdir(parents=True, exist_ok=True)
-            path = out / name
-            if not path.exists():
-                written.append(path)
-            trace.to_csv(path)
-            for msg in trace.violations[:20]:
-                print(f"violation: {msg}", file=sys.stderr)
-            del trace
+        staged[name] = path = out / f".{name}.staged"
+        return path
+
+    try:
+        yield stage
+        for name, path in staged.items():
+            path.replace(out / name)
     except BaseException:
-        for path in written:
+        for path in staged.values():
             path.unlink(missing_ok=True)
         for d in made:
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
-    return out, results
+
+
+def _run_step(stage, runs: dict) -> list:
+    """Run each scenario of ``runs`` (trace file name to :class:`Scenario`)
+    in order, holding one trace at a time: keep its :func:`metrics`, then
+    write its trace to ``stage(name)`` of :func:`_output` and print its
+    first 20 monitor violations, if any. A run that memory cannot hold is a
+    ValueError naming its step count. Returns the metrics in order."""
+    results = []
+    for name, scenario in runs.items():
+        try:
+            trace = run(scenario)
+        except MemoryError as exc:
+            raise ValueError(
+                f"duration / dt = {scenario.duration} / {scenario.dt} = {scenario.steps} "
+                "steps: out of memory for the run"
+            ) from exc
+        results.append(metrics(trace, scenario))
+        trace.to_csv(stage(name))
+        for msg in trace.violations[:20]:
+            print(f"violation: {msg}", file=sys.stderr)
+        del trace
+    return results
 
 
 def _draw(flag: str, count: int, draw, *args):
@@ -322,11 +331,12 @@ _CLOCK_HEADER = "controller wall-clock time per call (s), on stdout only: it var
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     params, cert = _load_or_synthesize(args, cfg)
-    out, (m,) = _run_step(args, cfg, {"trace.csv": cfg.build_scenario(cert, params)})
-    summary, clock = m.split_kv()
-    summary["gamma"] = cert.gamma
-    text = dump_kv(summary, header="simulation summary")
-    (out / "summary.txt").write_text(text, encoding="utf-8")
+    with _output(args, cfg) as stage:
+        (m,) = _run_step(stage, {"trace.csv": cfg.build_scenario(cert, params)})
+        summary, clock = m.split_kv()
+        summary["gamma"] = cert.gamma
+        text = dump_kv(summary, header="simulation summary")
+        stage("summary.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text + dump_kv(clock, header=_CLOCK_HEADER))
     return EXIT_VIOLATIONS if m.n_violations else EXIT_OK
 
@@ -351,16 +361,17 @@ def cmd_sweep(args) -> int:
     base = synthesize_certificate(params, cfg.alpha, cfg.gammas[0], margin=cfg.margin)
     runs = {f"trace_gamma_{_gamma_tag(gamma)}.csv":
             cfg.build_scenario(replace(base, gamma=gamma), params) for gamma in cfg.gammas}
-    out, results = _run_step(args, cfg, runs)
     combined: dict = {}
     clocks: dict = {}
-    for i, (gamma, m) in enumerate(zip(cfg.gammas, results)):
-        summary, clock = m.split_kv()
-        combined[f"run{i}_gamma"] = gamma
-        combined.update((f"run{i}_{key}", value) for key, value in summary.items())
-        clocks.update((f"run{i}_{key}", value) for key, value in clock.items())
-    text = dump_kv(combined, header="gamma sweep summary")
-    (out / "sweep_summary.txt").write_text(text, encoding="utf-8")
+    with _output(args, cfg) as stage:
+        results = _run_step(stage, runs)
+        for i, (gamma, m) in enumerate(zip(cfg.gammas, results)):
+            summary, clock = m.split_kv()
+            combined[f"run{i}_gamma"] = gamma
+            combined.update((f"run{i}_{key}", value) for key, value in summary.items())
+            clocks.update((f"run{i}_{key}", value) for key, value in clock.items())
+        text = dump_kv(combined, header="gamma sweep summary")
+        stage("sweep_summary.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text + dump_kv(clocks, header=_CLOCK_HEADER))
     return EXIT_VIOLATIONS if any(m.n_violations for m in results) else EXIT_OK
 
@@ -380,7 +391,7 @@ def cmd_invariance(args) -> int:
     offsets = _draw("--starts", args.starts, boundary_states, base.gain, base.eps, args.starts,
                     cfg.seed)
     # the starts surround the reference at t = 0: a non-finite one is the
-    # error that run gives it, before any directory is made
+    # error that run gives it
     centre = _on_grid(cfg.reference().state, np.zeros(1), 6, "state")[0]
     if not np.isfinite(centre).all():
         raise ValueError("reference.state is not finite at t=0.0")
@@ -390,7 +401,8 @@ def cmd_invariance(args) -> int:
         for i, offset in enumerate(offsets):
             runs[f"trace_g{_gamma_tag(gamma)}_s{i:02d}.csv"] = replace(
                 scenario, initial_state=centre + offset, invariance_mode=True)
-    _, results = _run_step(args, cfg, runs)
+    with _output(args, cfg) as stage:
+        results = _run_step(stage, runs)
     print(f"certificate: rho={base.rho:.4f} eps={base.eps:.4f} alpha={cfg.alpha}")
     n = len(offsets)
     for k, gamma in enumerate(cfg.gammas):

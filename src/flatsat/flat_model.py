@@ -71,28 +71,23 @@ def accel(u: PhysicalInput, psi: float, g: float) -> np.ndarray:
         DomainError: if ``psi`` or ``g`` is not finite.
     """
     cpsi, spsi = _yaw_trig(psi, g)
-    return np.array(_accel_floats(u.thrust, u.roll, u.pitch, cpsi, spsi, g))
+    t = u.thrust
+    cphi, sphi = math.cos(u.roll), math.sin(u.roll)
+    cth, sth = math.cos(u.pitch), math.sin(u.pitch)
+    return np.array((
+        t * (cphi * sth * cpsi + sphi * spsi),
+        t * (cphi * sth * spsi - sphi * cpsi),
+        t * cphi * cth - g,
+    ))
 
 
 def _yaw_trig(psi: float, g: float):
     """The cosine and sine of the yaw, after checking that the yaw and
-    gravity are finite: the one check the float kernels rely on."""
+    gravity are finite: the one check that :func:`accel`, :func:`to_physical`
+    and the closed loop of ``simulation.run`` make on them."""
     if not (math.isfinite(psi) and math.isfinite(g)):
         raise DomainError("yaw and gravity must be finite")
     return math.cos(psi), math.sin(psi)
-
-
-def _accel_floats(t: float, phi: float, theta: float, cpsi: float, spsi: float,
-                  g: float):
-    """:func:`accel` on plain floats at a yaw given by its cosine and sine,
-    returning the tuple (xdd, ydd, zdd)."""
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    cth, sth = math.cos(theta), math.sin(theta)
-    return (
-        t * (cphi * sth * cpsi + sphi * spsi),
-        t * (cphi * sth * spsi - sphi * cpsi),
-        t * cphi * cth - g,
-    )
 
 
 def to_physical(v, psi: float, g: float) -> PhysicalInput:
@@ -112,18 +107,9 @@ def to_physical(v, psi: float, g: float) -> PhysicalInput:
     cpsi, spsi = _yaw_trig(psi, g)
     if not (math.isfinite(v1) and math.isfinite(v2) and math.isfinite(v3)):
         raise DomainError("acceleration command must be finite")
-    if v3 + g <= 0.0:
-        raise DomainError(f"v3 must exceed -g, got v3={v3} with g={g}")
-    # PhysicalInput rejects the one failure left, a thrust that overflows
-    return PhysicalInput(*_to_physical_floats(v1, v2, v3, cpsi, spsi, g))
-
-
-def _to_physical_floats(v1: float, v2: float, v3: float, cpsi: float, spsi: float,
-                        g: float):
-    """:func:`to_physical` on plain floats at a yaw given by its cosine and
-    sine, returning (thrust, roll, pitch) unchecked: the caller passes a
-    finite ``v`` strictly above the apex, as every command set member is."""
     c = v3 + g
+    if c <= 0.0:
+        raise DomainError(f"v3 must exceed -g, got v3={v3} with g={g}")
     t = math.sqrt(v1 * v1 + v2 * v2 + c * c)
     a = v1 * cpsi + v2 * spsi
     b = v1 * spsi - v2 * cpsi
@@ -135,6 +121,7 @@ def _to_physical_floats(v1: float, v2: float, v3: float, cpsi: float, spsi: floa
     pitch = math.atan2(a, c)
     # for finite v with c > 0 only the thrust can overflow: |cpsi|, |spsi| <= 1,
     # so a and b are finite or +-inf, never NaN; atan2 with a second argument
-    # >= c > 0 is then finite and within [-pi/2, pi/2], and t >= c > 0
-    return t, roll, pitch
+    # >= c > 0 is then finite and within [-pi/2, pi/2], and t >= c > 0;
+    # PhysicalInput rejects the one failure left, a thrust that overflows
+    return PhysicalInput(t, roll, pitch)
 

@@ -13,12 +13,12 @@ the whole time grid: the reference state, the feedforward acceleration (each
 reference takes a float or an array of times) and the yaw, and checks them
 all for a non-finite value before the first sample, so a run that starts
 completes. The per-sample loop then keeps only the feedback path, as one
-flat block on plain Python floats with the operations of the float kernels
-behind the public functions, in their order: the raw law of
-:func:`control_law`, the membership test of ``in_Vc``, the input map of
-``to_physical`` and the acceleration of ``accel``. A sample that fails the
-membership test calls the one exit kernel of the saturation; a sample that
-passes calls no function of the package. Each row (state, commands,
+flat block on plain Python floats with the operations of the public
+functions, in their order: the raw law of :func:`control_law`, the
+membership test of ``in_Vc``, the input map of ``to_physical`` and the
+acceleration of ``accel``. A sample that fails the membership test calls
+the one exit kernel of the saturation; a sample that passes calls no
+function of the package. Each row (state, commands,
 physical input, pullback factor, controller wall time) is packed into one
 flat buffer. A loop on numpy vectors over the public functions is the
 oracle of this block in the tests, bit for bit. At the end the buffer
@@ -379,8 +379,8 @@ def run(scenario: Scenario) -> Trace:
     the sample's time, state and reference, then the reason.
 
     The per-sample loop holds only the feedback path, inlined on plain
-    floats with the float kernels' operations in their order: the raw law
-    and membership test of :func:`control_law`, the input map
+    floats with the public functions' operations in their order: the raw
+    law and membership test of :func:`control_law`, the input map
     ``to_physical`` at the sample's yaw, ``accel`` and the exact hold
     update. Only a sample that fails the membership test calls a kernel,
     the saturation's, for its exit factor and backoff. ``ctrl_time``
@@ -460,7 +460,7 @@ def run(scenario: Scenario) -> Trace:
                 cc = c * c
             ctrl = clock() - tic
 
-            # the input map of _to_physical_floats: a command set member is
+            # the input map of to_physical: a command set member is
             # finite and above the apex, so no check is needed
             thrust = sqrt(h2 + cc)
             a = w1 * cpsi + w2 * spsi
@@ -472,7 +472,7 @@ def run(scenario: Scenario) -> Trace:
             active.append(act)
 
             if k < n:
-                # the acceleration of _accel_floats, held over the step
+                # the acceleration of accel, held over the step
                 cphi, sphi = cos(roll), sin(roll)
                 cth, sth = cos(pitch), sin(pitch)
                 a1 = thrust * (cphi * sth * cpsi + sphi * spsi)

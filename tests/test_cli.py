@@ -1,4 +1,5 @@
 
+import errno
 import inspect
 import os
 import runpy
@@ -55,6 +56,13 @@ def run_script(name, monkeypatch, *args):
 OVERFLOW_METRICS = {"initial_state": "1e154, 0, 0, 0, 0, 0", "duration": "1"}
 OVERFLOW_LATER_RUN = {"initial_state": "0, 0, 0, 1.5e153, 0, 0", "duration": "1",
                       "gammas": "1, 15"}
+
+
+def snapshot(root):
+    """Every path under ``root``, relative to it, with the bytes of each
+    file (None for a directory)."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
 
 
 def write_config(path, **pairs):
@@ -714,7 +722,7 @@ class TestSweep:
              ("overflow_metrics", OVERFLOW_METRICS,
               "run metric rms_pos_error_steady = inf is not finite: the run's values overflow",
               ("simulate", "sweep")),
-             # the gamma 1 run completes and writes its trace, the gamma 15
+             # the gamma 1 run completes and stages its trace, the gamma 15
              # one overflows
              ("overflow_later_run", OVERFLOW_LATER_RUN,
               "sample at t=0.0 rejected, state [0.0e+000 0.0e+000 0.0e+000 1.5e+153 0.0e+000 "
@@ -727,7 +735,7 @@ class TestSweep:
                                                             pairs, message):
         # every run command builds its scenarios, and run checks its
         # signals, before the output directory is made; a run that fails
-        # later takes the directory and the traces written before it along
+        # later takes the directory and the traces staged before it along
         cfg = write_config(tmp_path / "c.txt", **pairs)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
@@ -735,9 +743,9 @@ class TestSweep:
         assert not out.exists()
 
     def test_failing_later_run_keeps_only_what_was_there(self, tmp_path, capsys):
-        # the gamma 1 trace is written, then removed when the gamma 15 run
-        # overflows, with every directory made for it; a file that was
-        # there before stays, also one that the sweep wrote over
+        # the gamma 1 trace is staged, then removed when the gamma 15 run
+        # overflows, with every directory made for it; every file that was
+        # there before stays as it was, also one of a name the sweep writes
         cfg = write_config(tmp_path / "c.txt", **OVERFLOW_LATER_RUN)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "a" / "b")]) == EXIT_USAGE
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt"]
@@ -748,7 +756,75 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "trace_gamma_1.csv"]
         assert (out / "notes.txt").read_text() == "kept"
-        assert capsys.readouterr().err.count("error: ") == 2
+        assert (out / "trace_gamma_1.csv").read_text() == "old"
+        # the directory of a complete earlier sweep, byte for byte
+        clean = write_config(tmp_path / "clean.txt", duration="1", gammas="1, 15")
+        earlier = tmp_path / "earlier"
+        assert main(["sweep", "--config", clean, "--out", str(earlier)]) == EXIT_OK
+        before = snapshot(earlier)
+        assert len(before) == 3
+        assert main(["sweep", "--config", cfg, "--out", str(earlier)]) == EXIT_USAGE
+        assert snapshot(earlier) == before
+        assert capsys.readouterr().err.count("error: ") == 3
+
+
+class TestOutput:
+    """The one output rule of the commands that write files: each file is
+    staged, and the set is renamed onto its names once the command has
+    completed."""
+
+    COMMANDS = {
+        "synth": (["synth"], ["certificate.txt", "synth_report.txt"]),
+        "simulate": (["simulate"], ["summary.txt", "trace.csv"]),
+        "sweep": (["sweep"], ["sweep_summary.txt", "trace_gamma_1.csv",
+                              "trace_gamma_15.csv"]),
+        "invariance": (["invariance", "--starts", "1"], ["trace_g15_s00.csv",
+                                                         "trace_g1_s00.csv"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_successful_command_leaves_only_its_files(self, tmp_path, capsys, command):
+        argv, names = self.COMMANDS[command]
+        cfg = write_config(tmp_path / "c.txt", duration="1", gammas="1, 15")
+        out = tmp_path / "a" / "out"
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert sorted(p.name for p in out.parent.iterdir()) == ["out"]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("command", ["synth", "simulate", "sweep"])
+    def test_failing_write_after_the_runs_leaves_nothing(self, tmp_path, capsys, monkeypatch,
+                                                        command, existing):
+        # the report or summary is the last file a command writes: when
+        # the disk is full there, the certificate and the traces go too
+        argv, _ = self.COMMANDS[command]
+        cfg = write_config(tmp_path / "c.txt", duration="1", gammas="1, 15")
+        out = tmp_path / "a" / "out"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept")
+        before = snapshot(tmp_path)
+
+        def no_space(path, *args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(Path, "write_text", no_space)
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: [Errno 28] No space left on device")
+        assert stderr.count("\n") == 1
+        assert snapshot(tmp_path) == before
+
+    def test_failing_rename_keeps_the_files_renamed_before_it(self, tmp_path, capsys):
+        # a directory where the summary goes: the trace, staged and renamed
+        # first, stays; the staged summary does not
+        cfg = write_config(tmp_path / "c.txt", duration="1")
+        (tmp_path / "out" / "summary.txt").mkdir(parents=True)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["summary.txt",
+                                                                        "trace.csv"]
 
 
 class TestStudyConfigs:
