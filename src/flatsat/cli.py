@@ -13,16 +13,13 @@ unknown keys rejected); every key has a default mirroring the desk-scale
 nano-drone setting, so a bare run needs no file at all. A key that sets a
 library parameter reads its default from the class or constant that defines
 it, and each key is parsed by the type of its default. The output directory
-resolves as: ``--out`` flag, else ``FLATSAT_OUTDIR`` environment variable,
-else the config value. Every file written there depends only on the inputs,
-so reruns are byte-identical; ``simulate`` and ``sweep`` print the
-controller's wall-clock times on stdout only, after the summary.
-
-``synth``, ``simulate``, ``sweep`` and ``invariance`` write files by one
-rule: each is staged in the output directory under a temporary name, and
-the set is renamed onto its names once the command completes. A command
-that fails leaves the directory as it found it; only a failing rename (onto
-a directory of that name, say) can leave part of a set.
+is the ``--out`` flag, else the config value. Every file written there
+depends only on the inputs, so reruns are byte-identical; ``simulate`` and
+``sweep`` print the controller's wall-clock times on stdout only, after the
+summary. ``synth``, ``simulate``, ``sweep`` and ``invariance`` stage their
+files in a private ``.flatsat-*`` directory there and rename the set onto
+its names once the command completes: one that fails leaves the directory
+as it found it, unless a rename fails (onto a directory of that name, say).
 
 Exit codes: 0 clean, 1 usage or config error (argparse's own errors
 included), 2 synthesis infeasible, 3 monitor or verification failures.
@@ -34,8 +31,9 @@ import argparse
 import contextlib
 import functools
 import itertools
-import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -65,8 +63,6 @@ from .synthesis import (
     save_certificate,
     verify_cert,
 )
-
-ENV_OUTDIR = "FLATSAT_OUTDIR"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -263,28 +259,32 @@ def _load_or_synthesize(args, cfg: RunConfig):
 
 @contextlib.contextmanager
 def _output(args, cfg: RunConfig):
-    """Yield ``stage``: ``stage(name)`` is the temporary path in the output
-    directory, made on the first call, to write the file ``name`` to. If the
-    block completes, each staged file is renamed onto its name, in order; if
-    it raises, the staged files and the directories made are removed. A
-    rename that fails keeps the files renamed before it."""
-    out = Path(getattr(args, "out", None) or os.environ.get(ENV_OUTDIR) or cfg.outdir)
-    made, staged = [], {}
+    """Yield ``stage``: ``stage(name)`` is the path to write ``name`` to, in
+    a private directory that the first call makes in the output directory
+    and that is removed at the end. If the block completes, each staged file
+    is renamed onto its name, in order; if it raises, the directories made
+    are removed too. A rename that fails keeps the files renamed before it."""
+    out = Path(getattr(args, "out", None) or cfg.outdir)
+    made, staged, private = [], {}, None
 
     def stage(name: str) -> Path:
-        if not staged:
+        nonlocal private
+        if private is None:
             made.extend(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
             out.mkdir(parents=True, exist_ok=True)
-        staged[name] = path = out / f".{name}.staged"
+            private = Path(tempfile.mkdtemp(dir=out, prefix=".flatsat-"))
+        staged[name] = path = private / name
         return path
 
     try:
         yield stage
         for name, path in staged.items():
             path.replace(out / name)
+        if private:
+            private.rmdir()
     except BaseException:
-        for path in staged.values():
-            path.unlink(missing_ok=True)
+        if private:
+            shutil.rmtree(private, ignore_errors=True)
         for d in made:
             with contextlib.suppress(OSError):
                 d.rmdir()

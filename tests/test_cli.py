@@ -65,6 +65,11 @@ def snapshot(root):
             for p in root.rglob("*")}
 
 
+def no_space(path, *args, **kwargs):
+    """A stand-in for a file write on a full disk."""
+    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+
 def write_config(path, **pairs):
     path.write_text(
         "# test config\n" + "".join(f"{k} = {v}\n" for k, v in pairs.items()),
@@ -449,12 +454,13 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("trace*.csv"))
 
-    def test_outdir_env_override(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path / "c.txt", duration="1.0")
-        env_dir = tmp_path / "from_env"
-        monkeypatch.setenv("FLATSAT_OUTDIR", str(env_dir))
+    def test_outdir_env_variable_is_not_read(self, tmp_path, monkeypatch):
+        # the output directory is the --out flag, else the outdir key
+        cfg = write_config(tmp_path / "c.txt", duration="1.0", outdir=tmp_path / "from_config")
+        monkeypatch.setenv("FLATSAT_OUTDIR", str(tmp_path / "from_env"))
         assert main(["simulate", "--config", cfg]) == EXIT_OK
-        assert (env_dir / "trace.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "from_config"]
+        assert (tmp_path / "from_config" / "trace.csv").exists()
 
 
 class TestVerify:
@@ -715,6 +721,8 @@ class TestSweep:
              ("horizon", {"duration": "0.03"},
               "duration 0.03 is not a whole number of steps dt = 0.02",
               ("simulate", "sweep", "invariance")),
+             ("nan_yaw", {"psi": "nan"}, "psi must be finite, got nan",
+              ("simulate", "sweep", "invariance")),
              ("nan_reference", {"scenario": "circular", "circle_omega": "nan"},
               "reference.state is not finite at t=0.0", ("simulate", "sweep", "invariance")),
              # the first run completes and its metrics overflow (invariance
@@ -805,9 +813,6 @@ class TestOutput:
             (out / "notes.txt").write_text("kept")
         before = snapshot(tmp_path)
 
-        def no_space(path, *args, **kwargs):
-            raise OSError(errno.ENOSPC, "No space left on device", str(path))
-
         monkeypatch.setattr(Path, "write_text", no_space)
         assert main([*argv, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
         stdout, stderr = capsys.readouterr()
@@ -815,6 +820,25 @@ class TestOutput:
         assert stderr.startswith("error: [Errno 28] No space left on device")
         assert stderr.count("\n") == 1
         assert snapshot(tmp_path) == before
+
+    def test_files_named_like_staged_ones_are_left_alone(self, tmp_path, capsys, monkeypatch):
+        # the files are staged in a directory of their own, so a command
+        # that completes, and one whose summary write fails after its trace
+        # is staged, leave every file that was there as it was
+        cfg = write_config(tmp_path / "c.txt", duration="1")
+        out = tmp_path / "out"
+        out.mkdir()
+        mine = [".summary.txt.staged", ".trace.csv.staged"]
+        for name in mine:
+            (out / name).write_text("mine")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [*mine, "summary.txt", "trace.csv"]
+        assert [(out / name).read_text() for name in mine] == ["mine", "mine"]
+        before = snapshot(out)
+        monkeypatch.setattr(Path, "write_text", no_space)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
+        assert snapshot(out) == before
 
     def test_failing_rename_keeps_the_files_renamed_before_it(self, tmp_path, capsys):
         # a directory where the summary goes: the trace, staged and renamed
