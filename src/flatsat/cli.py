@@ -15,11 +15,11 @@ library parameter reads its default from the class or constant that defines
 it, and each key is parsed by the type of its default. The output directory
 is the ``--out`` flag, else the config value. Every file written there
 depends only on the inputs, so reruns are byte-identical; ``simulate`` and
-``sweep`` print the controller's wall-clock times on stdout only, after the
-summary. ``synth``, ``simulate``, ``sweep`` and ``invariance`` stage their
-files in a private ``.flatsat-*`` directory there and rename the set onto
-its names once the command completes: one that fails leaves the directory
-as it found it, unless a rename fails (onto a directory of that name, say).
+``sweep`` print on stdout, byte for byte, the summary file they write.
+``synth``, ``simulate``, ``sweep`` and ``invariance`` stage their files in
+a private ``.flatsat-*`` directory there and rename the set onto its names
+once the command completes: one that fails leaves the directory as it
+found it, unless a rename fails (onto a directory of that name, say).
 
 Exit codes: 0 clean, 1 usage or config error (argparse's own errors
 included), 2 synthesis infeasible, 3 monitor or verification failures.
@@ -34,7 +34,7 @@ import itertools
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -325,19 +325,16 @@ def _draw(flag: str, count: int, draw, *args):
         raise ValueError(f"{flag} {count}: out of memory for the {flag[2:]}") from exc
 
 
-_CLOCK_HEADER = "controller wall-clock time per call (s), on stdout only: it varies between runs"
-
-
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     params, cert = _load_or_synthesize(args, cfg)
     with _output(args, cfg) as stage:
         (m,) = _run_step(stage, {"trace.csv": cfg.build_scenario(cert, params)})
-        summary, clock = m.split_kv()
+        summary = asdict(m)
         summary["gamma"] = cert.gamma
         text = dump_kv(summary, header="simulation summary")
         stage("summary.txt").write_text(text, encoding="utf-8")
-    sys.stdout.write(text + dump_kv(clock, header=_CLOCK_HEADER))
+    sys.stdout.write(text)
     return EXIT_VIOLATIONS if m.n_violations else EXIT_OK
 
 
@@ -362,17 +359,14 @@ def cmd_sweep(args) -> int:
     runs = {f"trace_gamma_{_gamma_tag(gamma)}.csv":
             cfg.build_scenario(replace(base, gamma=gamma), params) for gamma in cfg.gammas}
     combined: dict = {}
-    clocks: dict = {}
     with _output(args, cfg) as stage:
         results = _run_step(stage, runs)
         for i, (gamma, m) in enumerate(zip(cfg.gammas, results)):
-            summary, clock = m.split_kv()
             combined[f"run{i}_gamma"] = gamma
-            combined.update((f"run{i}_{key}", value) for key, value in summary.items())
-            clocks.update((f"run{i}_{key}", value) for key, value in clock.items())
+            combined.update((f"run{i}_{key}", value) for key, value in asdict(m).items())
         text = dump_kv(combined, header="gamma sweep summary")
         stage("sweep_summary.txt").write_text(text, encoding="utf-8")
-    sys.stdout.write(text + dump_kv(clocks, header=_CLOCK_HEADER))
+    sys.stdout.write(text)
     return EXIT_VIOLATIONS if any(m.n_violations for m in results) else EXIT_OK
 
 

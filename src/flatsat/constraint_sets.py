@@ -67,6 +67,16 @@ _INSIDE = 1.0 - 8 * 2.0**-53
 # the O(u^2) terms; it is 67 for the default limits. A command that fails
 # the membership test has less slack than an output needs, so its
 # backed-off factor is below 1. ConstraintParams.backoff holds it.
+# First order holds only while kappa u is small (t_max = g + 2 ulps gives
+# kappa u = 3, a negative backoff), so the limits must keep kappa u <=
+# 2^-20: the room left is at least kappa/16 units of u in both cases (ball
+# 1.5R + 20Q - 16.5, cone 20R + 6.5Q - 3.5), which a second-order term
+# c (kappa u)^2 does not fill for any c <= 2^16. That is a backoff in
+# [1 - 2^-20, 1): t_max / g between about 1 + 1.2e-9 and 4.3e8. The bounds
+# that decide a clause are taken as normal floats, neither zero, subnormal
+# nor infinite; _NORMAL maps each to the limits it is derived from.
+_NORMAL = {"t2_max": ("t_max",), "k": ("g", "t_max"), "tan2_eps": ("phi_max", "theta_max"),
+           "g_tan_eps": ("g", "phi_max", "theta_max")}
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,9 @@ class ConstraintParams:
     kernels: ``t2_max_inside`` and ``tan2_eps_inside``, the ball and cone
     bounds of the membership test times its margin; ``k = t2_max - g^2``;
     ``backoff``, the saturation's factor ``1 - kappa 2^-53`` (derivation
-    above); and ``g_tan_eps``, the numerator of the cone exit.
+    above); and ``g_tan_eps``, the numerator of the cone exit. Limits that
+    the rounding analysis does not cover (derivation above) are a
+    ValueError naming them.
     """
 
     g: float = 9.81
@@ -128,9 +140,19 @@ class ConstraintParams:
         derived = dict(
             eps_max=eps, tan_eps=tan_eps, tan2_eps=tan2_eps, t2_max=t2_max,
             t2_max_inside=t2_max * _INSIDE, tan2_eps_inside=tan2_eps * _INSIDE, k=k,
-            backoff=1.0 - 20 * 2.0**-53 * (t2_max / k + self.t_max / self.g),
             g_tan_eps=self.g * tan_eps,
         )
+        for name, limits in _NORMAL.items():
+            value = derived[name]
+            if not (math.isfinite(value) and abs(value) >= 2.0**-1022):
+                given = ", ".join(f"{limit}={getattr(self, limit)!r}" for limit in limits)
+                raise ValueError(f"the limits {given} give {name} = {value!r}, not a normal float")
+        backoff = 1.0 - 20 * 2.0**-53 * (t2_max / k + self.t_max / self.g)
+        if not 1.0 - 2.0**-20 <= backoff < 1.0:
+            raise ValueError(f"the limits g={self.g!r}, t_max={self.t_max!r} give the saturation "
+                             f"backoff {backoff!r}, outside [1 - 2^-20, 1): t_max / g must lie "
+                             "between about 1 + 1.2e-9 and 4.3e8")
+        derived["backoff"] = backoff
         # object.__setattr__, not self.__dict__.update: touching __dict__
         # makes every later attribute read slower, and the kernels read
         # these fields on every sample

@@ -8,23 +8,11 @@ exactly, the held input produces a constant acceleration ``accel(u)``, so the
 step is the closed-form double-integrator update; tests assert the loop
 equals the linear system.
 
-:func:`run` first samples every signal that the state does not affect over
-the whole time grid: the reference state, the feedforward acceleration (each
-reference takes a float or an array of times) and the yaw, and checks them
-all for a non-finite value before the first sample, so a run that starts
-completes. The per-sample loop then keeps only the feedback path, as one
-flat block on plain Python floats with the operations of the public
-functions, in their order: the raw law of :func:`control_law`, the
-membership test of ``in_Vc``, the input map of ``to_physical`` and the
-acceleration of ``accel``. A sample that fails the membership test calls
-the one exit kernel of the saturation; a sample that passes calls no
-function of the package. Each row (state, commands,
-physical input, pullback factor, controller wall time) is packed into one
-flat buffer. A loop on numpy vectors over the public functions is the
-oracle of this block in the tests, bit for bit. At the end the buffer
-becomes the :class:`Trace` arrays, and the monitors (Lyapunov value, set
-memberships, ellipsoid, violation messages) run over it as array code with
-the same clauses as the scalar tests.
+:func:`run` samples every signal that the state does not affect once over
+the whole time grid, runs the feedback path sample by sample as one flat
+block on plain Python floats, and leaves the rest to array code (see its
+docstring). A loop on numpy vectors over the public functions is the
+oracle of the block in the tests, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +20,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -235,7 +222,7 @@ class Trace:
     both the raw feedback and its saturated value; ``lyapunov`` is the
     tracking-error Lyapunov value. ``violations`` collects human-readable
     monitor failures (empty on a clean run). The trace CSV holds every
-    column but ``xi_ref`` and ``ctrl_time``.
+    column but ``xi_ref``. Every field depends only on the run's inputs.
     """
 
     t: np.ndarray
@@ -249,7 +236,6 @@ class Trace:
     saturated: np.ndarray
     active: list[str]
     in_u: np.ndarray
-    ctrl_time: np.ndarray
     violations: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -321,9 +307,8 @@ def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
     return SaturationResult(np.array([w1, w2, w3]), lam, saturated, active)
 
 
-# one row of the run buffer: xi (0:6), v_raw (6:9), v (9:12), u (12:15), lam,
-# saturated, ctrl_time
-_ROW = struct.Struct("18d")
+# one row of the run buffer, what only the loop knows: xi (0:6) and u (6:9)
+_ROW = struct.Struct("9d")
 
 # the relative slack of the one level bound eps (1 + _LEVEL_SLACK) that an
 # invariance-mode run holds its start and every sample to: rounding of V
@@ -380,27 +365,28 @@ def run(scenario: Scenario) -> Trace:
 
     The per-sample loop holds only the feedback path, inlined on plain
     floats with the public functions' operations in their order: the raw
-    law and membership test of :func:`control_law`, the input map
-    ``to_physical`` at the sample's yaw, ``accel`` and the exact hold
-    update. Only a sample that fails the membership test calls a kernel,
-    the saturation's, for its exit factor and backoff. ``ctrl_time``
-    times the error, the raw law, the feedforward and the saturation of
-    each sample. Everything that only observes the run (the Lyapunov value,
-    the ``in_Vc``/``in_U`` and ellipsoid monitors, their violation messages
-    and ``in_u``) is computed afterwards, as array code over the completed
-    rows, with the same operations as the scalar definitions.
+    law and membership test of :func:`control_law`, ``to_physical`` at the
+    sample's yaw, ``accel`` and the exact hold update. It packs each
+    sample's state and physical input; only a sample that fails the
+    membership test calls a kernel, the saturation's, whose output it
+    keeps apart. The run reads no clock. Array code with the same
+    operations in the same order then rebuilds the raw commands from the
+    state and reference columns, fills in the commands, factors, flags and
+    active pieces, and runs what only observes the run: the Lyapunov value,
+    the ``in_Vc``/``in_U`` and ellipsoid monitors, their messages and
+    ``in_u``.
     """
     p = scenario.params
     cert = scenario.cert
     p1, p2, p3 = cert.gain.p1, cert.gain.p2, cert.gain.p3
     gamma, g, eps = cert.gamma, p.g, cert.eps
+    neg_gamma = -gamma
     t2_in, tan2_in = p.t2_max_inside, p.tan2_eps_inside
     dt = scenario.dt
     half_dt2 = 0.5 * dt * dt
     n = scenario.steps
     invariance = scenario.invariance_mode
     psi = scenario.psi
-    clock = time.perf_counter
     pack = _ROW.pack
     sqrt, hypot, atan2, cos, sin = math.sqrt, math.hypot, math.atan2, math.cos, math.sin
 
@@ -430,17 +416,15 @@ def run(scenario: Scenario) -> Trace:
         )
 
     rows = bytearray()
-    active: list[str] = []
+    # (row byte offset, w, lam, saturated, active) of each exit kernel call
+    exits = []
     x, y, z, xd, yd, zd = scenario.initial_state.tolist()
     try:
-        for k, ((q1, q2, q3, q4, q5, q6), ff, (cpsi, spsi)) in enumerate(
-            zip(refs.tolist(), ffs, yaws)
-        ):
-            tic = clock()
+        for (q1, q2, q3, q4, q5, q6), ff, (cpsi, spsi) in zip(refs.tolist(), ffs, yaws):
             # the raw law of _raw_feedback, per axis
-            r1 = -gamma * (p2 * (x - q1) + p3 * (xd - q4))
-            r2 = -gamma * (p2 * (y - q2) + p3 * (yd - q5))
-            r3 = -gamma * (p2 * (z - q3) + p3 * (zd - q6))
+            r1 = neg_gamma * (p2 * (x - q1) + p3 * (xd - q4))
+            r2 = neg_gamma * (p2 * (y - q2) + p3 * (yd - q5))
+            r3 = neg_gamma * (p2 * (z - q3) + p3 * (zd - q6))
             if ff is not None:
                 f1, f2, f3 = ff
                 r1 += f1
@@ -451,14 +435,13 @@ def run(scenario: Scenario) -> Trace:
             h2 = r1 * r1 + r2 * r2
             cc = c * c
             if h2 + cc <= t2_in and h2 <= cc * tan2_in and c > 0.0:
-                w1, w2, w3, lam, saturated, act = r1, r2, r3, 1.0, False, "none"
+                w1, w2, w3 = r1, r2, r3
             else:
                 w1, w2, w3, lam, saturated, act = _saturate_floats(r1, r2, r3, p)
-                act = act._value_
+                exits.append((len(rows), (w1, w2, w3), lam, saturated, act))
                 c = w3 + g
                 h2 = w1 * w1 + w2 * w2
                 cc = c * c
-            ctrl = clock() - tic
 
             # the input map of to_physical: a command set member is
             # finite and above the apex, so no check is needed
@@ -467,36 +450,51 @@ def run(scenario: Scenario) -> Trace:
             b = w1 * spsi - w2 * cpsi
             roll = atan2(b, hypot(a, c))
             pitch = atan2(a, c)
-            rows += pack(x, y, z, xd, yd, zd, r1, r2, r3, w1, w2, w3, thrust, roll, pitch,
-                         lam, saturated, ctrl)
-            active.append(act)
+            rows += pack(x, y, z, xd, yd, zd, thrust, roll, pitch)
 
-            if k < n:
-                # the acceleration of accel, held over the step
-                cphi, sphi = cos(roll), sin(roll)
-                cth, sth = cos(pitch), sin(pitch)
-                a1 = thrust * (cphi * sth * cpsi + sphi * spsi)
-                a2 = thrust * (cphi * sth * spsi - sphi * cpsi)
-                a3 = thrust * cphi * cth - g
-                x = x + dt * xd + half_dt2 * a1
-                y = y + dt * yd + half_dt2 * a2
-                z = z + dt * zd + half_dt2 * a3
-                xd += dt * a1
-                yd += dt * a2
-                zd += dt * a3
+            # the acceleration of accel, held over the step; none of this
+            # raises, so the advance after the last sample is made and dropped
+            cphi, sphi = cos(roll), sin(roll)
+            cth, sth = cos(pitch), sin(pitch)
+            a1 = thrust * (cphi * sth * cpsi + sphi * spsi)
+            a2 = thrust * (cphi * sth * spsi - sphi * cpsi)
+            a3 = thrust * cphi * cth - g
+            x = x + dt * xd + half_dt2 * a1
+            y = y + dt * yd + half_dt2 * a2
+            z = z + dt * zd + half_dt2 * a3
+            xd += dt * a1
+            yd += dt * a2
+            zd += dt * a3
     except DomainError as exc:
-        # the inputs are finite, so only an overflow gets here
+        # only an overflow of finite inputs gets here, at the first unpacked row
+        k = len(rows) // _ROW.size
         xi = np.array([x, y, z, xd, yd, zd])
         raise DomainError(
             f"sample at t={float(tgrid[k])} rejected, state {xi}, reference {refs[k]}: {exc}"
         ) from exc
 
     buf = np.frombuffer(rows, dtype=float).reshape(n + 1, _ROW.size // 8)
-    xi, v, u = buf[:, 0:6], buf[:, 9:12], buf[:, 12:15]
+    xi, u = buf[:, 0:6], buf[:, 6:9]
+    # the errors and raw commands as contiguous columns, which take numpy's
+    # fast loops; v_raw is their transpose
+    err = np.subtract(xi.T, refs.T, order="C")
+    raw = _raw_feedback(err[0:3], err[3:6], gamma, p2, p3)
+    if scenario.feedforward:
+        raw += signals["reference.accel"].T
+    v_raw = raw.T
+    # a sample that did not call the kernel passes its raw command through
+    v, lam = v_raw.copy(), np.ones(n + 1)
+    saturated, active = np.zeros(n + 1, dtype=bool), ["none"] * (n + 1)
+    if exits:
+        offsets, w, lams, flags, acts = zip(*exits)
+        at = np.array(offsets) // _ROW.size
+        v[at], lam[at], saturated[at] = w, lams, flags
+        for k, act in zip(at.tolist(), acts):
+            active[k] = act.value
     # V of a state far from the reference can overflow: the trace keeps the
     # inf or nan, which metrics then reports by its field
     with np.errstate(over="ignore", invalid="ignore"):
-        lyapunov = _lyapunov((xi - refs).T, p1, p2, p3)
+        lyapunov = _lyapunov(err, p1, p2, p3)
     in_u = _u_clauses(u[:, 0], u[:, 1], u[:, 2], p)
     bad_v = ~_vc_clauses(v[:, 0], v[:, 1], v[:, 2], p)
     bad_e = invariance & (lyapunov > level)
@@ -518,15 +516,14 @@ def run(scenario: Scenario) -> Trace:
         t=tgrid,
         xi=xi,
         xi_ref=refs,
-        v_raw=buf[:, 6:9],
+        v_raw=v_raw,
         v=v,
         u=u,
         lyapunov=lyapunov,
-        lam=buf[:, 15],
-        saturated=buf[:, 16] != 0.0,
+        lam=lam,
+        saturated=saturated,
         active=active,
         in_u=in_u,
-        ctrl_time=buf[:, 17],
         violations=violations,
     )
 
@@ -537,20 +534,15 @@ class RunMetrics:
 
     The steady window is the last quarter of the horizon. Margins are the
     smallest observed distances to each constraint boundary (negative means
-    a violation); controller times are wall-clock seconds per call. Every
-    field but the :attr:`WALL_CLOCK` ones depends only on the run's inputs.
+    a violation). Every field depends only on the run's inputs.
     ``max_decay_residual`` is the largest V' + alpha V over the samples, with
     V' = 2 xi' P (d, v - reference.accel(t)) the exact rate of the error
     xi = (e, d) under the held command v: <= 0 when every sample decays.
     """
 
-    WALL_CLOCK = ("ctrl_time_mean", "ctrl_time_p99")
-
     rms_pos_error_steady: float
     max_decay_residual: float
     saturation_duty: float
-    ctrl_time_mean: float
-    ctrl_time_p99: float
     max_lyapunov: float
     min_ball_margin: float
     min_cone_margin: float
@@ -560,17 +552,10 @@ class RunMetrics:
     min_pitch_margin: float
     n_violations: int
 
-    def split_kv(self) -> tuple[dict, dict]:
-        """The report as (input-determined pairs, wall-clock pairs), each in
-        field order."""
-        kv = asdict(self)
-        clock = {key: kv.pop(key) for key in self.WALL_CLOCK}
-        return kv, clock
-
 
 def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:
     """Summarize a completed trace (tracking error, decay residual,
-    saturation duty cycle, controller timing, constraint margins).
+    saturation duty cycle, constraint margins).
 
     Reads the trace's own ``xi_ref``, and ``reference.accel`` once, on the
     trace's times. The decay residual takes the error's rate as
@@ -611,8 +596,6 @@ def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:
             rms_pos_error_steady=rms,
             max_decay_residual=decay,
             saturation_duty=float(np.mean(trace.saturated)),
-            ctrl_time_mean=float(np.mean(trace.ctrl_time)),
-            ctrl_time_p99=float(np.percentile(trace.ctrl_time, 99)),
             max_lyapunov=float(np.max(trace.lyapunov)),
             min_ball_margin=float(np.min(p.t2_max - (h2 + c * c))),
             min_cone_margin=float(np.min(c * c * p.tan2_eps - h2)),

@@ -19,6 +19,7 @@ from flatsat import (
     CircularReference,
     accel,
     boundary_states,
+    control_law,
     eps_max,
     in_Vc,
     lyapunov_residual,
@@ -242,10 +243,18 @@ def test_criterion_8_tracking_scenarios(params, cert125):
     )
     trace_c = run(sc_c)
     m = metrics(trace_c, sc_c)
+    # the controller's latency: control_law on each of the run's recorded
+    # states, timed from outside, as the mean over the calls
+    states = list(zip(trace_c.xi, trace_c.xi_ref))
+    assert len(states) == 3001
+    tic = time.perf_counter()
+    for xi, xi_ref in states:
+        control_law(xi, xi_ref, cert_c, params)
+    ctrl_mean = (time.perf_counter() - tic) / len(states)
     circular_ok = (
         not trace_c.violations
         and m.rms_pos_error_steady < 0.15
-        and m.ctrl_time_mean < 1e-5
+        and ctrl_mean < 1e-5
     )
     ok = setpoint_ok and circular_ok
     check(
@@ -254,7 +263,7 @@ def test_criterion_8_tracking_scenarios(params, cert125):
         ok,
         f"setpoint err={setpoint_err * 100:.3f} cm, circular steady RMS="
         f"{m.rms_pos_error_steady * 100:.2f} cm, ctrl mean="
-        f"{m.ctrl_time_mean * 1e6:.2f} us",
+        f"{ctrl_mean * 1e6:.2f} us",
     )
 
 

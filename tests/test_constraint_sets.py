@@ -101,6 +101,44 @@ class TestConstraintParams:
             assert q.k != p.k and q.backoff != p.backoff and q.t2_max_inside != p.t2_max_inside
             assert q == ConstraintParams(t_max=t_max)
 
+    @pytest.mark.parametrize("accepted, rejected, offset, documented", [
+        (2 * G, G, 1.0, 1.2e-9), (2 * G, 1e10 * G, 0.0, 4.3e8),
+    ], ids=["t_max_near_g", "t_max_far_above_g"])
+    def test_backoff_bound_accepts_up_to_its_edge(self, accepted, rejected, offset,
+                                                  documented):
+        # bisect on floats to the edge of the backoff bound [1 - 2^-20, 1):
+        # the last accepted t_max keeps its backoff in the interval, its
+        # neighbour is rejected, and t_max / g - offset there is the
+        # documented value
+        def ok(t_max):
+            try:
+                ConstraintParams(t_max=t_max)
+            except ValueError as exc:
+                assert "outside [1 - 2^-20, 1)" in str(exc)
+                return False
+            return True
+
+        while math.nextafter(accepted, rejected) != rejected:
+            mid = 0.5 * (accepted + rejected)
+            if mid in (accepted, rejected):
+                mid = math.nextafter(accepted, rejected)
+            accepted, rejected = (mid, rejected) if ok(mid) else (accepted, mid)
+        assert ok(accepted) and not ok(rejected)
+        assert 1 - 2.0**-20 <= ConstraintParams(t_max=accepted).backoff < 1.0
+        assert accepted / G - offset == pytest.approx(documented, rel=0.05)
+
+    @pytest.mark.parametrize("limits, message", [
+        ({"g": 1e-200, "t_max": 2e-200}, "the limits t_max=2e-200 give t2_max = 0.0"),
+        ({"t_max": 1e160}, "the limits t_max=1e+160 give t2_max = inf"),
+        ({"phi_max": 1e-170}, "the limits phi_max=1e-170, theta_max=0.17453292519943295 give "
+                              "tan2_eps = 0.0"),
+        ({"g": 1e-310, "t_max": 1e100}, "the limits g=1e-310, phi_max=0.17453292519943295, "
+                                        "theta_max=0.17453292519943295 give g_tan_eps = 1.76"),
+    ], ids=["t2_max_underflows", "t2_max_overflows", "tan2_eps_underflows", "g_tan_eps_subnormal"])
+    def test_bound_that_is_not_a_normal_float_rejected(self, limits, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}.*, not a normal float$"):
+            ConstraintParams(**limits)
+
     def test_derived_fields_left_out_of_init_and_repr(self):
         with pytest.raises(TypeError):
             ConstraintParams(backoff=1.0)

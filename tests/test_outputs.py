@@ -39,8 +39,7 @@ INVARIANCE = "duration = 5\n"
 
 def flatsat(*argv, stdout=None):
     """``main(argv)``, which must exit 0; its stdout goes to the file
-    ``stdout`` if given, else nowhere (``simulate`` and ``sweep`` print the
-    wall-clock times there)."""
+    ``stdout`` if given, else nowhere."""
     argv = [str(a) for a in argv]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import time
 import warnings
 from dataclasses import astuple, fields, replace
 from fractions import Fraction
@@ -33,7 +35,7 @@ from flatsat import (
     to_physical,
 )
 from flatsat.kvformat import BLOCK_ROWS, format_value
-from flatsat.simulation import _LEVEL_SLACK, CSV_COLUMNS, RunMetrics
+from flatsat.simulation import _LEVEL_SLACK, _ROW, CSV_COLUMNS, RunMetrics
 from flatsat.synthesis import _half_rate
 
 from conftest import CANONICAL_X0, dense_P, residual_active
@@ -126,8 +128,7 @@ def numpy_run(scenario):
         t=tgrid, xi=block(0, 6), xi_ref=block(1, 6), v_raw=block(2, 3), v=block(3, 3),
         u=block(4, 3), lyapunov=np.array(cols[5], dtype=float),
         lam=np.array(cols[6], dtype=float), saturated=np.array(cols[7], dtype=bool),
-        active=list(cols[8]), in_u=np.array(cols[9], dtype=bool),
-        ctrl_time=np.zeros(n + 1), violations=violations,
+        active=list(cols[8]), in_u=np.array(cols[9], dtype=bool), violations=violations,
     )
 
 
@@ -381,6 +382,32 @@ class TestRun:
             assert all(in_Vc(v, params) for v in trace.v)
             assert trace.in_u.all()
 
+    def test_two_runs_give_equal_traces(self, params, cert125):
+        # every field of a trace depends only on the scenario: two runs of
+        # a saturating circle with feedforward agree field by field, bitwise
+        sc = Scenario(reference=CircularReference(), initial_state=np.zeros(6), duration=5.0,
+                      dt=0.02, cert=replace(cert125, gamma=4.5), params=params, psi=0.3,
+                      feedforward=True)
+        first, second = run(sc), run(sc)
+        assert first.saturated.any()
+        for f in fields(Trace):
+            a, b = getattr(first, f.name), getattr(second, f.name)
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+            else:
+                assert a == b, f.name
+
+    def test_run_reads_no_clock(self, params, cert075, monkeypatch):
+        def stopped():
+            raise AssertionError("the run read a clock")
+
+        for name in ("perf_counter", "perf_counter_ns", "monotonic", "time", "process_time"):
+            monkeypatch.setattr(time, name, stopped)
+        sc = origin_scenario(replace(cert075, gamma=15.0), params, CANONICAL_X0, duration=1.0)
+        trace = run(sc)
+        assert len(trace) == 51 and trace.saturated.any()
+        assert metrics(trace, sc).n_violations == 0
+
     def test_ellipsoid_monitor_flags_an_exit_past_the_level_slack(self, params, cert125):
         # a circle tracked without feedforward from a boundary start: V rises
         # above its start (about 1.093 V0). With eps set so that the largest
@@ -484,11 +511,16 @@ class TestRun:
         message = "duration / dt overflows: 1e+300 / 1e-10"
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(origin_scenario(cert075, params, CANONICAL_X0), duration=1e300, dt=1e-10)
-        # so is a finite one whose row buffer, (steps + 1) rows of 144
-        # bytes, exceeds sys.maxsize: 2**56 steps do, 2**55 do not
+        # so is a finite one whose row buffer, (steps + 1) rows of
+        # _ROW.size = 72 bytes, exceeds sys.maxsize: the largest float step
+        # count within the bound passes, the next float above it does not
+        assert _ROW.size == 72
         base = origin_scenario(cert075, params, CANONICAL_X0)
-        replace(base, duration=2.0**55, dt=1.0)
-        for duration in (2.0**56, 1e300):
+        most = float(sys.maxsize // _ROW.size - 1)
+        while (int(most) + 1) * _ROW.size > sys.maxsize:
+            most = math.nextafter(most, 0.0)
+        assert replace(base, duration=most, dt=1.0).steps == int(most)
+        for duration in (math.nextafter(most, math.inf), 2.0**57, 1e300):
             with pytest.raises(ValueError, match=r"^duration / dt is too many steps to run: "):
                 replace(base, duration=duration, dt=1.0)
 
@@ -644,7 +676,7 @@ def no_sample(real, row):
 def pack_rows(monkeypatch, pack):
     """Route every row that :func:`run` packs, one per sample, through
     ``pack(real, row)``, where ``real`` is the packer it replaces and ``row``
-    the row's 18 values."""
+    the row's 9 values, the state and the physical input."""
     import flatsat.simulation as simulation
 
     real = simulation._ROW
@@ -692,19 +724,40 @@ def near_boundary_starts(cert, params):
     return starts
 
 
+def outward_starts(cert, params):
+    """Starts whose first raw command lies inside the command set, at 0.99
+    of the exit point of each ray of ``EXIT_RAYS``, with a position error
+    of 100 times the ray and a velocity error that nearly cancels it: one
+    step later the raw command has moved out along the ray, so the exit
+    kernel runs on the last sample of a one-step run and not on the
+    first."""
+    p2, p3 = cert.gain.p2, cert.gain.p3
+    starts = []
+    for piece, u in EXIT_RAYS:
+        e = 100.0 * np.array(u)
+        v = 0.99 * exit_factor(u, params, piece) * np.array(u)
+        starts.append(np.concatenate([e, (-v / cert.gamma - p2 * e) / p3]))
+    return starts
+
+
 def oracle_scenarios(params, cert075, cert125):
-    """The canonical run at gamma 1/5/15, 10 boundary starts x gamma
-    1/5/15 in invariance mode, one step from each near-boundary start of
-    the command set at gamma 1/5/15, and the 60 s circle with and without
-    feedforward under a time-varying yaw."""
+    """The canonical run at gamma 1/5/15, and its first 0.1 s at gamma 15,
+    which saturates on every sample; 10 boundary starts x gamma 1/5/15 in
+    invariance mode; one step from each near-boundary start of the command
+    set, whose exit kernel runs on the first sample or on none, and from
+    each outward start, whose kernel runs on the last, at gamma 1/5/15;
+    and the 60 s circle with and without feedforward under a time-varying
+    yaw."""
     out = []
     for gamma in (1.0, 5.0, 15.0):
         cert = replace(cert075, gamma=gamma)
         out.append(origin_scenario(cert, params, CANONICAL_X0))
         for xi0 in boundary_states(cert.gain, cert.eps, 10):
             out.append(origin_scenario(cert, params, xi0, invariance_mode=True))
-        for xi0 in near_boundary_starts(cert, params):
+        for xi0 in near_boundary_starts(cert, params) + outward_starts(cert, params):
             out.append(origin_scenario(cert, params, xi0, duration=0.02))
+    out.append(origin_scenario(replace(cert075, gamma=15.0), params, CANONICAL_X0,
+                               duration=0.1))
     for ff in (False, True):
         out.append(
             Scenario(
@@ -722,8 +775,8 @@ def oracle_scenarios(params, cert075, cert125):
 
 
 def assert_same_trace(got, want, tag):
-    """Every column but ``ctrl_time`` bitwise equal, and the same active
-    constraints and violation messages."""
+    """Every column bitwise equal, and the same active constraints and
+    violation messages."""
     bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
     for name in ("t", "xi", "xi_ref", "v_raw", "v", "u", "lyapunov", "lam"):
         np.testing.assert_array_equal(
@@ -756,6 +809,8 @@ class TestFloatLoopOracle:
     def test_matches_numpy_loop(self, params, cert075, cert125):
         scenarios = oracle_scenarios(params, cert075, cert125)
         n_saturated = 0
+        # runs by whether the exit kernel ran on their (first, last) sample
+        ends = set()
         for i, sc in enumerate(scenarios):
             got, want = run(sc), numpy_run(sc)
             assert_same_trace(got, want, i)
@@ -765,7 +820,9 @@ class TestFloatLoopOracle:
             scale = np.maximum(1.0, np.abs(dense))
             assert np.all(np.abs(got.lyapunov - dense) <= 1e-15 * scale), i
             n_saturated += int(got.saturated.sum())
+            ends.add((bool(got.saturated[0]), bool(got.saturated[-1])))
         assert n_saturated > 0
+        assert ends == {(False, False), (True, False), (False, True), (True, True)}
 
     def test_violations_match_numpy_loop(self, params, cert075, cert125, monkeypatch):
         # a circle started on the reference with a tiny ellipsoid leaves it
@@ -849,7 +906,7 @@ class TestTraceExport:
         hand = Trace(
             t=col, xi=block, xi_ref=-block, v_raw=block[:, :3], v=-block[:, 3:], u=block[:, ::2],
             lyapunov=-col, lam=col, saturated=np.array(sat), active=list(act),
-            in_u=np.array(in_u), ctrl_time=col,
+            in_u=np.array(in_u),
         )
         traces = [saturated, unsaturated, head(short, 25), head(short, 0), head(short, 1),
                   *blocks, hand]
@@ -920,8 +977,6 @@ def metrics_full_reference(trace, scenario):
         rms_pos_error_steady=rms,
         max_decay_residual=decay,
         saturation_duty=float(np.mean(trace.saturated)),
-        ctrl_time_mean=float(np.mean(trace.ctrl_time)),
-        ctrl_time_p99=float(np.percentile(trace.ctrl_time, 99)),
         max_lyapunov=float(np.max(trace.lyapunov)),
         min_ball_margin=float(np.min(p.t2_max - (h2 + c * c))),
         min_cone_margin=float(np.min(c * c * p.tan2_eps - h2)),
@@ -970,7 +1025,7 @@ class TestMetrics:
         assert m.rms_pos_error_steady == 0.0
         assert m.saturation_duty == 0.0
         assert m.n_violations == 0
-        assert m.ctrl_time_mean > 0.0
+        assert m.max_lyapunov == 0.0
 
     def test_unsaturated_decay_residual_stays_nonpositive(self, params, cert075):
         # the exact rate of V at each sample: the decay condition holds at
