@@ -16,10 +16,8 @@ it, and each key is parsed by the type of its default. The output directory
 is the ``--out`` flag, else the config value. Every file written there
 depends only on the inputs, so reruns are byte-identical; ``simulate`` and
 ``sweep`` print on stdout, byte for byte, the summary file they write.
-``synth``, ``simulate``, ``sweep`` and ``invariance`` stage their files in
-a private ``.flatsat-*`` directory there and rename the set onto its names
-once the command completes: one that fails leaves the directory as it
-found it, unless a rename fails (onto a directory of that name, say).
+``synth``, ``simulate``, ``sweep`` and ``invariance`` write their files
+through :func:`_output`.
 
 Exit codes: 0 clean, 1 usage or config error (argparse's own errors
 included), 2 synthesis infeasible, 3 monitor or verification failures.

@@ -75,7 +75,8 @@ _INSIDE = 1.0 - 8 * 2.0**-53
 # [1 - 2^-20, 1): t_max / g between about 1 + 1.2e-9 and 4.3e8. The bounds
 # that decide a clause are taken as normal floats, neither zero, subnormal
 # nor infinite; _NORMAL maps each to the limits it is derived from.
-_NORMAL = {"t2_max": ("t_max",), "k": ("g", "t_max"), "tan2_eps": ("phi_max", "theta_max"),
+_NORMAL = {"t2_max": ("t_max",), "t2_max_inside": ("t_max",), "k": ("g", "t_max"),
+           "tan2_eps": ("phi_max", "theta_max"), "tan2_eps_inside": ("phi_max", "theta_max"),
            "g_tan_eps": ("g", "phi_max", "theta_max")}
 
 
@@ -182,12 +183,14 @@ def in_Vc(v, p: ConstraintParams) -> bool:
 
     Three clauses: shifted ball v1^2 + v2^2 + (v3+g)^2 <= t_max^2, cone
     v1^2 + v2^2 <= (v3+g)^2 tan^2(eps_max) and open half-space v3 > -g,
-    so the apex is not a member. The test is sound: it accepts only exact
-    members of the set with the stored ``t2_max`` and ``tan2_eps``, and
-    rejects some within rounding of the boundary. The clauses are positive
-    comparisons, so a NaN component fails them, and an infinite one fails
-    the ball clause: non-finite commands are never members. A ``v`` that is
-    not exactly three values raises ValueError.
+    so the apex is not a member. The squared cone clause also holds on the
+    mirror cone below the apex: ``(0, 0, -2g)`` passes the ball and cone
+    clauses, and only the half-space rejects it. The test is sound: it
+    accepts only exact members of the set with the stored ``t2_max`` and
+    ``tan2_eps``, and rejects some within rounding of the boundary. The
+    clauses are positive comparisons, so a NaN component fails them, and an
+    infinite one fails the ball clause: non-finite commands are never
+    members. A ``v`` that is not exactly three values raises ValueError.
     """
     return bool(_vc_clauses(*_three_floats(v), p))
 

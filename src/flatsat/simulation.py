@@ -173,10 +173,8 @@ class Scenario:
         object.__setattr__(self, "steps", steps)
 
 
-# the trace CSV header: 18 float columns, written as '%.17g' by the array
-# kernel kvformat.format_rows (Python's own '%.17g' takes zero, inf, nan,
-# three-digit exponents and near-ties; a per-cell writer over format_value
-# in the tests is its oracle), then saturated, active and in_u
+# the trace CSV header: 18 float columns, written by kvformat.format_rows,
+# then saturated, active and in_u
 CSV_COLUMNS = (
     "t",
     "x",
@@ -245,16 +243,10 @@ class Trace:
         """Write the trace; floats carry 17 significant digits so output is
         byte-stable for a fixed scenario.
 
-        The 18 float columns are formatted by one array kernel,
-        :func:`flatsat.kvformat.format_rows`, ``BLOCK_ROWS`` rows at a time,
-        byte-identical to ``'%.17g'``: it finds each cell's 17 digits and
-        exponent with a double-double product and keeps the bytes of
-        ``'%.17g'`` from a fixed template. Python's own ``'%.17g'`` formats
-        the cells it leaves: zero, inf, nan, exponents of three digits and
-        near-ties such as ``2**-25``. The oracle is the per-cell writer over
-        ``format_value`` in the tests. Each row's tail is looked up in
-        ``_TAILS``; a row outside it, whose ``active`` is not
-        ``none|ball|cone``, is a ValueError naming the row and the value."""
+        :func:`flatsat.kvformat.format_rows` formats the 18 float columns.
+        Each row's tail is looked up in ``_TAILS``; a row outside it, whose
+        ``active`` is not ``none|ball|cone``, is a ValueError naming the row
+        and the value."""
         floats = np.column_stack(
             [self.t, self.xi, self.v_raw, self.v, self.u, self.lyapunov, self.lam]
         )

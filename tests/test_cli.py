@@ -2,7 +2,6 @@
 import errno
 import inspect
 import os
-import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -40,15 +39,7 @@ from flatsat.synthesis import (
     synthesize_certificate,
 )
 
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def run_script(name, monkeypatch, *args):
-    """Run ``scripts/<name>`` as ``__main__`` with ``args`` as its argv."""
-    script = SCRIPTS / name
-    monkeypatch.setattr(sys, "argv", [str(script), *args])
-    runpy.run_path(str(script), run_name="__main__")
+from conftest import SCRIPTS, run_script
 
 
 # finite configs whose runs overflow: the first run's metrics, and a
@@ -178,15 +169,19 @@ class TestSynth:
           "the limits g=9.81, t_max=9.810000000000004 give the saturation backoff "
           "-2.0073781250000047, outside [1 - 2^-20, 1)"),
          ({"g": "1e-200", "t_max": "2e-200"},
-          "the limits t_max=2e-200 give t2_max = 0.0, not a normal float")],
-        ids=["t_max_2_ulps_above_g", "underflowing_squares"],
+          "the limits t_max=2e-200 give t2_max = 0.0, not a normal float"),
+         ({"phi_max": "1.4916681462400413e-154", "theta_max": "1.4916681462400413e-154"},
+          "the limits phi_max=1.4916681462400413e-154, theta_max=1.4916681462400413e-154 give "
+          "tan2_eps_inside = 2.2250738585071994e-308, not a normal float")],
+        ids=["t_max_2_ulps_above_g", "underflowing_squares", "subnormal_margined_cone_bound"],
     )
     def test_limits_outside_the_rounding_analysis_rejected(self, tmp_path, capsys, command,
                                                            pairs, message):
         # limits that the derivation of the membership margin and of the
         # backoff does not cover, named before any output: a t_max so near
-        # g that the backoff is negative (a simulate that fails mid-run) and
-        # a g and t_max whose squares underflow (a division by zero)
+        # g that the backoff is negative (a simulate that fails mid-run), a
+        # g and t_max whose squares underflow (a division by zero) and angles
+        # whose cone bound is normal but whose margined one is subnormal
         cfg = write_config(tmp_path / "c.txt", **pairs)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_USAGE
@@ -1026,6 +1021,13 @@ class TestStudyScripts:
                     ), (reference, gamma, i)
             assert len(list(out.iterdir())) == 6
         assert modes == [True] * 12
+
+    @pytest.mark.filterwarnings("error")
+    def test_alpha_sweep_tabulates_each_alpha(self, monkeypatch, capsys):
+        alphas = (0.25, 0.75, 1.25, 3.0)
+        run_script("alpha_sweep.py", monkeypatch, "--alphas", ",".join(map(str, alphas)))
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [float(row.split()[0]) for row in rows] == list(alphas)
 
     def test_alpha_sweep_rejects_unparsable_alphas(self, monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -134,7 +134,13 @@ class TestConstraintParams:
                               "tan2_eps = 0.0"),
         ({"g": 1e-310, "t_max": 1e100}, "the limits g=1e-310, phi_max=0.17453292519943295, "
                                         "theta_max=0.17453292519943295 give g_tan_eps = 1.76"),
-    ], ids=["t2_max_underflows", "t2_max_overflows", "tan2_eps_underflows", "g_tan_eps_subnormal"])
+        ({"g": 5.556896873712694e-163, "t_max": 1.4916681462400413e-154},
+         "the limits t_max=1.4916681462400413e-154 give t2_max_inside = 2.2250738585071994e-308"),
+        ({"phi_max": 1.4916681462400413e-154, "theta_max": 1.4916681462400413e-154},
+         "the limits phi_max=1.4916681462400413e-154, theta_max=1.4916681462400413e-154 give "
+         "tan2_eps_inside = 2.2250738585071994e-308"),
+    ], ids=["t2_max_underflows", "t2_max_overflows", "tan2_eps_underflows", "g_tan_eps_subnormal",
+            "t2_max_inside_subnormal", "tan2_eps_inside_subnormal"])
     def test_bound_that_is_not_a_normal_float_rejected(self, limits, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}.*, not a normal float$"):
             ConstraintParams(**limits)

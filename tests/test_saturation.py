@@ -390,6 +390,30 @@ def exact_member(w, p):
     return c > 0 and h2 + c * c <= t2_max and h2 <= c * c * tan2_eps
 
 
+@st.composite
+def accepted_limits_and_rays(draw):
+    """Limits from the domain that ``ConstraintParams`` accepts: g in 0.5 to
+    20, t_max / g - 1 log-uniform from 2e-9 (just above the backoff edge,
+    about 1.2e-9) to 9, angles in [1e-3, pi/2 - 1e-3], equal in about a
+    third of the draws; then up to 12 rays of norm e^-2 to e^6 times t_max
+    in any direction, each with a yaw in [-pi, pi]."""
+    g = draw(st.floats(0.5, 20.0))
+    t_max = g * (1.0 + math.exp(draw(st.floats(math.log(2e-9), math.log(9.0)))))
+    angle = st.floats(1e-3, math.pi / 2 - 1e-3)
+    phi_max = draw(angle)
+    theta_max = phi_max if draw(st.integers(0, 2)) == 0 else draw(angle)
+    p = ConstraintParams(g=g, t_max=t_max, phi_max=phi_max, theta_max=theta_max)
+    rays = []
+    for _ in range(draw(st.integers(1, 12))):
+        d = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        norm = float(np.linalg.norm(d))
+        if norm < 1e-3:
+            d, norm = np.array([0.0, 0.0, -1.0]), 1.0
+        d *= t_max * math.exp(draw(st.floats(-2.0, 6.0))) / norm
+        rays.append((tuple(d.tolist()), draw(st.floats(-math.pi, math.pi))))
+    return p, rays
+
+
 class TestExactMembership:
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(hard_commands(), min_size=1, max_size=30))
@@ -404,6 +428,19 @@ class TestExactMembership:
             assert exact_member(res.v_out, PARAMS), (row, res)
             for psi in (0.0, 0.7, -2.3):
                 assert in_U(to_physical(res.v_out, psi, G), PARAMS), (row, res, psi)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=accepted_limits_and_rays())
+    def test_contract_holds_over_the_accepted_limits(self, case):
+        p, rays = case
+        for v, psi in rays:
+            res = saturate(v, p)
+            assert exact_member(res.v_out, p), (p, v, res)
+            assert in_U(to_physical(res.v_out, psi, p.g), p), (p, v, res, psi)
+            for member in [res.v_out] + ([v] if in_Vc(v, p) else []):
+                again = saturate(member, p)
+                assert not again.saturated and again.lam == 1.0, (p, member)
+                np.testing.assert_array_equal(bits(again.v_out), bits(member))
 
 
 class TestOracle:

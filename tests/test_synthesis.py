@@ -1,7 +1,10 @@
+import argparse
 import math
 import re
+import shlex
+import shutil
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,12 +28,14 @@ from flatsat import (
     saturate,
     verify_cert,
 )
-from flatsat import synthesis
+from flatsat import CSV_COLUMNS, cli, synthesis
 from flatsat.saturation import _saturate_floats
 from flatsat.kvformat import parse_kv
 from flatsat.synthesis import CERT_KEYS, DELTA_CERT
 
-from conftest import A_MATRIX, B_MATRIX, dense_P, dense_P_inv_sqrt
+from conftest import A_MATRIX, B_MATRIX, SCRIPTS, dense_P, dense_P_inv_sqrt, run_script
+
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
 # frozen reference scalars for the canonical desk-scale setting
 GAIN_A075 = (0.2109, 0.2813, 0.75)
@@ -773,3 +778,73 @@ class TestCertificateFile:
         para = readme.split("\nCertificate (", 1)[1].split("\n\n", 1)[0]
         documented = re.findall(r"`(\w+)`", para.split(":", 1)[1])
         assert keys == list(CERT_KEYS) == documented
+
+
+def readme_blocks(text):
+    """The fenced code blocks of README text ``text``, in order."""
+    return re.findall(r"^```\w*\n(.*?)^```$", text, re.M | re.S)
+
+
+def readme_synopsis():
+    """The README's CLI synopsis: the first code block under "Command line"."""
+    return readme_blocks(README.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0])[0]
+
+
+class TestReadme:
+    """The README's contract held to the code: its config keys, its CLI
+    synopsis, its trace header and summary keys, and its examples."""
+
+    def test_config_table_names_each_run_config_field_once(self):
+        table = README.split("\n### Configuration\n", 1)[1].split("\n#", 1)[0]
+        rows = [line for line in table.splitlines() if line.startswith("| `")]
+        keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert keys == [f.name for f in fields(cli.RunConfig)]
+
+    def test_synopsis_lists_each_subcommand_with_its_arguments(self):
+        documented = []
+        for line in readme_synopsis().splitlines():
+            words = re.sub(r"\[[^]]*\]", "", line).split()
+            documented.append((words[1], words[2:], sorted(re.findall(r"\[(--[\w-]+)", line))))
+        (commands,) = [action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        parsed = [(name, [a.dest.upper() for a in sp._actions if not a.option_strings],
+                   sorted(flag for a in sp._actions for flag in a.option_strings
+                          if flag not in ("-h", "--help")))
+                  for name, sp in commands.choices.items()]
+        assert documented == parsed
+
+    def test_trace_header_and_summary_keys_as_written(self, tmp_path, capsys):
+        header = README.split("\nTrace CSV header: `", 1)[1].split("`", 1)[0]
+        assert [column.strip() for column in header.split(",")] == list(CSV_COLUMNS)
+        # the backticked names after the colon of the run summary paragraph
+        para = README.split("\nRun summary (", 1)[1].split("\n\n", 1)[0]
+        documented = re.findall(r"`(\w+)`", para.split(":", 1)[1])
+        config = tmp_path / "c.txt"
+        config.write_text("duration = 0.2\ngammas = 1, 5\n", encoding="utf-8")
+        args = ["--config", str(config), "--out", str(tmp_path)]
+        assert cli.main(["simulate", *args]) == cli.main(["sweep", *args]) == cli.EXIT_OK
+        simulate, sweep = (list(parse_kv(text)) for text in
+                           capsys.readouterr().out.split("# gamma sweep summary\n"))
+        assert simulate == documented
+        per_run = ["gamma", *(key for key in documented if key != "gamma")]
+        assert sweep == [f"run{i}_{key}" for i in range(2) for key in per_run]
+
+    def test_examples_run_clean(self, tmp_path, monkeypatch, capsys):
+        # every fenced line that starts with a command, but the synopsis,
+        # in order, from a directory that holds a copy of scripts/
+        shutil.copytree(SCRIPTS, tmp_path / "scripts")
+        monkeypatch.chdir(tmp_path)
+        synopsis = readme_synopsis()
+        lines = [line for block in readme_blocks(README) if block != synopsis
+                 for line in block.splitlines()]
+        ran = 0
+        for line in lines:
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["flatsat"]:
+                assert cli.main(argv[1:]) == cli.EXIT_OK, line
+            elif argv[:2] == ["python", "scripts/alpha_sweep.py"]:
+                run_script("alpha_sweep.py", monkeypatch, *argv[2:])
+            else:
+                continue
+            ran += 1
+        assert ran
