@@ -40,9 +40,10 @@ def format_value(value) -> str:
     return str(value)
 
 
-# rows formatted per block by format_rows: the working set stays near 1 MB
-# for 18 float columns, however long the array
-BLOCK_ROWS = 256
+# rows per block of format_rows: the trace's 18 float columns take 18 * _CELL * 128 = 110 592
+# bytes of template, and its tobytes() copy as much, both below glibc's 128 KiB mmap threshold,
+# so malloc reuses their pages instead of mapping fresh ones for every block
+BLOCK_ROWS = 128
 
 # One fixed 48-byte template per cell, six 8-byte words: the sign, "0.000",
 # then the 17 digits each followed by a dot slot (the first digit in word 0,
@@ -233,8 +234,12 @@ def format_rows(x: np.ndarray, tails: Sequence[str]) -> Iterator[bytes]:
     and exponent with a double-double product (see :func:`_scaled`), and
     keeps the bytes of '%.17g' from one fixed template. Python's own
     formatting takes the cells the kernel leaves: zero, inf, nan, exponents
-    of three digits and near-ties such as ``2**-25``."""
+    of three digits and near-ties such as ``2**-25``. An ``x`` that is not
+    2-D, or a tail count other than its row count, is a ValueError before
+    the first block."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or len(tails) != len(x):
+        raise ValueError(f"need a 2-D x and one tail per row: x {x.shape}, {len(tails)} tails")
     for start in range(0, len(x), BLOCK_ROWS):
         yield _format_block(x[start : start + BLOCK_ROWS], tails[start : start + BLOCK_ROWS])
 

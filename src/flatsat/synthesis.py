@@ -351,7 +351,8 @@ def boundary_states(gain: GainMatrix, eps: float, n: int, seed: int = 0) -> np.n
     the left-to-right sum of their six squares, each axis pair (u_i, w_i)
     mapped to (a u_i + b w_i, b u_i + c w_i) by :func:`_axis_map`. Rows are
     arithmetic on their own draw, so the first k of n rows are the rows for
-    n = k; they are the transpose of six contiguous columns (Fortran order).
+    n = k; they are the transpose of six contiguous columns (Fortran order),
+    written in place over the draw's own buffer, with no temporary block.
     At the synthesized gains every row lies on V = eps within about 7 units
     of 2^-53 (V summed exactly). An ``n`` whose ``(n, 6)`` float64 block
     exceeds ``sys.maxsize`` bytes is a ValueError, before the draw."""
@@ -362,12 +363,16 @@ def boundary_states(gain: GainMatrix, eps: float, n: int, seed: int = 0) -> np.n
             f"n = {n} boundary states: their (n, 6) float64 block exceeds sys.maxsize bytes"
         )
     a, b, c = _axis_map(gain, eps)
-    cols = np.random.default_rng(seed).standard_normal((n, 6)).T.copy()
+    draw = np.random.default_rng(seed).standard_normal((n, 6))
+    cols = draw.T.copy()
     sq = cols[0] * cols[0]
     for col in cols[1:]:
         sq += col * col
     cols /= np.sqrt(sq)
-    return np.concatenate([a * cols[:3] + b * cols[3:], b * cols[:3] + c * cols[3:]]).T
+    u, w, out = cols[:3], cols[3:], draw.reshape(6, n)  # the draw's buffer, free since the copy
+    np.add(np.multiply(a, u, out=out[:3]), np.multiply(b, w, out=out[3:]), out=out[:3])
+    np.add(np.multiply(b, u, out=out[3:]), np.multiply(c, w, out=w), out=out[3:])
+    return out.T
 
 
 CERT_FORMAT = "flatsat-certificate-1"

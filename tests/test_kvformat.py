@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatsat.kvformat import BLOCK_ROWS, dump_kv, format_rows, format_value, parse_kv
+from flatsat import CSV_COLUMNS
+from flatsat.kvformat import _CELL, BLOCK_ROWS, dump_kv, format_rows, format_value, parse_kv
 
 # any float64: every bit pattern (each NaN payload, subnormal and both
 # zeros), and hypothesis's own floats, which favour edge values
@@ -71,3 +73,23 @@ def test_format_rows_in_blocks():
     blocks = list(format_rows(x, ["\n"] * len(x)))
     assert [b.count(b"\n") for b in blocks] == [BLOCK_ROWS, BLOCK_ROWS, 1]
     assert b"".join(blocks).decode().splitlines() == [format_value(v) for v in x[:, 0].tolist()]
+    # input it cannot write is rejected before the first block: a tail
+    # count off by one either way across several blocks, and an x not 2-D
+    rows = 4 * BLOCK_ROWS + 88
+    col = np.arange(float(rows))[:, None]
+    for x, n_tails in [(col, rows - 1), (col, rows + 1), (col[:, 0], rows), (np.float64(1.0), 0)]:
+        blocks = format_rows(x, ["\n"] * n_tails)
+        with pytest.raises(ValueError, match=re.escape(
+            f"need a 2-D x and one tail per row: x {np.shape(x)}, {n_tails} tails"
+        )):
+            next(blocks)
+
+
+def test_block_stays_below_the_mmap_threshold():
+    """One block of a trace's float columns (all but the three string tail
+    columns) is a template of _CELL bytes per cell, and tobytes() copies it:
+    at or below glibc's default 128 KiB mmap threshold, malloc reuses the
+    pages of the last block instead of mapping fresh ones."""
+    float_columns = len(CSV_COLUMNS) - 3
+    assert float_columns == 18
+    assert BLOCK_ROWS * float_columns * _CELL <= 128 * 1024

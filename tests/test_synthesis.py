@@ -670,6 +670,21 @@ class TestBoundaryStates:
             for k in (1, 2, 3, 7, 20, 33, 128, 999):
                 assert np.array_equal(boundary_states(gain, eps, k, seed), many[:k]), (seed, k)
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.75, 3.0])
+    def test_in_place_map_bitwise_as_the_formula(self, params, alpha):
+        """The axis map written in place over the draw equals, bit for bit,
+        (a u + b w, b u + c w) formed with temporaries from the same draw."""
+        cert = synthesize_certificate(params, alpha=alpha, gamma=1.0)
+        a, b, c = synthesis._axis_map(cert.gain, cert.eps)
+        for seed in (0, 7):
+            for n in (0, 1, 2, 10_000):
+                cols = np.random.default_rng(seed).standard_normal((n, 6)).T.copy()
+                cols /= np.sqrt(sum(col * col for col in cols))  # summed left to right
+                want = np.concatenate([a * cols[:3] + b * cols[3:], b * cols[:3] + c * cols[3:]]).T
+                got = boundary_states(cert.gain, cert.eps, n, seed)
+                assert got.shape == (n, 6) and got.flags.f_contiguous, (seed, n)
+                assert got.tobytes() == want.tobytes(), (seed, n)
+
     def test_seeds_give_different_points(self, cert075):
         draws = [boundary_states(cert075.gain, cert075.eps, 50, seed) for seed in (0, 1, 2)]
         for i in range(3):
