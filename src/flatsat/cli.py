@@ -174,14 +174,16 @@ def _resolve_config(args) -> RunConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def _gamma_text(g: float, spec: str) -> str:
+    """``g`` in the format ``spec`` when that reads back as ``g``, else its
+    full-precision repr, so that two distinct gammas never print alike."""
+    text = format(g, spec)
+    return text if float(text) == g else repr(g)
+
+
 def _gamma_tag(g: float) -> str:
-    """The file-name tag of a sweep gamma: its short ``g`` form when that
-    reads back as ``g``, else its full-precision repr, so that two distinct
-    gammas never share a trace file."""
-    text = f"{g:g}"
-    if float(text) != g:
-        text = repr(g)
-    return text.replace(".", "p")
+    """The file-name tag of a gamma: its ``g`` form, the point as ``p``."""
+    return _gamma_text(g, "g").replace(".", "p")
 
 
 def _check_gammas(gammas) -> None:
@@ -402,7 +404,7 @@ def cmd_invariance(args) -> int:
         worst = max(m.max_lyapunov / base.eps for m in per_start)
         count = sum(m.n_violations for m in per_start)
         duty = np.mean([m.saturation_duty for m in per_start])
-        print(f"gamma={gamma:5.1f}: max V/eps={worst:.9f} violations={count} "
+        print(f"gamma={_gamma_text(gamma, '5.1f')}: max V/eps={worst:.9f} violations={count} "
               f"saturation duty mean={duty:.3f}")
     return EXIT_VIOLATIONS if any(m.n_violations for m in results) else EXIT_OK
 

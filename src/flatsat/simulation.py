@@ -215,17 +215,19 @@ _TAILS = {
 class Trace:
     """Uniform-grid record of one run; one row per sample instant.
 
-    ``xi_ref`` is the reference state at each sample: the rows of the one
-    ``reference.state`` call on the time grid. The command columns hold
-    both the raw feedback and its saturated value; ``lyapunov`` is the
-    tracking-error Lyapunov value. ``violations`` collects human-readable
-    monitor failures (empty on a clean run). The trace CSV holds every
-    column but ``xi_ref``. Every field depends only on the run's inputs.
+    ``err`` is the tracking error ``xi - reference.state(t)`` and ``a_ref``
+    the reference acceleration of each sample, from the one call of each
+    on the time grid. The command columns hold the raw feedback and its
+    saturated value; ``lyapunov`` is the tracking-error Lyapunov value.
+    ``violations`` collects human-readable monitor failures (empty on a
+    clean run). The trace CSV holds every column but ``err`` and ``a_ref``.
+    Every field depends only on the run's inputs.
     """
 
     t: np.ndarray
     xi: np.ndarray
-    xi_ref: np.ndarray
+    err: np.ndarray
+    a_ref: np.ndarray
     v_raw: np.ndarray
     v: np.ndarray
     u: np.ndarray
@@ -338,22 +340,23 @@ def run(scenario: Scenario) -> Trace:
     it.
 
     Nothing that the state does not affect is evaluated per sample: the
-    reference state, the feedforward acceleration (only when
-    ``feedforward`` is on) and the yaw are sampled once over the whole grid
-    before the loop. ``reference.state`` and ``reference.accel`` are each
-    called once, on the array of grid times, and must return shape
-    ``(n+1, 6)`` and ``(n+1, 3)``; another shape (as from a reference that
-    takes only scalar times) raises ValueError. A callable yaw is called
-    once per grid time; a constant one is finite, as :class:`Scenario`
-    checks. One array check then looks for a non-finite value in these
-    signals and raises ValueError, before any sample, naming the earliest
-    grid time that holds one and the first signal, in the order
-    ``reference.state``, ``reference.accel``, ``psi``, that is not finite
-    there. So a run that starts completes, but for finite inputs whose
-    arithmetic overflows: a raw command whose squared norm overflows
-    (about 1.3e154) or a ``dt`` whose ``dt**2 / 2`` does. The saturation
-    rejects the first such sample with a DomainError whose message names
-    the sample's time, state and reference, then the reason.
+    reference state, the reference acceleration and the yaw are sampled
+    once over the whole grid before the loop, and the trace keeps the
+    acceleration; ``feedforward`` only decides whether the raw command adds
+    it. ``reference.state`` and ``reference.accel`` are each called once,
+    on the array of grid times, and must return shape ``(n+1, 6)`` and
+    ``(n+1, 3)``; another shape (as from a reference that takes only scalar
+    times) raises ValueError. A callable yaw is called once per grid time;
+    a constant one is finite, as :class:`Scenario` checks. One array check
+    then looks for a non-finite value in these signals and raises
+    ValueError, before any sample, naming the earliest grid time that holds
+    one and the first signal, in the order ``reference.state``,
+    ``reference.accel``, ``psi``, that is not finite there. So a run that
+    starts completes, but for finite inputs whose arithmetic overflows: a
+    raw command whose squared norm overflows (about 1.3e154) or a ``dt``
+    whose ``dt**2 / 2`` does. The saturation rejects the first such sample
+    with a DomainError whose message names the sample's time, state and
+    reference, then the reason.
 
     The per-sample loop holds only the feedback path, inlined on plain
     floats with the public functions' operations in their order: the raw
@@ -384,9 +387,8 @@ def run(scenario: Scenario) -> Trace:
 
     tgrid = np.arange(n + 1) * dt
     refs = _on_grid(scenario.reference.state, tgrid, 6, "state")
-    signals = {"reference.state": refs}
-    if scenario.feedforward:
-        signals["reference.accel"] = _on_grid(scenario.reference.accel, tgrid, 3, "accel")
+    a_ref = _on_grid(scenario.reference.accel, tgrid, 3, "accel")
+    signals = {"reference.state": refs, "reference.accel": a_ref}
     if callable(psi):
         signals["psi"] = np.array([psi(t) for t in tgrid.tolist()], dtype=float)
     finite = np.isfinite(np.column_stack(list(signals.values()))).all(axis=1)
@@ -394,11 +396,9 @@ def run(scenario: Scenario) -> Trace:
         k = int(np.argmin(finite))
         name = next(name for name, values in signals.items() if not np.isfinite(values[k]).all())
         raise ValueError(f"{name} is not finite at t={float(tgrid[k])}")
-    ffs = signals["reference.accel"].tolist() if scenario.feedforward else [None] * (n + 1)
-    if callable(psi):
-        yaws = [_yaw_trig(a, g) for a in signals["psi"].tolist()]
-    else:
-        yaws = [_yaw_trig(psi, g)] * (n + 1)
+    ffs = a_ref.tolist() if scenario.feedforward else [None] * (n + 1)
+    yaws = ([_yaw_trig(a, g) for a in signals["psi"].tolist()] if callable(psi)
+            else [_yaw_trig(psi, g)] * (n + 1))
 
     level = eps * (1.0 + _LEVEL_SLACK)
     v0 = _lyapunov((scenario.initial_state - refs[0]).tolist(), p1, p2, p3)
@@ -468,11 +468,11 @@ def run(scenario: Scenario) -> Trace:
     buf = np.frombuffer(rows, dtype=float).reshape(n + 1, _ROW.size // 8)
     xi, u = buf[:, 0:6], buf[:, 6:9]
     # the errors and raw commands as contiguous columns, which take numpy's
-    # fast loops; v_raw is their transpose
+    # fast loops; the trace keeps their transposes
     err = np.subtract(xi.T, refs.T, order="C")
     raw = _raw_feedback(err[0:3], err[3:6], gamma, p2, p3)
     if scenario.feedforward:
-        raw += signals["reference.accel"].T
+        raw += a_ref.T
     v_raw = raw.T
     # a sample that did not call the kernel passes its raw command through
     v, lam = v_raw.copy(), np.ones(n + 1)
@@ -507,7 +507,8 @@ def run(scenario: Scenario) -> Trace:
     return Trace(
         t=tgrid,
         xi=xi,
-        xi_ref=refs,
+        err=err.T,
+        a_ref=a_ref,
         v_raw=v_raw,
         v=v,
         u=u,
@@ -528,7 +529,7 @@ class RunMetrics:
     smallest observed distances to each constraint boundary (negative means
     a violation). Every field depends only on the run's inputs.
     ``max_decay_residual`` is the largest V' + alpha V over the samples, with
-    V' = 2 xi' P (d, v - reference.accel(t)) the exact rate of the error
+    V' = 2 xi' P (d, v - a_ref) the exact rate of the error
     xi = (e, d) under the held command v: <= 0 when every sample decays.
     """
 
@@ -549,33 +550,29 @@ def metrics(trace: Trace, scenario: Scenario) -> RunMetrics:
     """Summarize a completed trace (tracking error, decay residual,
     saturation duty cycle, constraint margins).
 
-    Reads the trace's own ``xi_ref``, and ``reference.accel`` once, on the
-    trace's times. The decay residual takes the error's rate as
-    (d, v - accel): exact for a reference whose velocity is the derivative
-    of its position, as every built-in one's is. Raises ValueError on a
-    trace with no rows, which :func:`run` never returns but a trace built
-    by hand may have. The sums run with numpy's overflow and invalid-value
-    warnings off, so no finite field changes; a field that is not finite,
-    as from a run whose values overflow float64 in them, is a DomainError
-    naming the first such field in field order."""
+    Reads the trace, the limits and the gain, and samples nothing: the
+    trace keeps the errors ``err`` and the reference acceleration
+    ``a_ref``. The decay residual takes the error's rate as (d, v - a_ref):
+    exact for a reference whose velocity is the derivative of its position,
+    as every built-in one's is. Raises ValueError on a trace with no rows,
+    which :func:`run` never returns but a trace built by hand may have. The
+    sums run with numpy's overflow and invalid-value warnings off, so no
+    finite field changes; a field that is not finite, as from a run whose
+    values overflow float64 in them, is a DomainError naming the first such
+    field in field order."""
     p = scenario.params
     tgrid = trace.t
     if len(tgrid) == 0:
         raise ValueError("the trace has no rows to summarize")
     # a non-finite value is reported below, by the field that holds it
     with np.errstate(over="ignore", invalid="ignore"):
-        # the errors as contiguous columns, computed in that layout rather
-        # than copied from rows: strided (N, 3) views take numpy's slow
-        # loops, and an extra array of a long run costs fresh pages
-        err = np.subtract(trace.xi.T, trace.xi_ref.T, order="C")
-        e, d = err[:3], err[3:]
+        e, d = trace.err.T[:3], trace.err.T[3:]
         steady = tgrid >= 0.75 * tgrid[-1]
         pos_err = np.linalg.norm(e[:, steady], axis=0)
         rms = float(np.sqrt(np.mean(pos_err ** 2)))
 
         gain = scenario.cert.gain
-        accel = _on_grid(scenario.reference.accel, tgrid, 3, "accel")
-        accel_err = np.subtract(trace.v.T, accel.T, order="C")
+        accel_err = np.subtract(trace.v.T, trace.a_ref.T, order="C")
         rate = _half_rate(e, d, accel_err, gain.p1, gain.p2, gain.p3)
         decay = float(np.max(2.0 * rate + gain.alpha * trace.lyapunov))
 

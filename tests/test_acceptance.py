@@ -245,7 +245,7 @@ def test_criterion_8_tracking_scenarios(params, cert125):
     m = metrics(trace_c, sc_c)
     # the controller's latency: control_law on each of the run's recorded
     # states, timed from outside, as the mean over the calls
-    states = list(zip(trace_c.xi, trace_c.xi_ref))
+    states = list(zip(trace_c.xi, sc_c.reference.state(trace_c.t)))
     assert len(states) == 3001
     tic = time.perf_counter()
     for xi, xi_ref in states:

@@ -47,6 +47,9 @@ from conftest import SCRIPTS, run_script
 OVERFLOW_METRICS = {"initial_state": "1e154, 0, 0, 0, 0, 0", "duration": "1"}
 OVERFLOW_LATER_RUN = {"initial_state": "0, 0, 0, 1.5e153, 0, 0", "duration": "1",
                       "gammas": "1, 15"}
+# a circle without feedforward whose state is finite and whose acceleration
+# radius omega^2 overflows: inf * cos(0) and inf * sin(0) at t = 0
+INFINITE_ACCEL = {"scenario": "circular", "circle_radius": "1e-289", "circle_omega": "1e299"}
 
 
 def snapshot(root):
@@ -676,11 +679,23 @@ class TestSweep:
         # the runs' monitor verdict is the exit status: clean, one line per gamma
         assert rc == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split(":")[0] for line in lines[1:]] == ["gamma=  5.0"] * 2
+        assert [line.split(":")[0] for line in lines[1:]] == ["gamma=  5.0", "gamma=5.000001"]
         assert all(" violations=0 " in line for line in lines[1:])
         assert sorted(p.name for p in out.iterdir()) == [
             "trace_g5_s00.csv", "trace_g5_s01.csv",
             "trace_g5p000001_s00.csv", "trace_g5p000001_s01.csv",
+        ]
+
+    def test_invariance_table_labels_each_gamma_apart(self, tmp_path, capsys):
+        # a label keeps the 5.1f form where it reads back as the gamma, and
+        # is the gamma's repr elsewhere, by the rule of the trace file tags
+        cfg = write_config(tmp_path / "c.txt", duration="0.2", gammas="1, 1.04")
+        out = tmp_path / "out"
+        assert main(["invariance", "--config", cfg, "--starts", "2", "--out", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[1:]] == ["gamma=  1.0", "gamma=1.04"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "trace_g1_s00.csv", "trace_g1_s01.csv", "trace_g1p04_s00.csv", "trace_g1p04_s01.csv",
         ]
 
     def test_invariance_study_exits_on_a_monitor_violation(self, tmp_path, monkeypatch, capsys):
@@ -741,10 +756,13 @@ class TestSweep:
          # omega^2 overflows, so the circle's accel computes inf * sin(0)
          ({"scenario": "circular", "feedforward": "true", "circle_omega": "1e200"},
           "reference.accel is not finite at t=0.0"),
+         # the same error without feedforward: the run samples accel anyway
+         (INFINITE_ACCEL, "reference.accel is not finite at t=0.0"),
          ({"initial_state": "1e160, 0, 0, 0, 0, 0"},
           "sample at t=0.0 rejected, state [1.e+160 0.e+000 0.e+000 0.e+000 0.e+000 "
           "0.e+000], reference [0. 0. 0. 0. 0. 0.]: no feasible pullback factor")],
-        ids=["nan_yaw", "nan_reference", "infinite_accel", "overflow"],
+        ids=["nan_yaw", "nan_reference", "infinite_accel", "infinite_accel_without_feedforward",
+             "overflow"],
     )
     def test_non_finite_input_writes_no_trace(self, tmp_path, capsys, pairs, message):
         # a config error in simulate and sweep alike: exit 1 before any trace
@@ -765,6 +783,8 @@ class TestSweep:
               ("simulate", "sweep", "invariance")),
              ("nan_reference", {"scenario": "circular", "circle_omega": "nan"},
               "reference.state is not finite at t=0.0", ("simulate", "sweep", "invariance")),
+             ("infinite_accel", {**INFINITE_ACCEL, "duration": "1"}, "reference.accel is not finite at t=0.0",
+              ("simulate", "sweep", "invariance")),
              # the first run completes and its metrics overflow (invariance
              # draws its own starts)
              ("overflow_metrics", OVERFLOW_METRICS,

@@ -3,8 +3,9 @@
 :func:`write_set` is the one list of the study commands: a certificate at
 gamma 1 and 15 with their verification reports, ``simulate`` and ``sweep``
 on the default origin run, on the setpoint study and on the circle with
-feedforward under a constant yaw, and ``invariance`` from boundary starts
-around the origin and around the setpoint. They write 44 files, and
+feedforward under a constant yaw, ``simulate`` on the README's two circle
+studies, with and without feedforward, and ``invariance`` from boundary
+starts around the origin and around the setpoint. They write 48 files, and
 ``outputs.sha256`` beside this module holds the SHA-256 of each, in
 ``sha256sum`` format, sorted by path. A change that moves an output
 commits the manifest that the failing test writes, and names each changed
@@ -29,7 +30,8 @@ from flatsat import cli
 from flatsat.kvformat import parse_kv
 
 MANIFEST = Path(__file__).with_name("outputs.sha256")
-SETPOINT = Path(__file__).resolve().parents[1] / "scripts" / "setpoint_study.txt"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SETPOINT = SCRIPTS / "setpoint_study.txt"
 # the circle with feedforward under a constant yaw covers the feedforward,
 # yaw and reference-column paths of the loop; 5 s per start keeps the
 # origin invariance study short
@@ -66,6 +68,10 @@ def write_set(out: Path) -> None:
         for name, config in (("circle", circle), ("setpoint", SETPOINT)):
             flatsat("simulate", "--config", config, "--out", out / name)
             flatsat("sweep", "--config", config, "--out", out / name)
+        # the circle without feedforward is the one moving reference run
+        # without its acceleration in the command
+        for name in ("circle_study", "circle_feedforward_study"):
+            flatsat("simulate", "--config", SCRIPTS / f"{name}.txt", "--out", out / name)
         flatsat("invariance", "--config", inv, "--starts", 3, "--out", out / "inv",
                 stdout=out / "inv.txt")
         flatsat("invariance", "--config", SETPOINT, "--starts", 3, "--out", out / "inv_setpoint",
@@ -149,7 +155,7 @@ def test_trace_float_cells_are_17_significant_digits_of_their_values(study):
     # the value float() reads from it
     out, _ = study
     paths = sorted(out.rglob("trace*.csv"))
-    assert len(paths) == 30
+    assert len(paths) == 32
     for path in paths:
         for line in path.read_bytes().splitlines()[1:]:
             cells = line.split(b",")[:18]

@@ -93,7 +93,7 @@ def numpy_run(scenario):
     dt = scenario.dt
     n = int(round(scenario.duration / dt))
     tgrid = np.arange(n + 1) * dt
-    rows = []  # (xi, ref, raw, v, u, lyap, lam, saturated, active, in_u)
+    rows = []  # (xi, err, a_ref, raw, v, u, lyap, lam, saturated, active, in_u)
     violations = []
     psi = scenario.psi
 
@@ -101,7 +101,8 @@ def numpy_run(scenario):
     for k in range(n + 1):
         t = tgrid[k]
         ref = scenario.reference.state(t)
-        ff = scenario.reference.accel(t) if scenario.feedforward else None
+        a_ref = scenario.reference.accel(t)
+        ff = a_ref if scenario.feedforward else None
         v, raw, res = numpy_control_law(xi, ref, cert, p, feedforward_accel=ff)
         psi_k = psi(t) if callable(psi) else psi
         u = to_physical(v, psi_k, p.g)
@@ -115,7 +116,7 @@ def numpy_run(scenario):
             violations.append(
                 f"t={t:.6g}: left the certified ellipsoid: {lyap} > {cert.eps}"
             )
-        rows.append((xi, ref, raw, v, (u.thrust, u.roll, u.pitch), lyap, res.lam,
+        rows.append((xi, xi - ref, a_ref, raw, v, (u.thrust, u.roll, u.pitch), lyap, res.lam,
                      res.saturated, res.active.value, ok_u))
         if k < n:
             a = accel(u, psi_k, p.g)
@@ -125,10 +126,10 @@ def numpy_run(scenario):
     cols = list(zip(*rows))
     block = lambda i, w: np.array(cols[i], dtype=float).reshape(n + 1, w)
     return Trace(
-        t=tgrid, xi=block(0, 6), xi_ref=block(1, 6), v_raw=block(2, 3), v=block(3, 3),
-        u=block(4, 3), lyapunov=np.array(cols[5], dtype=float),
-        lam=np.array(cols[6], dtype=float), saturated=np.array(cols[7], dtype=bool),
-        active=list(cols[8]), in_u=np.array(cols[9], dtype=bool), violations=violations,
+        t=tgrid, xi=block(0, 6), err=block(1, 6), a_ref=block(2, 3), v_raw=block(3, 3),
+        v=block(4, 3), u=block(5, 3), lyapunov=np.array(cols[6], dtype=float),
+        lam=np.array(cols[7], dtype=float), saturated=np.array(cols[8], dtype=bool),
+        active=list(cols[9]), in_u=np.array(cols[10], dtype=bool), violations=violations,
     )
 
 
@@ -549,15 +550,14 @@ class TestRun:
     @pytest.mark.parametrize("method", ["state", "accel"])
     def test_non_finite_reference_rejected_before_any_sample(self, params, cert075,
                                                              monkeypatch, method):
-        # accel is read, and checked, only with feedforward
+        # both are read, and checked, on every run: feedforward only decides
+        # whether the command adds the acceleration
         sc = replace(origin_scenario(cert075, params, CANONICAL_X0, duration=1.0),
                      reference=nan_from(**{method: 0.5}))
-        if method == "accel":
-            assert len(run(sc)) == 51
-            sc = replace(sc, feedforward=True)
         pack_rows(monkeypatch, no_sample)
-        with pytest.raises(ValueError, match=f"^reference.{method} is not finite at t=0.5$"):
-            run(sc)
+        for feedforward in (False, True):
+            with pytest.raises(ValueError, match=f"^reference.{method} is not finite at t=0.5$"):
+                run(replace(sc, feedforward=feedforward))
 
     def test_yaw_turning_infinite_rejected_before_any_sample(self, params, cert075,
                                                              monkeypatch):
@@ -588,19 +588,21 @@ class TestRun:
     def test_earliest_non_finite_signal_named(self, params, cert075, monkeypatch, state,
                                               accel, psi, named):
         # the earliest grid time with a non-finite value, and there the
-        # first of reference.state, reference.accel and psi that has one;
-        # each signal turns NaN from the grid time of the given index on
+        # first of reference.state, reference.accel and psi that has one,
+        # with or without feedforward; each signal turns NaN from the grid
+        # time of the given index on
         times = (np.arange(51) * 0.02).tolist()
         at = lambda k: None if k is None else times[k]
         sc = replace(
-            origin_scenario(cert075, params, CANONICAL_X0, duration=1.0, feedforward=True,
+            origin_scenario(cert075, params, CANONICAL_X0, duration=1.0,
                             psi=lambda t: math.nan if t >= times[psi] else 0.3),
             reference=nan_from(state=at(state), accel=at(accel)),
         )
         first = min(k for k in (state, accel, psi) if k is not None)
         pack_rows(monkeypatch, no_sample)
-        with pytest.raises(ValueError, match=f"^{named} is not finite at t={times[first]}$"):
-            run(sc)
+        for feedforward in (False, True):
+            with pytest.raises(ValueError, match=f"^{named} is not finite at t={times[first]}$"):
+                run(replace(sc, feedforward=feedforward))
 
     @pytest.mark.parametrize(
         "start, dt, t0",
@@ -778,7 +780,7 @@ def assert_same_trace(got, want, tag):
     """Every column bitwise equal, and the same active constraints and
     violation messages."""
     bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
-    for name in ("t", "xi", "xi_ref", "v_raw", "v", "u", "lyapunov", "lam"):
+    for name in ("t", "xi", "err", "a_ref", "v_raw", "v", "u", "lyapunov", "lam"):
         np.testing.assert_array_equal(
             bits(getattr(got, name)), bits(getattr(want, name)), err_msg=f"{tag} {name}"
         )
@@ -815,7 +817,7 @@ class TestFloatLoopOracle:
             got, want = run(sc), numpy_run(sc)
             assert_same_trace(got, want, i)
             # the block-scalar sum runs in another order than e' P e
-            err = want.xi - want.xi_ref
+            err = want.err
             dense = np.einsum("ij,jk,ik->i", err, dense_P(sc.cert.gain), err)
             scale = np.maximum(1.0, np.abs(dense))
             assert np.all(np.abs(got.lyapunov - dense) <= 1e-15 * scale), i
@@ -904,7 +906,8 @@ class TestTraceExport:
         assert len(tails) == 12 <= m
         sat, act, in_u = zip(*(tails[k % len(tails)] for k in range(m)))
         hand = Trace(
-            t=col, xi=block, xi_ref=-block, v_raw=block[:, :3], v=-block[:, 3:], u=block[:, ::2],
+            t=col, xi=block, err=-block, a_ref=block[:, 1::2], v_raw=block[:, :3],
+            v=-block[:, 3:], u=block[:, ::2],
             lyapunov=-col, lam=col, saturated=np.array(sat), active=list(act),
             in_u=np.array(in_u),
         )
@@ -997,7 +1000,7 @@ def exact_decay_rows(trace, scenario, rows):
     products, which bounds the rounding."""
     gain = scenario.cert.gain
     p1, p2, p3, alpha = map(Fraction, (gain.p1, gain.p2, gain.p3, gain.alpha))
-    err = trace.xi - trace.xi_ref
+    err = trace.err
     accel_err = trace.v - scenario.reference.accel(trace.t)
     out = []
     for i in rows:
@@ -1061,7 +1064,7 @@ class TestMetrics:
             rows = [0, *np.flatnonzero(trace.saturated)[:3].tolist(), len(trace) - 1]
             assert len(rows) == 5
             gain = sc.cert.gain
-            err = trace.xi[rows] - trace.xi_ref[rows]
+            err = trace.err[rows]
             accel_err = trace.v[rows] - sc.reference.accel(trace.t[rows])
             rate = _half_rate(err.T[:3], err.T[3:], accel_err.T, gain.p1, gain.p2, gain.p3)
             got = 2.0 * rate + gain.alpha * trace.lyapunov[rows]
@@ -1092,7 +1095,7 @@ class TestMetrics:
                 sc = origin_scenario(cert, params, xi0)
                 trace = run(sc)
                 worst = max(worst, metrics(trace, sc).max_decay_residual)
-                err = trace.xi - trace.xi_ref
+                err = trace.err
                 rate = _half_rate(err.T[:3], err.T[3:], trace.v.T, gain.p1, gain.p2, gain.p3)
                 failing = 2.0 * rate + gain.alpha * trace.lyapunov > 0.0
                 assert np.all(trace.saturated[failing] & (gamma * trace.lam[failing] < 1.0))
@@ -1266,9 +1269,18 @@ class TestReferenceGrid:
             feedforward=feedforward,
         )
         got = run(sc)
-        want = [("state", (251,))] + [("accel", (251,))] * feedforward
-        assert counting.calls == want
+        # both signals are sampled on every run, feedforward or not, and the
+        # trace keeps what the samples give, bit for bit
+        assert counting.calls == [("state", (251,)), ("accel", (251,))]
+        bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+        np.testing.assert_array_equal(bits(got.a_ref), bits(counting.inner.accel(got.t)))
+        np.testing.assert_array_equal(bits(got.err),
+                                      bits(got.xi - counting.inner.state(got.t)))
         assert_same_trace(got, numpy_run(replace(sc, reference=counting.inner)), "numpy")
+        # metrics reduces the trace: the run owns the reference's samples
+        counting.calls.clear()
+        metrics(got, sc)
+        assert counting.calls == []
 
     def test_scalar_only_reference_rejected(self, params, cert075):
         class FixedVector(OriginReference):
@@ -1289,8 +1301,8 @@ class TestReferenceGrid:
             run(replace(sc, reference=FixedVector()))
         with pytest.raises(ValueError, match=r"^reference\.state must accept an array of times"):
             run(replace(sc, reference=MathCos()))
-        # accel is read only with feedforward
-        assert len(run(replace(sc, reference=FixedAccel()))) == 51
-        with pytest.raises(ValueError, match=r"^reference\.accel must map an array of 51 "
-                           r"times to shape \(51, 3\), got \(3,\)$"):
-            run(replace(sc, reference=FixedAccel(), feedforward=True))
+        # accel is read on every run, with or without feedforward
+        for feedforward in (False, True):
+            with pytest.raises(ValueError, match=r"^reference\.accel must map an array of 51 "
+                               r"times to shape \(51, 3\), got \(3,\)$"):
+                run(replace(sc, reference=FixedAccel(), feedforward=feedforward))
