@@ -7,6 +7,7 @@ Subcommands:
     verify     re-check a certificate file by boundary sampling
     sweep      run the scenario once per gamma value, combined summary
     invariance run from boundary starts of the certified ellipsoid per gamma
+    alphas     tabulate the certificate at each decay rate
 
 Configuration lives in a ``key = value`` text file (``#`` comments allowed;
 unknown keys rejected); every key has a default mirroring the desk-scale
@@ -14,10 +15,11 @@ nano-drone setting, so a bare run needs no file at all. A key that sets a
 library parameter reads its default from the class or constant that defines
 it, and each key is parsed by the type of its default. The output directory
 is the ``--out`` flag, else the config value. Every file written there
-depends only on the inputs, so reruns are byte-identical; ``simulate`` and
-``sweep`` print on stdout, byte for byte, the summary file they write.
-``synth``, ``simulate``, ``sweep`` and ``invariance`` write their files
-through :func:`_output`.
+depends only on the inputs, so reruns are byte-identical; ``simulate``,
+``sweep`` and ``invariance`` print on stdout, byte for byte, the summary
+file they write. ``synth``, ``simulate``, ``sweep`` and ``invariance``
+write their files through :func:`_output`; ``saturate``, ``verify`` and
+``alphas`` write none.
 
 Exit codes: 0 clean, 1 usage or config error (argparse's own errors
 included), 2 synthesis infeasible, 3 monitor or verification failures.
@@ -29,6 +31,7 @@ import argparse
 import contextlib
 import functools
 import itertools
+import math
 import shutil
 import sys
 import tempfile
@@ -37,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constraint_sets import ConstraintParams
+from .constraint_sets import ConstraintParams, max_inscribed_ball
 from .kvformat import dump_kv, non_negative_int, parse_kv
 from .saturation import saturate, saturate_oracle
 from .simulation import (
@@ -174,16 +177,12 @@ def _resolve_config(args) -> RunConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _gamma_text(g: float, spec: str) -> str:
-    """``g`` in the format ``spec`` when that reads back as ``g``, else its
-    full-precision repr, so that two distinct gammas never print alike."""
-    text = format(g, spec)
-    return text if float(text) == g else repr(g)
-
-
 def _gamma_tag(g: float) -> str:
-    """The file-name tag of a gamma: its ``g`` form, the point as ``p``."""
-    return _gamma_text(g, "g").replace(".", "p")
+    """The file-name tag of a gamma: its ``g`` form where that reads back as
+    ``g``, else its full-precision repr, so that two distinct gammas never
+    share a tag; the point is written ``p``."""
+    text = format(g, "g")
+    return (text if float(text) == g else repr(g)).replace(".", "p")
 
 
 def _check_gammas(gammas) -> None:
@@ -374,8 +373,11 @@ def cmd_invariance(args) -> int:
     """The scenario from ``--starts`` boundary points of the certified
     ellipsoid (the :func:`boundary_states` that ``verify`` checks for the
     config's seed), centred on the reference's state at t = 0, in invariance
-    mode, once per gamma: one trace per (gamma, start), and per gamma the
-    worst V/eps, the violation count and the mean saturation duty."""
+    mode, once per gamma: one trace per (gamma, start), and
+    ``invariance_summary.txt`` with the certificate's ``rho``, ``eps`` and
+    ``alpha``, then per gamma i ``run<i>_gamma``, ``run<i>_max_level`` (the
+    largest V/eps over its starts), ``run<i>_n_violations`` (their sum) and
+    ``run<i>_saturation_duty`` (their mean)."""
     cfg = _resolve_config(args)
     params = cfg.params()
     _check_gammas(cfg.gammas)
@@ -395,18 +397,41 @@ def cmd_invariance(args) -> int:
         for i, offset in enumerate(offsets):
             runs[f"trace_g{_gamma_tag(gamma)}_s{i:02d}.csv"] = replace(
                 scenario, initial_state=centre + offset, invariance_mode=True)
+    n = len(offsets)
+    summary = {"rho": base.rho, "eps": base.eps, "alpha": base.gain.alpha}
     with _output(args, cfg) as stage:
         results = _run_step(stage, runs)
-    print(f"certificate: rho={base.rho:.4f} eps={base.eps:.4f} alpha={cfg.alpha}")
-    n = len(offsets)
-    for k, gamma in enumerate(cfg.gammas):
-        per_start = results[k * n:(k + 1) * n]
-        worst = max(m.max_lyapunov / base.eps for m in per_start)
-        count = sum(m.n_violations for m in per_start)
-        duty = np.mean([m.saturation_duty for m in per_start])
-        print(f"gamma={_gamma_text(gamma, '5.1f')}: max V/eps={worst:.9f} violations={count} "
-              f"saturation duty mean={duty:.3f}")
+        for i, gamma in enumerate(cfg.gammas):
+            per_start = results[i * n:(i + 1) * n]
+            summary[f"run{i}_gamma"] = gamma
+            summary[f"run{i}_max_level"] = max(m.max_lyapunov / base.eps for m in per_start)
+            summary[f"run{i}_n_violations"] = sum(m.n_violations for m in per_start)
+            summary[f"run{i}_saturation_duty"] = np.mean([m.saturation_duty for m in per_start])
+        text = dump_kv(summary, header="invariance summary")
+        stage("invariance_summary.txt").write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
     return EXIT_VIOLATIONS if any(m.n_violations for m in results) else EXIT_OK
+
+
+def cmd_alphas(args) -> int:
+    """The certificate at each decay rate of ``--alphas``, at the default
+    limits and margin: ``rho`` (of :func:`max_inscribed_ball`, the same for
+    every alpha), then per alpha i ``run<i>_alpha``, the gain ``run<i>_p1``,
+    ``run<i>_p2`` and ``run<i>_p3``, the level ``run<i>_eps`` and
+    ``run<i>_axis_area`` = pi eps / sqrt(p1 p3 - p2^2), the area of the
+    certified ellipse in one axis's (position error, velocity error) plane.
+    A slower decay buys a larger ellipse. Every alpha is synthesized before
+    anything is printed."""
+    params = ConstraintParams()
+    certs = [synthesize_certificate(params, alpha, 1.0) for alpha in args.alphas]
+    table = {"rho": max_inscribed_ball(params)}
+    for i, cert in enumerate(certs):
+        g = cert.gain
+        row = {"alpha": g.alpha, "p1": g.p1, "p2": g.p2, "p3": g.p3, "eps": cert.eps,
+               "axis_area": math.pi * cert.eps / math.sqrt(g.p1 * g.p3 - g.p2 * g.p2)}
+        table.update((f"run{i}_{key}", value) for key, value in row.items())
+    sys.stdout.write(dump_kv(table, header="decay-rate sweep"))
+    return EXIT_OK
 
 
 class _NegativeFloatLiteral:
@@ -483,6 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--gammas", type=float_list, help="comma-separated gamma list")
     sp.add_argument("--starts", type=int, default=20, help="boundary starts per gamma")
+
+    sp = sub.add_parser("alphas", help="tabulate the certificate at each decay rate")
+    sp.add_argument("--alphas", type=float_list, default=(0.25, 0.5, 0.75, 1.0, 1.25),
+                    help="comma-separated decay rates")
 
     return parser
 

@@ -293,7 +293,10 @@ def control_law(xi, xi_ref, cert: EllipsoidCert, p: ConstraintParams,
     r2 = _raw_feedback(x2 - q2, x5 - q5, gamma, p2, p3)
     r3 = _raw_feedback(x3 - q3, x6 - q6, gamma, p2, p3)
     if feedforward_accel is not None:
-        f1, f2, f3 = np.asarray(feedforward_accel, dtype=float).tolist()
+        f = np.asarray(feedforward_accel, dtype=float)
+        if f.shape != (3,):
+            raise ValueError(f"feedforward_accel needs exactly three values, got shape {f.shape}")
+        f1, f2, f3 = f.tolist()
         r1 += f1
         r2 += f2
         r3 += f3

@@ -1,6 +1,4 @@
 import math
-import runpy
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +7,6 @@ import pytest
 from flatsat import ActiveConstraint, ConstraintParams, DomainError, synthesize_certificate
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def run_script(name, monkeypatch, *args):
-    """Run ``scripts/<name>`` as ``__main__`` with ``args`` as its argv."""
-    script = SCRIPTS / name
-    monkeypatch.setattr(sys, "argv", [str(script), *args])
-    runpy.run_path(str(script), run_name="__main__")
 
 
 # initial state used by the gamma-comparison regulation studies

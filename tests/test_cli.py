@@ -1,6 +1,7 @@
 
 import errno
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -39,7 +40,7 @@ from flatsat.synthesis import (
     synthesize_certificate,
 )
 
-from conftest import SCRIPTS, run_script
+from conftest import SCRIPTS
 
 
 # finite configs whose runs overflow: the first run's metrics, and a
@@ -295,7 +296,8 @@ class TestSimulate:
         assert capsys.readouterr().out == text
 
     @pytest.mark.parametrize("command, summary", [("simulate", "summary.txt"),
-                                                  ("sweep", "sweep_summary.txt")])
+                                                  ("sweep", "sweep_summary.txt"),
+                                                  ("invariance", "invariance_summary.txt")])
     def test_stdout_is_the_summary_file(self, tmp_path, capsys, command, summary):
         # a saturating run, so the summary has more than zeros to print
         cfg = write_config(tmp_path / "c.txt", duration="2.0", gamma="15", gammas="1, 15")
@@ -676,26 +678,27 @@ class TestSweep:
         out = tmp_path / "out"
         rc = main(["invariance", "--config", cfg, "--gammas", "5,5.000001", "--starts", "2",
                    "--out", str(out)])
-        # the runs' monitor verdict is the exit status: clean, one line per gamma
+        # the runs' monitor verdict is the exit status: clean, for each gamma
         assert rc == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split(":")[0] for line in lines[1:]] == ["gamma=  5.0", "gamma=5.000001"]
-        assert all(" violations=0 " in line for line in lines[1:])
+        summary = parse_kv(capsys.readouterr().out)
+        assert [float(summary[f"run{i}_gamma"]) for i in range(2)] == [5.0, 5.000001]
+        assert [summary[f"run{i}_n_violations"] for i in range(2)] == ["0", "0"]
         assert sorted(p.name for p in out.iterdir()) == [
-            "trace_g5_s00.csv", "trace_g5_s01.csv",
+            "invariance_summary.txt", "trace_g5_s00.csv", "trace_g5_s01.csv",
             "trace_g5p000001_s00.csv", "trace_g5p000001_s01.csv",
         ]
 
     def test_invariance_table_labels_each_gamma_apart(self, tmp_path, capsys):
-        # a label keeps the 5.1f form where it reads back as the gamma, and
-        # is the gamma's repr elsewhere, by the rule of the trace file tags
+        # each gamma reads back exactly from its summary key, as from its
+        # trace file tag
         cfg = write_config(tmp_path / "c.txt", duration="0.2", gammas="1, 1.04")
         out = tmp_path / "out"
         assert main(["invariance", "--config", cfg, "--starts", "2", "--out", str(out)]) == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split(":")[0] for line in lines[1:]] == ["gamma=  1.0", "gamma=1.04"]
+        summary = parse_kv(capsys.readouterr().out)
+        assert [float(summary[f"run{i}_gamma"]) for i in range(2)] == [1.0, 1.04]
         assert sorted(p.name for p in out.iterdir()) == [
-            "trace_g1_s00.csv", "trace_g1_s01.csv", "trace_g1p04_s00.csv", "trace_g1p04_s01.csv",
+            "invariance_summary.txt", "trace_g1_s00.csv", "trace_g1_s01.csv",
+            "trace_g1p04_s00.csv", "trace_g1p04_s01.csv",
         ]
 
     def test_invariance_study_exits_on_a_monitor_violation(self, tmp_path, monkeypatch, capsys):
@@ -709,15 +712,18 @@ class TestSweep:
         out = tmp_path / "out"
         rc = main(["invariance", "--config", cfg, "--gammas", "1,5", "--starts", "2",
                    "--out", str(out)])
-        # the table is printed whole, then the command exits as simulate does,
-        # with simulate's violation lines on stderr
+        # the summary is written and printed whole, then the command exits
+        # as simulate does, with simulate's violation lines on stderr
         assert rc == EXIT_VIOLATIONS
         captured = capsys.readouterr()
-        lines = captured.out.splitlines()
-        assert len(lines) == 3
-        assert all(line.startswith("gamma=") and " violations=2 " in line for line in lines[1:])
+        summary = parse_kv(captured.out)
+        assert list(summary) == ["rho", "eps", "alpha", *(
+            f"run{i}_{key}" for i in range(2)
+            for key in ("gamma", "max_level", "n_violations", "saturation_duty"))]
+        assert [summary[f"run{i}_n_violations"] for i in range(2)] == ["2", "2"]
         assert captured.err == "violation: t=0: left the certified ellipsoid\n" * 4
         assert len(list(out.glob("*.csv"))) == 4
+        assert (out / "invariance_summary.txt").read_text() == captured.out
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_repeated_gamma_rejected_before_any_trace(self, tmp_path, capsys, where):
@@ -846,7 +852,8 @@ class TestOutput:
         "simulate": (["simulate"], ["summary.txt", "trace.csv"]),
         "sweep": (["sweep"], ["sweep_summary.txt", "trace_gamma_1.csv",
                               "trace_gamma_15.csv"]),
-        "invariance": (["invariance", "--starts", "1"], ["trace_g15_s00.csv",
+        "invariance": (["invariance", "--starts", "1"], ["invariance_summary.txt",
+                                                         "trace_g15_s00.csv",
                                                          "trace_g1_s00.csv"]),
     }
 
@@ -860,7 +867,7 @@ class TestOutput:
         assert sorted(p.name for p in out.parent.iterdir()) == ["out"]
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-    @pytest.mark.parametrize("command", ["synth", "simulate", "sweep"])
+    @pytest.mark.parametrize("command", ["synth", "simulate", "sweep", "invariance"])
     def test_failing_write_after_the_runs_leaves_nothing(self, tmp_path, capsys, monkeypatch,
                                                         command, existing):
         # the report or summary is the last file a command writes: when
@@ -949,8 +956,8 @@ class TestStudyConfigs:
 
 
 class TestStudyScripts:
-    """The alpha sweep script, and the boundary-start study that ``flatsat
-    invariance`` runs."""
+    """The decay-rate sweep that ``flatsat alphas`` prints, and the
+    boundary-start study that ``flatsat invariance`` runs."""
 
     @pytest.mark.parametrize(
         "pairs, args, code, line",
@@ -1039,45 +1046,58 @@ class TestStudyScripts:
                     assert (out / f"trace_g{gamma:g}_s{i:02d}.csv").read_bytes() == (
                         path.read_bytes()
                     ), (reference, gamma, i)
-            assert len(list(out.iterdir())) == 6
+            # the six traces and the summary
+            assert len(list(out.iterdir())) == 7
         assert modes == [True] * 12
 
     @pytest.mark.filterwarnings("error")
-    def test_alpha_sweep_tabulates_each_alpha(self, monkeypatch, capsys):
-        alphas = (0.25, 0.75, 1.25, 3.0)
-        run_script("alpha_sweep.py", monkeypatch, "--alphas", ",".join(map(str, alphas)))
-        rows = capsys.readouterr().out.splitlines()[2:]
-        assert [float(row.split()[0]) for row in rows] == list(alphas)
+    def test_alphas_tabulates_each_alpha_as_the_library_does(self, capsys):
+        # each value is the bits of the library's certificate at the default
+        # limits and margin; the area is pi eps / sqrt(det) of the axis block
+        for argv, alphas in [([], (0.25, 0.5, 0.75, 1.0, 1.25)),
+                             (["--alphas", "0.25,0.75,1.25,3"], (0.25, 0.75, 1.25, 3.0))]:
+            assert main(["alphas", *argv]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert out.startswith("# decay-rate sweep\n")
+            table = {key: float(value) for key, value in parse_kv(out).items()}
+            want = {"rho": max_inscribed_ball(ConstraintParams())}
+            for i, alpha in enumerate(alphas):
+                cert = synthesize_certificate(ConstraintParams(), alpha, 1.0)
+                g = cert.gain
+                want.update({f"run{i}_alpha": g.alpha, f"run{i}_p1": g.p1, f"run{i}_p2": g.p2,
+                             f"run{i}_p3": g.p3, f"run{i}_eps": cert.eps})
+                area = math.pi * cert.eps / math.sqrt(np.linalg.det([[g.p1, g.p2], [g.p2, g.p3]]))
+                assert table.pop(f"run{i}_axis_area") == pytest.approx(area, rel=1e-12)
+            assert list(table.items()) == list(want.items())
 
-    def test_alpha_sweep_rejects_unparsable_alphas(self, monkeypatch, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_script("alpha_sweep.py", monkeypatch, "--alphas", "x")
-        assert exc.value.code != 0
-        assert "argument --alphas: invalid float_list value: 'x'" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "alphas, code, line",
+        [("x", EXIT_USAGE,
+          "flatsat alphas: error: argument --alphas: invalid float_list value: 'x'"),
+         ("0.5,0", EXIT_INFEASIBLE,
+          "synthesis error: alpha must be positive and finite, got 0.0")],
+        ids=["unparsable", "infeasible"],
+    )
+    def test_alphas_rejects_a_bad_list_before_printing(self, capsys, alphas, code, line):
+        # every alpha is synthesized before the table is printed, so a
+        # failure prints no part of it
+        assert main(["alphas", "--alphas", alphas]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(line + "\n") and captured.err.count("error: ") == 1
 
-    def test_alpha_sweep_names_an_infeasible_alpha(self, monkeypatch, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_script("alpha_sweep.py", monkeypatch, "--alphas", "0.5,0")
-        # sys.exit with a message prints it as one line and exits 1
-        assert exc.value.code == (
-            "--alphas: alpha 0.0 is infeasible: alpha must be positive and finite, got 0.0"
-        )
-        assert capsys.readouterr().out.splitlines()[-1].startswith("  0.50 ")
-
-    def test_alpha_sweep_reads_rho_without_a_synthesis(self, monkeypatch, capsys, params):
-        import flatsat
-
+    def test_alphas_reads_rho_without_a_synthesis(self, monkeypatch, capsys, params):
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return synthesize_certificate(*args, **kwargs)
 
-        monkeypatch.setattr(flatsat, "synthesize_certificate", counting)
-        run_script("alpha_sweep.py", monkeypatch, "--alphas", "0.75")
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == f"rho = {max_inscribed_ball(params):.4f} (alpha-independent)"
-        assert len(lines) == 3 and len(calls) == 1
+        monkeypatch.setattr(cli, "synthesize_certificate", counting)
+        assert main(["alphas", "--alphas", "0.75"]) == EXIT_OK
+        table = parse_kv(capsys.readouterr().out)
+        assert float(table["rho"]) == max_inscribed_ball(params)
+        assert len(table) == 7 and len(calls) == 1
 
 
 class TestUsageErrors:

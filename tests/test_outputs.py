@@ -4,8 +4,9 @@
 gamma 1 and 15 with their verification reports, ``simulate`` and ``sweep``
 on the default origin run, on the setpoint study and on the circle with
 feedforward under a constant yaw, ``simulate`` on the README's two circle
-studies, with and without feedforward, and ``invariance`` from boundary
-starts around the origin and around the setpoint. They write 48 files, and
+studies, with and without feedforward, ``invariance`` from boundary
+starts around the origin and around the setpoint, and ``alphas`` at its
+default decay rates. They write 51 files, and
 ``outputs.sha256`` beside this module holds the SHA-256 of each, in
 ``sha256sum`` format, sorted by path. A change that moves an output
 commits the manifest that the failing test writes, and names each changed
@@ -76,6 +77,7 @@ def write_set(out: Path) -> None:
                 stdout=out / "inv.txt")
         flatsat("invariance", "--config", SETPOINT, "--starts", 3, "--out", out / "inv_setpoint",
                 stdout=out / "inv_setpoint.txt")
+        flatsat("alphas", stdout=out / "alphas.txt")
 
 
 def digests(root: Path) -> dict:

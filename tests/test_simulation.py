@@ -260,10 +260,16 @@ class TestControlLawInputs:
         with pytest.raises(ValueError):
             control_law(xi, xi_ref, cert075, params)
 
-    @pytest.mark.parametrize("ff", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4)])
+    @pytest.mark.parametrize("ff", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4), 5.0, np.zeros((3, 1)),
+                                    np.zeros((1, 3)), [[0.0] * 3] * 3])
     def test_feedforward_of_other_than_three_values_rejected(self, params, cert075, ff):
-        with pytest.raises(ValueError):
+        # a ValueError naming the shape, as the states get, also where the
+        # sum would raise a TypeError (a scalar, a column)
+        with pytest.raises(ValueError) as exc:
             control_law(np.zeros(6), np.zeros(6), cert075, params, feedforward_accel=ff)
+        assert str(exc.value) == (
+            f"feedforward_accel needs exactly three values, got shape {np.shape(ff)}"
+        )
 
     @pytest.mark.parametrize("x0, r0", [(math.inf, math.inf), (1e308, -1e308)],
                              ids=["inf-minus-inf", "overflow"])
